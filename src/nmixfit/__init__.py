@@ -31,6 +31,7 @@ from .likelihood import (
     row_loglik_detail,
     row_loglik_recursive,
     table_loglik,
+    table_loglik_score,
     table_row_logliks,
 )
 from .mle import ParameterSummary, fit_ml, format_fit_summary, summarize_fit
@@ -92,6 +93,7 @@ __all__ = [
     "simulate",
     "summarize_fit",
     "table_loglik",
+    "table_loglik_score",
     "table_row_logliks",
     "write_dataset",
 ]

@@ -1,22 +1,24 @@
 """Shared optimisation machinery for the ML and Laplace fitting engines.
 
 Both engines maximise a smooth log density over the stacked parameter
-vector (beta, alpha, log_theta).  The driver runs BFGS with guarded
-central-difference gradients, then polishes with damped Newton steps
-until the gradient norm clears the convergence threshold, and finally
-turns the negative Hessian at the mode into a covariance matrix.
+vector (beta, alpha, log_theta), given as one function that returns the
+value and its exact gradient (the score) from a single kernel pass.
+BFGS runs on that pair, and convergence is judged by the score at the
+returned point.  The covariance is the inverse negative Hessian
+at the mode, taken from central differences of the score: 2n score
+passes for n parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
 from .errors import ModelError, NumericError
-from .likelihood import finite_diff_gradient, finite_diff_hessian
 from .model import (
     DesignMatrices,
     MixtureFamily,
@@ -32,7 +34,6 @@ class FitOptions:
     max_iterations: int = 500
     gradient_tol: float = 1e-5
     convergence_gradient_norm: float = 1e-4
-    polish_steps: int = 12
     compute_covariance: bool = True
 
 
@@ -47,6 +48,8 @@ class FitResult:
     engine, the log posterior kernel for the Laplace engine.
     ``covariance`` is None when the curvature at the mode was not
     positive definite or covariance computation was switched off.
+    ``converged`` judges the score at the mode; ``optimizer_success`` and
+    ``optimizer_message`` are BFGS's own verdict and termination message.
     """
 
     estimates: ParameterVector
@@ -57,6 +60,8 @@ class FitResult:
     gradient_norm: float
     family: MixtureFamily
     parameter_names: tuple[str, ...]
+    optimizer_success: bool = True
+    optimizer_message: str = ""
 
     @property
     def n_params(self) -> int:
@@ -105,121 +110,90 @@ def check_designs_for_fit(
         )
 
 
-def _guarded(log_density):
-    """Negative objective that reports invalid regions as +inf."""
+def _guarded(log_density_and_score):
+    """Negated value and gradient; invalid regions report +inf."""
 
     def neg(x):
         try:
-            value = log_density(x)
+            value, grad = log_density_and_score(x)
         except NumericError:
-            return np.inf
+            value = np.inf
         if not np.isfinite(value):
-            return np.inf
-        return -value
+            return np.inf, np.full(x.size, np.nan)
+        return -value, -np.asarray(grad, dtype=float)
 
     return neg
 
 
-def _tolerant_gradient(neg, x, rel_step=1e-5):
-    """Central differences of a guarded objective; NaN where probes fail."""
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
-        up = x.copy()
-        up[i] += h
-        down = x.copy()
-        down[i] -= h
-        f_up, f_down = neg(up), neg(down)
-        grad[i] = (
-            (f_up - f_down) / (2.0 * h)
-            if np.isfinite(f_up) and np.isfinite(f_down)
-            else np.nan
-        )
-    return grad
+class Optimum(NamedTuple):
+    """Outcome of :func:`maximize_log_density`."""
+
+    x: np.ndarray
+    value: float
+    converged: bool
+    iterations: int
+    gradient_norm: float
+    success: bool
+    message: str
 
 
-def maximize_log_density(log_density, x0: np.ndarray, options: FitOptions):
-    """Maximise ``log_density`` from ``x0``.
+def maximize_log_density(log_density_and_score, x0: np.ndarray, options: FitOptions) -> Optimum:
+    """Maximise a log density from ``x0`` by BFGS on its exact gradient.
 
-    Returns (x_hat, value, converged, iterations, gradient_norm) where
-    gradient_norm is the infinity norm of the raising central-difference
-    gradient at the returned point.
+    ``log_density_and_score(x)`` returns (value, gradient).  The result's
+    gradient_norm is the infinity norm of the gradient at the returned
+    point, from BFGS's own last evaluation; ``converged`` compares it
+    with ``options.convergence_gradient_norm``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    neg = _guarded(log_density)
-    f0 = neg(x0)
-    if not np.isfinite(f0):
-        raise NumericError("objective is not finite at the starting point")
-
     with np.errstate(all="ignore"):
         res = scipy.optimize.minimize(
-            neg,
-            x0,
-            jac=lambda x: _tolerant_gradient(neg, x),
+            _guarded(log_density_and_score),
+            np.asarray(x0, dtype=float),
+            jac=True,
             method="BFGS",
             options={"gtol": options.gradient_tol, "maxiter": options.max_iterations},
         )
-    x_best, f_best = (res.x, res.fun) if np.isfinite(res.fun) and res.fun <= f0 else (x0, f0)
-    iterations = int(res.nit)
-
-    def neg_raising(x):
-        return -log_density(x)
-
-    grad = finite_diff_gradient(neg_raising, x_best)
-    gnorm = float(np.max(np.abs(grad)))
-
-    # Newton polish: BFGS with noisy finite-difference gradients often
-    # stalls just above the convergence threshold.
-    for _ in range(options.polish_steps):
-        if gnorm <= options.gradient_tol:
-            break
-        try:
-            hess = finite_diff_hessian(neg_raising, x_best)
-            step = np.linalg.solve(hess, -grad)
-        except (NumericError, np.linalg.LinAlgError):
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        scale = 1.0
-        improved = False
-        while scale >= 1e-4:
-            cand = x_best + scale * step
-            f_cand = neg(cand)
-            if f_cand < f_best:
-                try:
-                    cand_grad = finite_diff_gradient(neg_raising, cand)
-                except NumericError:
-                    break
-                x_best, f_best, grad = cand, f_cand, cand_grad
-                gnorm = float(np.max(np.abs(grad)))
-                improved = True
-                break
-            scale *= 0.5
-        iterations += 1
-        if not improved:
-            break
-
-    converged = bool(gnorm < options.convergence_gradient_norm)
-    return x_best, -f_best, converged, iterations, gnorm
+    # every accepted line-search step lowers the objective, so the result
+    # is finite unless the starting point already was not
+    if not np.isfinite(res.fun):
+        raise NumericError("objective is not finite at the starting point")
+    gnorm = float(np.max(np.abs(res.jac)))
+    return Optimum(
+        x=res.x,
+        value=-float(res.fun),
+        converged=bool(gnorm < options.convergence_gradient_norm),
+        iterations=int(res.nit),
+        gradient_norm=gnorm,
+        success=bool(res.success),
+        message=str(res.message),
+    )
 
 
-def covariance_from_log_density(log_density, x_hat: np.ndarray) -> np.ndarray | None:
+def covariance_from_log_density(log_density_and_score, x_hat: np.ndarray) -> np.ndarray | None:
     """Covariance as the inverse negative Hessian, or None when not usable.
 
-    None signals curvature that is singular or not positive definite at
-    the mode; callers surface this as a fit without standard errors
-    rather than an error.
+    The Hessian comes from central differences of the score, with steps
+    1e-5 * max(1, |x_i|), symmetrised.  None signals curvature
+    that is singular or not positive definite at the mode; callers
+    surface this as a fit without standard errors rather than an error.
     """
-
-    def neg(x):
-        return -log_density(x)
-
+    x_hat = np.asarray(x_hat, dtype=float)
+    n = x_hat.size
+    neg_hess = np.empty((n, n))
     try:
-        hess = finite_diff_hessian(neg, x_hat)
+        for i in range(n):
+            shift = np.zeros(n)
+            shift[i] = 1e-5 * max(1.0, abs(x_hat[i]))
+            _, g_up = log_density_and_score(x_hat + shift)
+            _, g_down = log_density_and_score(x_hat - shift)
+            neg_hess[i] = (np.asarray(g_down) - np.asarray(g_up)) / (2.0 * shift[i])
     except NumericError:
         return None
-    eigval, eigvec = np.linalg.eigh(hess)
-    if np.any(eigval <= 0.0) or not np.all(np.isfinite(eigval)):
+    neg_hess = 0.5 * (neg_hess + neg_hess.T)
+    if not np.all(np.isfinite(neg_hess)):
+        return None
+    eigval, eigvec = np.linalg.eigh(neg_hess)
+    if np.any(eigval <= 0.0):
         return None
     cov = (eigvec / eigval) @ eigvec.T
     return 0.5 * (cov + cov.T)

@@ -30,7 +30,8 @@ from .likelihood import (
     DEFAULT_TRUNCATION,
     TruncationPolicy,
     log_count_density,
-    table_loglik,
+    table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
+    table_loglik_score,
 )
 from .model import (
     DesignMatrices,
@@ -74,6 +75,10 @@ class PriorSpec:
             0.5 * self.normal_precision * quad
         )
 
+    def score(self, coefs: np.ndarray) -> np.ndarray:
+        """Gradient of :meth:`log_density`: -precision * (coefs - mean)."""
+        return -self.normal_precision * (coefs - self.normal_mean)
+
 
 DEFAULT_PRIOR = PriorSpec()
 
@@ -97,32 +102,32 @@ def fit_laplace(
     p_lam, p_det = designs.p_lambda, designs.p_detect
     n_coef = p_lam + p_det
 
-    def log_density(x):
+    def log_density_and_score(x):
         pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        return table_loglik(pv, table, designs, family, trunc) + priors.log_density(
-            x[:n_coef]
-        )
+        loglik, score = table_loglik_score(pv, table, designs, family, trunc)
+        score[:n_coef] += priors.score(x[:n_coef])
+        return loglik + priors.log_density(x[:n_coef]), score
 
     if start is None:
         start = default_start(table, designs, family)
     x0 = start.to_array()
-    x_hat, value, converged, iterations, gnorm = maximize_log_density(
-        log_density, x0, options
-    )
+    opt = maximize_log_density(log_density_and_score, x0, options)
     cov = (
-        covariance_from_log_density(log_density, x_hat)
+        covariance_from_log_density(log_density_and_score, opt.x)
         if options.compute_covariance
         else None
     )
     return FitResult(
-        estimates=ParameterVector.from_array(x_hat, p_lam, p_det, family.has_dispersion),
+        estimates=ParameterVector.from_array(opt.x, p_lam, p_det, family.has_dispersion),
         covariance=cov,
-        loglik=value,
-        converged=converged,
-        iterations=iterations,
-        gradient_norm=gnorm,
+        loglik=opt.value,
+        converged=opt.converged,
+        iterations=opt.iterations,
+        gradient_norm=opt.gradient_norm,
         family=family,
         parameter_names=stacked_parameter_names(designs, family),
+        optimizer_success=opt.success,
+        optimizer_message=opt.message,
     )
 
 
@@ -226,6 +231,11 @@ def lambda_fitted(
     ]
 
 
+# largest mass the averaged pmf may put on its last grid point before the
+# grid counts as truncating the posterior
+_POSTERIOR_EDGE_MASS = 1e-10
+
+
 def default_posterior_n_grid_max(y_row: np.ndarray, lambda_draws: np.ndarray) -> int:
     """Grid ceiling max(y) + 50 sqrt(median lambda) + 50: far beyond any
     region with visible posterior mass."""
@@ -246,6 +256,10 @@ def posterior_n(
     n_grid_max is normalised, then the draws are averaged and the result
     renormalised.  Returns the probability vector aligned with
     ``np.arange(max(y), n_grid_max + 1)``.
+
+    Raises NumericError, naming ``n_grid_max``, when the averaged pmf puts
+    more than 1e-10 of its mass on the last grid point: the grid then
+    cuts off posterior mass and the pmf would be silently wrong.
 
     Parameters
     ----------
@@ -305,4 +319,10 @@ def posterior_n(
         )
     per_draw = np.exp(logw - log_norm[:, None])
     probs = per_draw.mean(axis=0)
-    return probs / probs.sum()
+    probs = probs / probs.sum()
+    if probs[-1] > _POSTERIOR_EDGE_MASS:
+        raise NumericError(
+            f"posterior of N puts {probs[-1]:.3g} of its mass on the last grid point "
+            f"n_grid_max={n_grid_max}; the grid truncates the posterior, so raise n_grid_max"
+        )
+    return probs

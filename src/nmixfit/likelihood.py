@@ -23,7 +23,9 @@ N while d is monotone toward d_inf, so q(N) dominates every later ratio.
 
 Rows are processed in vectorised blocks of geometrically growing width;
 rows whose running products overflow double precision are redone in log
-space with the same stopping rule.
+space with the same stopping rule.  On request the same pass also
+accumulates the posterior moments of N that the exact score needs (see
+:func:`table_loglik_score`).
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import digamma, gammaln, logsumexp
 from scipy.stats import binom, nbinom, poisson
 
 from .errors import ModelError, NumericError
 from .model import (
+    P_CLAMP,
     DesignMatrices,
     MixtureFamily,
     ObservationTable,
@@ -192,15 +195,37 @@ def _batch_loglik(counts, mask, lam, p, theta, trunc):
     shape (n_rows,); ``theta`` is a scalar or None.  Missing cells must
     be masked False (their count values are ignored).
     """
+    ll, n_max, _ = _batch_series(counts, mask, lam, p, theta, trunc, moments=False)
+    return ll, n_max
+
+
+def _batch_series(counts, mask, lam, p, theta, trunc, moments):
+    """Row log-likelihoods, N_max and, if ``moments``, posterior moments.
+
+    The moments are E[N | y] and, for the NB family,
+    E[psi(N + theta) | y] - psi(theta), accumulated in the same pass as
+    the series: with terms t_k at N = y* + k, E[N] = y* + sum k t_k / S,
+    and psi(y* + k + theta) = psi(y* + theta) + h_k where h_k is the
+    running sum of 1 / (N - 1 + theta).  Returns (ll, n_max, None) or
+    (ll, n_max, (mean_n, mean_dpsi)); ``mean_dpsi`` is None for Poisson.
+    """
     n_rows = counts.shape[0]
     ystar = np.max(np.where(mask, counts, -np.inf), axis=1)
     lead = _leading_log_term(ystar, counts, mask, lam, p, theta)
     d_inf = 0.0 if theta is None else lam / (theta + lam)
+    with_h = moments and theta is not None
 
     part_sum = np.ones(n_rows)
     carry = np.ones(n_rows)
+    # sum of k t_k, sum of h_k t_k, and h at the end of the last block
+    sum_k = np.zeros(n_rows)
+    sum_h = np.zeros(n_rows)
+    carry_h = np.zeros(n_rows)
     n_max = ystar.astype(float).copy()
     fallback = np.zeros(n_rows, dtype=bool)
+    # rows whose moment sums overflow while their series does not: only
+    # their moments are redone in log space
+    moment_fallback = np.zeros(n_rows, dtype=bool)
     active = np.arange(n_rows)
     floor = _TAIL_SAFETY * trunc.relative_increment_floor
 
@@ -256,6 +281,31 @@ def _batch_loglik(counts, mask, lam, p, theta, trunc):
         part_sum[rows_kept] = running[keep, -1]
         carry[rows_kept] = cum[keep, -1]
         n_max[rows_kept] = ystar[rows_kept] + offset + width
+
+        if moments:
+            # rows x block each: drop the dead ones so the moment sums do
+            # not raise the block's peak memory
+            del dens, survey, ratio, tail
+            with np.errstate(over="ignore", invalid="ignore"):
+                run_k = cum * steps
+                np.cumsum(run_k, axis=1, out=run_k)
+                run_k += sum_k[active, None]
+                spilled = ~np.isfinite(run_k[:, -1])
+                sum_k[rows_done] = run_k[stopped, first[stopped]]
+                sum_k[rows_kept] = run_k[keep, -1]
+                if with_h:
+                    run_h = n_grid + (theta - 1.0)
+                    np.reciprocal(run_h, out=run_h)
+                    np.cumsum(run_h, axis=1, out=run_h)
+                    run_h += carry_h[active, None]
+                    carry_h[rows_kept] = run_h[keep, -1]
+                    run_h *= cum
+                    np.cumsum(run_h, axis=1, out=run_h)
+                    run_h += sum_h[active, None]
+                    spilled |= ~np.isfinite(run_h[:, -1])
+                    sum_h[rows_done] = run_h[stopped, first[stopped]]
+                    sum_h[rows_kept] = run_h[keep, -1]
+            moment_fallback[active[spilled]] = True
         if offset + width >= trunc.hard_cap_offset and rows_kept.size:
             growing = q_bound[keep, -1] >= 1.0
             if np.any(growing):
@@ -269,20 +319,34 @@ def _batch_loglik(counts, mask, lam, p, theta, trunc):
         offset += width
         block = min(block * 2, _BLOCK_MAX)
 
-    if np.any(fallback):
-        rows = np.flatnonzero(fallback)
-        ll_fb, nmax_fb = _batch_loglik_logspace(
-            counts[rows], mask[rows], lam[rows], p[rows], theta, trunc
+    out = lead + np.log(part_sum)
+    stats = None
+    if moments:
+        # rows redone in log space hold inf or nan here and are overwritten below
+        with np.errstate(invalid="ignore"):
+            mean_n = ystar + sum_k / part_sum
+            mean_dpsi = (
+                digamma(ystar + theta) - digamma(theta) + sum_h / part_sum if with_h else None
+            )
+        stats = (mean_n, mean_dpsi)
+    redo = fallback | moment_fallback
+    if np.any(redo):
+        rows = np.flatnonzero(redo)
+        ll_fb, nmax_fb, stats_fb = _batch_series_logspace(
+            counts[rows], mask[rows], lam[rows], p[rows], theta, trunc, moments
         )
-        out = lead + np.log(part_sum)
-        out[rows] = ll_fb
-        n_max[rows] = nmax_fb
-        return out, n_max.astype(int)
-    return lead + np.log(part_sum), n_max.astype(int)
+        value_rows = fallback[rows]
+        out[rows[value_rows]] = ll_fb[value_rows]
+        n_max[rows[value_rows]] = nmax_fb[value_rows]
+        if moments:
+            stats[0][rows] = stats_fb[0]
+            if with_h:
+                stats[1][rows] = stats_fb[1]
+    return out, n_max.astype(int), stats
 
 
-def _batch_loglik_logspace(counts, mask, lam, p, theta, trunc):
-    """Same series and stopping rule, accumulated in log space.
+def _batch_series_logspace(counts, mask, lam, p, theta, trunc, moments):
+    """Same series, stopping rule and moments, accumulated in log space.
 
     Slow path for rows whose running products overflow linear doubles
     (very large counts or means).  Kept structurally parallel to the
@@ -292,12 +356,21 @@ def _batch_loglik_logspace(counts, mask, lam, p, theta, trunc):
     ystar = np.max(np.where(mask, counts, -np.inf), axis=1)
     lead = _leading_log_term(ystar, counts, mask, lam, p, theta)
     d_inf = 0.0 if theta is None else lam / (theta + lam)
+    with_h = moments and theta is not None
 
     log_sum = np.zeros(n_rows)
     log_carry = np.zeros(n_rows)
+    # logs of sum k t_k and sum h_k t_k; the k = 0 term adds nothing to either
+    log_sum_k = np.full(n_rows, -np.inf)
+    log_sum_h = np.full(n_rows, -np.inf)
+    carry_h = np.zeros(n_rows)
     n_max = ystar.astype(float).copy()
     active = np.arange(n_rows)
     log_floor = np.log(_TAIL_SAFETY * trunc.relative_increment_floor)
+
+    def log_accumulate(start, log_terms):
+        stacked = np.concatenate([start[:, None], log_terms], axis=1)
+        return np.logaddexp.accumulate(stacked, axis=1)[:, 1:]
 
     offset = 0
     block = _BLOCK_START
@@ -313,8 +386,7 @@ def _batch_loglik_logspace(counts, mask, lam, p, theta, trunc):
         else:
             q_bound = survey * np.maximum(dens, d_inf[active, None])
         log_cum = log_carry[active, None] + np.cumsum(np.log(dens) + np.log(survey), axis=1)
-        stacked = np.concatenate([log_sum[active, None], log_cum], axis=1)
-        log_running = np.logaddexp.accumulate(stacked, axis=1)[:, 1:]
+        log_running = log_accumulate(log_sum[active], log_cum)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             log_tail = np.where(
@@ -332,6 +404,16 @@ def _batch_loglik_logspace(counts, mask, lam, p, theta, trunc):
         log_sum[rows_kept] = log_running[~stopped, -1]
         log_carry[rows_kept] = log_cum[~stopped, -1]
         n_max[rows_kept] = ystar[rows_kept] + offset + width
+        if moments:
+            log_run_k = log_accumulate(log_sum_k[active], log_cum + np.log(steps))
+            log_sum_k[rows_done] = log_run_k[stopped, first[stopped]]
+            log_sum_k[rows_kept] = log_run_k[~stopped, -1]
+        if with_h:
+            h = carry_h[active, None] + np.cumsum(1.0 / (n_grid + (theta - 1.0)), axis=1)
+            carry_h[rows_kept] = h[~stopped, -1]
+            log_run_h = log_accumulate(log_sum_h[active], log_cum + np.log(h))
+            log_sum_h[rows_done] = log_run_h[stopped, first[stopped]]
+            log_sum_h[rows_kept] = log_run_h[~stopped, -1]
         if offset + width >= trunc.hard_cap_offset and rows_kept.size:
             growing = q_bound[~stopped, -1] >= 1.0
             if np.any(growing):
@@ -345,7 +427,16 @@ def _batch_loglik_logspace(counts, mask, lam, p, theta, trunc):
         offset += width
         block = min(block * 2, _BLOCK_MAX)
 
-    return lead + log_sum, n_max.astype(int)
+    stats = None
+    if moments:
+        mean_n = ystar + np.exp(log_sum_k - log_sum)
+        mean_dpsi = (
+            digamma(ystar + theta) - digamma(theta) + np.exp(log_sum_h - log_sum)
+            if with_h
+            else None
+        )
+        stats = (mean_n, mean_dpsi)
+    return lead + log_sum, n_max.astype(int), stats
 
 
 def row_loglik_recursive(
@@ -480,6 +571,52 @@ def table_row_logliks(
     theta = params.theta if family.has_dispersion else None
     ll, _ = _batch_loglik(table.filled_counts(), table.mask, lam, p, theta, trunc)
     return ll
+
+
+def table_loglik_score(
+    params: ParameterVector,
+    table: ObservationTable,
+    designs: DesignMatrices,
+    family: MixtureFamily,
+    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+) -> tuple[float, np.ndarray]:
+    """Total log-likelihood and its exact score, from one kernel pass.
+
+    By Fisher's identity the score of log L_i is the posterior mean,
+    given the row's counts, of the complete-data score (Louis 1982).
+    With m_i = E[N_i | y_i] the parts are, in the stacked (beta, alpha,
+    log_theta) order:
+
+    * beta: X^T theta (m - lam) / (theta + lam), or X^T (m - lam) for Poisson;
+    * alpha: the sum over observed cells of (y_ij - m_i p_ij) W_ij, with
+      no contribution from cells whose p is clamped at ``P_CLAMP``;
+    * log_theta: theta sum_i [E psi(N_i + theta) - psi(theta)
+      + log(theta / (theta + lam_i)) + (lam_i - m_i) / (theta + lam_i)].
+
+    The value equals :func:`table_loglik` exactly.
+    """
+    _check_model_dims(params, table, designs, family)
+    lam = lambda_values(params, designs)
+    p = detection_probs(params, designs)
+    theta = params.theta if family.has_dispersion else None
+    counts, mask = table.filled_counts(), table.mask
+    ll, _, (mean_n, mean_dpsi) = _batch_series(counts, mask, lam, p, theta, trunc, moments=True)
+
+    if theta is None:
+        d_eta_lam = mean_n - lam
+    else:
+        d_eta_lam = theta * (mean_n - lam) / (theta + lam)
+    # clip() has zero slope where it binds, so clamped cells drop out
+    free = mask & (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
+    d_eta_p = np.where(free, counts - mean_n[:, None] * p, 0.0)
+    parts = [
+        designs.abundance_design.T @ d_eta_lam,
+        np.tensordot(d_eta_p, designs.detection_design, axes=([0, 1], [0, 1])),
+    ]
+    if theta is not None:
+        d_theta = mean_dpsi + np.log(theta / (theta + lam)) + (lam - mean_n) / (theta + lam)
+        parts.append(np.array([theta * np.sum(d_theta)]))
+    return float(np.sum(ll)), np.concatenate(parts)
 
 
 def finite_diff_gradient(f, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:

@@ -17,7 +17,12 @@ from .fitcore import (
     default_start,
     maximize_log_density,
 )
-from .likelihood import DEFAULT_TRUNCATION, TruncationPolicy, table_loglik
+from .likelihood import (
+    DEFAULT_TRUNCATION,
+    TruncationPolicy,
+    table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
+    table_loglik_score,
+)
 from .model import (
     DesignMatrices,
     MixtureFamily,
@@ -59,30 +64,30 @@ def fit_ml(
     check_designs_for_fit(table, designs, family)
     p_lam, p_det = designs.p_lambda, designs.p_detect
 
-    def log_density(x):
+    def log_density_and_score(x):
         pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        return table_loglik(pv, table, designs, family, trunc)
+        return table_loglik_score(pv, table, designs, family, trunc)
 
     if start is None:
         start = default_start(table, designs, family)
     x0 = start.to_array()
-    x_hat, value, converged, iterations, gnorm = maximize_log_density(
-        log_density, x0, options
-    )
+    opt = maximize_log_density(log_density_and_score, x0, options)
     cov = (
-        covariance_from_log_density(log_density, x_hat)
+        covariance_from_log_density(log_density_and_score, opt.x)
         if options.compute_covariance
         else None
     )
     return FitResult(
-        estimates=ParameterVector.from_array(x_hat, p_lam, p_det, family.has_dispersion),
+        estimates=ParameterVector.from_array(opt.x, p_lam, p_det, family.has_dispersion),
         covariance=cov,
-        loglik=value,
-        converged=converged,
-        iterations=iterations,
-        gradient_norm=gnorm,
+        loglik=opt.value,
+        converged=opt.converged,
+        iterations=opt.iterations,
+        gradient_norm=opt.gradient_norm,
         family=family,
         parameter_names=stacked_parameter_names(designs, family),
+        optimizer_success=opt.success,
+        optimizer_message=opt.message,
     )
 
 
@@ -135,4 +140,6 @@ def format_fit_summary(fit: FitResult) -> str:
         f"log-likelihood {fit.loglik:.4f}, converged={fit.converged}, "
         f"iterations={fit.iterations}, gradient norm {fit.gradient_norm:.3g}"
     )
+    if not fit.optimizer_success:
+        lines.append(f"BFGS did not report success: {fit.optimizer_message}")
     return "\n".join(lines)

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from nmixfit import DesignMatrices, MixtureFamily, ModelError, ObservationTable
+from nmixfit import (
+    DesignMatrices,
+    MixtureFamily,
+    ModelError,
+    NumericError,
+    ObservationTable,
+    fit_ml,
+    likelihood,
+)
 from nmixfit.fitcore import (
     FitOptions,
     check_designs_for_fit,
@@ -20,38 +28,64 @@ class TestMaximize:
 
         def f(x):
             d = x - target
-            return -0.5 * d @ m @ d
+            return -0.5 * d @ m @ d, -m @ d
 
-        x, value, converged, iters, gnorm = maximize_log_density(
-            f, np.zeros(2), FitOptions()
-        )
-        assert converged
-        assert gnorm < 1e-4
-        assert iters >= 1
-        np.testing.assert_allclose(x, target, atol=1e-5)
-        assert value == pytest.approx(0.0, abs=1e-9)
+        opt = maximize_log_density(f, np.zeros(2), FitOptions())
+        assert opt.converged
+        assert opt.success
+        assert opt.gradient_norm < 1e-4
+        assert opt.iterations >= 1
+        np.testing.assert_allclose(opt.x, target, atol=1e-5)
+        assert opt.value == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_improvement_from_any_start(self):
         def f(x):
-            return -np.cosh(x[0] - 0.3) - (x[1] + 1.0) ** 4
+            value = -np.cosh(x[0] - 0.3) - (x[1] + 1.0) ** 4
+            return value, np.array([-np.sinh(x[0] - 0.3), -4.0 * (x[1] + 1.0) ** 3])
 
         x0 = np.array([5.0, 2.0])
-        x, value, converged, _, _ = maximize_log_density(f, x0, FitOptions())
-        assert value >= f(x0)
-        assert converged
+        opt = maximize_log_density(f, x0, FitOptions())
+        assert opt.value >= f(x0)[0]
+        assert opt.converged
 
     def test_objective_guard_survives_infinite_regions(self):
         # log density undefined left of zero; optimizer must stay inside
         def f(x):
             if x[0] <= 0:
-                return -np.inf
-            return -((np.log(x[0]) - 1.0) ** 2)
+                return -np.inf, np.array([np.nan])
+            return -((np.log(x[0]) - 1.0) ** 2), np.array([-2.0 * (np.log(x[0]) - 1.0) / x[0]])
 
-        x, _, converged, _, _ = maximize_log_density(
-            f, np.array([0.5]), FitOptions()
-        )
-        assert converged
-        assert x[0] == pytest.approx(np.e, rel=1e-4)
+        opt = maximize_log_density(f, np.array([0.5]), FitOptions())
+        assert opt.converged
+        assert opt.x[0] == pytest.approx(np.e, rel=1e-4)
+
+    def test_numeric_error_counts_as_an_invalid_region(self):
+        def f(x):
+            if x[0] <= 0:
+                raise NumericError("outside the domain")
+            return -((np.log(x[0]) - 1.0) ** 2), np.array([-2.0 * (np.log(x[0]) - 1.0) / x[0]])
+
+        opt = maximize_log_density(f, np.array([0.5]), FitOptions())
+        assert opt.converged
+        assert opt.x[0] == pytest.approx(np.e, rel=1e-4)
+
+    def test_non_finite_start_is_an_error(self):
+        with pytest.raises(NumericError, match="starting point"):
+            maximize_log_density(
+                lambda x: (-np.inf, np.full(1, np.nan)), np.array([0.5]), FitOptions()
+            )
+
+    def test_stopping_status_is_reported(self):
+        m = np.array([[3.0, 0.7], [0.7, 1.2]])
+
+        def f(x):
+            d = x - np.array([1.5, -2.0])
+            return -0.5 * d @ m @ d, -m @ d
+
+        opt = maximize_log_density(f, np.zeros(2), FitOptions(max_iterations=1))
+        assert opt.iterations == 1
+        assert not opt.success
+        assert "iterations" in opt.message
 
 
 class TestCovariance:
@@ -59,17 +93,56 @@ class TestCovariance:
         m = np.array([[2.0, 0.4], [0.4, 1.0]])
 
         def f(x):
-            return -0.5 * x @ m @ x
+            return -0.5 * x @ m @ x, -m @ x
 
-        cov = covariance_from_log_density(f, np.zeros(2))
+        cov = covariance_from_log_density(f, np.array([0.3, -1.7]))
         np.testing.assert_allclose(cov, np.linalg.inv(m), atol=1e-6)
         np.testing.assert_allclose(cov, cov.T)
 
     def test_saddle_yields_no_covariance(self):
         def f(x):
-            return 0.5 * (x[0] ** 2) - 0.5 * (x[1] ** 2)
+            return 0.5 * (x[0] ** 2) - 0.5 * (x[1] ** 2), np.array([x[0], -x[1]])
 
         assert covariance_from_log_density(f, np.zeros(2)) is None
+
+    def test_failed_score_probe_yields_no_covariance(self):
+        def f(x):
+            if x[0] > 0:
+                raise NumericError("probe left the domain")
+            return -0.5 * x @ x, -x
+
+        assert covariance_from_log_density(f, np.zeros(2)) is None
+
+    def test_costs_two_score_passes_per_parameter(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -0.5 * x @ x, -x
+
+        covariance_from_log_density(f, np.zeros(3))
+        assert len(calls) == 6
+
+
+class TestKernelPasses:
+    def test_example_ml_fit_takes_few_kernel_passes(self, example_sim, monkeypatch):
+        """The seed-6 ML fit, covariance included, runs the series kernel
+        at most 60 times: one pass per BFGS evaluation plus 2n for the
+        covariance (it took 1,405 with finite-difference gradients)."""
+        passes = []
+        kernel = likelihood._batch_series
+
+        def counting(*args, **kwargs):
+            passes.append(kwargs.get("moments"))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(likelihood, "_batch_series", counting)
+        fit = fit_ml(example_sim.table_mean, example_sim.designs_mean, MixtureFamily.NEGBIN)
+        assert fit.converged
+        assert fit.optimizer_success
+        assert fit.covariance is not None
+        assert 2 * fit.n_params < len(passes) <= 60
+        assert all(passes)
 
 
 class TestDesignChecks:

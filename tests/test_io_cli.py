@@ -188,6 +188,7 @@ class TestCli:
         assert "Abundance (log scale):" in out
         blob = json.loads((tmp_path / "fit.json").read_text())
         assert blob["converged"] is True
+        assert blob["optimizer_message"] == "Optimization terminated successfully."
         assert "lambda:x1" in blob["parameter_names"]
 
     def test_lambda_fitted_csv(self, tmp_path):

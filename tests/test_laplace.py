@@ -24,6 +24,7 @@ from nmixfit import (
     sample_posterior,
     table_loglik,
 )
+from nmixfit.likelihood import finite_diff_gradient
 from nmixfit.model import stacked_parameter_names
 
 
@@ -79,6 +80,24 @@ class TestMode:
         # vague priors: visible but tiny pull on every coefficient
         diff = np.abs(la.estimates.to_array() - ml.estimates.to_array())
         assert diff.max() < 0.05
+
+    def test_mode_zeroes_the_log_posterior_gradient(self, small_sim):
+        """A firm prior moves the mode; there the finite-difference gradient
+        of log-likelihood plus log prior must vanish."""
+        table, designs = small_sim.table_mean, small_sim.designs_mean
+        priors = PriorSpec(normal_precision=1.0)
+        fit = fit_laplace(table, designs, MixtureFamily.NEGBIN, priors=priors)
+        n_coef = designs.p_lambda + designs.p_detect
+
+        def log_post(x):
+            pv = ParameterVector.from_array(x, designs.p_lambda, designs.p_detect, True)
+            return table_loglik(pv, table, designs, MixtureFamily.NEGBIN) + priors.log_density(
+                x[:n_coef]
+            )
+
+        grad = finite_diff_gradient(log_post, fit.estimates.to_array())
+        assert np.max(np.abs(grad)) < 1e-3
+        assert np.max(np.abs(priors.score(fit.estimates.to_array()[:n_coef]))) > 0.1
 
     def test_posterior_sd_matches_grid_quadrature(self):
         """Intercept-only model: slice the exact posterior through the mode
@@ -252,6 +271,18 @@ class TestPosteriorN:
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert probs[-1] < 1e-12
 
+    def test_truncating_default_grid_is_an_error(self):
+        """Large mean, rare detection: the default grid ends at 11,243, far
+        below the posterior mean of about 49,881, and must not return a
+        pmf piled on its last point."""
+        y = np.array([10.0, 12.0, 9.0])
+        lam, p = np.array([5e4]), np.full((1, 3), 0.001)
+        with pytest.raises(NumericError, match="n_grid_max=11243"):
+            posterior_n(y, lam, p)
+        probs = posterior_n(y, lam, p, n_grid_max=60000)
+        grid = np.arange(12, 60001)
+        assert probs @ grid == pytest.approx(49881.14, abs=0.01)
+
     def test_mean_latent_abundance_tracks_truth(self, example_sim):
         """At the generating parameters, averaging E[N | counts] over all
         rows must come within 5% of the average simulated abundance."""
@@ -282,6 +313,13 @@ class TestPriorSpec:
             -0.5 * 4.0 * (x - 0.5) ** 2 + 0.5 * np.log(4.0 / (2.0 * np.pi))
         )
         assert spec.log_density(x) == pytest.approx(want, rel=1e-12)
+
+    def test_score_is_the_log_density_gradient(self):
+        spec = PriorSpec(normal_mean=0.5, normal_precision=4.0)
+        x = np.array([1.0, -0.5, 2.25])
+        want = finite_diff_gradient(spec.log_density, x)
+        np.testing.assert_allclose(spec.score(x), want, rtol=1e-8)
+        np.testing.assert_allclose(spec.score(x), -4.0 * (x - 0.5), rtol=1e-15)
 
     def test_precision_must_be_positive(self):
         with pytest.raises(ModelError):

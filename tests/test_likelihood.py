@@ -1,5 +1,6 @@
 """Marginal likelihood kernel: analytic identities, the brute-force
-oracle, truncation behaviour, and the numeric derivative helpers.
+oracle, truncation behaviour, the exact score, and the numeric
+derivative helpers.
 
 The recursive evaluator and the brute-force evaluator share no code
 beyond the input container, so agreement between them is evidence, not
@@ -27,8 +28,10 @@ from nmixfit import (
     row_loglik_detail,
     row_loglik_recursive,
     table_loglik,
+    table_loglik_score,
     table_row_logliks,
 )
+from nmixfit import likelihood
 from nmixfit.likelihood import (
     finite_diff_gradient,
     finite_diff_hessian,
@@ -327,3 +330,140 @@ class TestDerivativeHelpers:
 
         want = finite_diff_gradient(brute_total, params.to_array())
         np.testing.assert_allclose(got, want, atol=1e-5)
+
+
+def _single_row_case(y, lam, p, theta=None):
+    """One intercept-only row: beta = log(lam), alpha = logit(p)."""
+    n = len(y)
+    return (
+        ObservationTable(np.array([y], dtype=float)),
+        DesignMatrices(np.ones((1, 1)), np.ones((1, n, 1))),
+        ParameterVector(
+            beta=[math.log(lam)], alpha=[math.log(p / (1.0 - p))],
+            log_theta=None if theta is None else math.log(theta),
+        ),
+    )
+
+
+def _covariate_case(missing=False):
+    rng = np.random.default_rng(5)
+    n_rows, n_surveys = 12, 3
+    x = rng.normal(size=n_rows)
+    w = rng.normal(size=(n_rows, n_surveys))
+    counts = rng.binomial(rng.poisson(np.exp(2.0 + 0.5 * x))[:, None], 0.4, size=(n_rows, n_surveys))
+    counts = counts.astype(float)
+    if missing:
+        counts[2, 1] = counts[7, 0] = counts[7, 2] = np.nan
+    designs = DesignMatrices(
+        np.column_stack([np.ones(n_rows), x]),
+        np.stack([np.ones((n_rows, n_surveys)), w], axis=2),
+    )
+    params = ParameterVector(beta=[1.9, 0.4], alpha=[-0.3, 0.6], log_theta=0.8)
+    return ObservationTable(counts), designs, params
+
+
+def _clamped_case():
+    """Row 0, survey 0 has logit p = -40 and row 1, survey 1 has +40:
+    both cells sit on the P_CLAMP bounds, where p no longer moves."""
+    counts = np.array([[1.0, 4.0, 3.0], [2.0, 5.0, 1.0], [0.0, 2.0, 3.0]])
+    indicator = np.zeros((3, 3, 2))
+    indicator[0, 0, 0] = indicator[1, 1, 1] = 1.0
+    designs = DesignMatrices(
+        np.column_stack([np.ones(3), [0.2, -0.5, 0.9]]),
+        np.concatenate([np.ones((3, 3, 1)), indicator], axis=2),
+    )
+    params = ParameterVector(beta=[2.0, 0.3], alpha=[0.1, -40.0, 40.0])
+    return ObservationTable(counts), designs, params
+
+
+def _multi_block_case():
+    """39 rows with lambda 5 and one with lambda 400: the first block is
+    sized for the small rows, so the large one spans several blocks."""
+    rng = np.random.default_rng(8)
+    big = np.zeros(40)
+    big[-1] = 1.0
+    lam = np.where(big > 0, 400.0, 5.0)
+    latent = rng.negative_binomial(2.0, 2.0 / (2.0 + lam))
+    counts = rng.binomial(latent[:, None], 0.4, size=(40, 3)).astype(float)
+    designs = DesignMatrices(np.column_stack([np.ones(40), big]), np.ones((40, 3, 1)))
+    params = ParameterVector(beta=[math.log(5.0), math.log(80.0)], alpha=[-0.4], log_theta=math.log(2.0))
+    return ObservationTable(counts), designs, params
+
+
+_SCORE_CASES = {
+    "poisson": (_covariate_case, MixtureFamily.POISSON),
+    "nb": (_covariate_case, MixtureFamily.NEGBIN),
+    "missing-cells": (lambda: _covariate_case(missing=True), MixtureFamily.NEGBIN),
+    "clamped-p": (_clamped_case, MixtureFamily.POISSON),
+    "multi-block-nb": (_multi_block_case, MixtureFamily.NEGBIN),
+    "logspace-poisson": (
+        lambda: _single_row_case([1000.0, 1000.0, 1000.0], 2000.0, 0.5), MixtureFamily.POISSON
+    ),
+    # the series stays finite in linear space but sum k t_k overflows
+    "moment-overflow": (
+        lambda: _single_row_case([100.0, 100.0, 100.0], 2000.0, 0.5), MixtureFamily.POISSON
+    ),
+    "logspace-nb": (
+        lambda: _single_row_case([200.0, 180.0, 210.0], 1e4, 0.02, theta=3.0),
+        MixtureFamily.NEGBIN,
+    ),
+}
+
+
+class TestScore:
+    """The exact score against finite differences of table_loglik."""
+
+    def _case(self, name):
+        make, family = _SCORE_CASES[name]
+        table, designs, params = make()
+        if family is MixtureFamily.POISSON:
+            params = ParameterVector(beta=params.beta, alpha=params.alpha)
+        return table, designs, params, family
+
+    @staticmethod
+    def _fd_score(table, designs, params, family):
+        """Richardson-extrapolated central differences: the large-count rows
+        curve so sharply in beta that plain steps of 1e-5 are off by ~1e-5."""
+
+        def f(x):
+            pv = ParameterVector.from_array(
+                x, designs.p_lambda, designs.p_detect, family.has_dispersion
+            )
+            return table_loglik(pv, table, designs, family)
+
+        x = params.to_array()
+        fine = finite_diff_gradient(f, x, rel_step=1e-5)
+        coarse = finite_diff_gradient(f, x, rel_step=2e-5)
+        return (4.0 * fine - coarse) / 3.0
+
+    @pytest.mark.parametrize("name", sorted(_SCORE_CASES))
+    def test_matches_finite_differences(self, name):
+        table, designs, params, family = self._case(name)
+        value, score = table_loglik_score(params, table, designs, family)
+        assert value == table_loglik(params, table, designs, family)
+        want = self._fd_score(table, designs, params, family)
+        assert score.shape == (params.n_params,)
+        np.testing.assert_allclose(
+            score, want, rtol=1e-6, atol=1e-6 * np.max(np.abs(want))
+        )
+
+    @pytest.mark.parametrize("name", ["logspace-nb", "logspace-poisson", "moment-overflow"])
+    def test_large_rows_take_the_log_space_path(self, name, monkeypatch):
+        calls = []
+        slow = likelihood._batch_series_logspace
+
+        def counting(*args):
+            calls.append(args[-1])
+            return slow(*args)
+
+        monkeypatch.setattr(likelihood, "_batch_series_logspace", counting)
+        table, designs, params, family = self._case(name)
+        table_loglik_score(params, table, designs, family)
+        assert calls == [True]
+
+    def test_clamped_cells_contribute_nothing(self):
+        table, designs, params, family = self._case("clamped-p")
+        _, score = table_loglik_score(params, table, designs, family)
+        # alpha[1] and alpha[2] reach only the clamped cells
+        assert score[3] == 0.0
+        assert score[4] == 0.0

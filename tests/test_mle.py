@@ -1,6 +1,8 @@
 """Maximum-likelihood engine: convergence quality, invariances, and the
 Wald summary table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,15 @@ class TestSummaries:
         assert "exp(log_theta)" in text
         # exp(-0.313) printed for the dispersion note
         assert f"{np.exp(-0.313):.4f}" in text
+
+    def test_report_names_an_unsuccessful_optimiser_stop(self):
+        fit = dataclasses.replace(
+            self._synthetic_fit(),
+            optimizer_success=False,
+            optimizer_message="Maximum number of iterations has been exceeded.",
+        )
+        assert "Maximum number of iterations" in format_fit_summary(fit)
+        assert "BFGS" not in format_fit_summary(self._synthetic_fit())
 
     def test_summary_requires_covariance(self, small_sim):
         fit = fit_ml(
