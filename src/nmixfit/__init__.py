@@ -14,7 +14,6 @@ from .laplace import (
     LambdaFittedSummary,
     PosteriorSamples,
     PriorSpec,
-    ThetaPrior,
     default_posterior_n_grid_max,
     fit_laplace,
     lambda_fitted,
@@ -26,7 +25,6 @@ from .likelihood import (
     RowLikelihoodInput,
     TruncationPolicy,
     numeric_gradient,
-    numeric_hessian,
     row_loglik_bruteforce,
     row_loglik_detail,
     row_loglik_recursive,
@@ -41,8 +39,6 @@ from .model import (
     ObservationTable,
     ParameterVector,
     detection_probs,
-    eval_lambda,
-    eval_p,
     lambda_values,
 )
 from .simulate import SimConfig, SimOutput, simulate
@@ -69,20 +65,16 @@ __all__ = [
     "RowLikelihoodInput",
     "SimConfig",
     "SimOutput",
-    "ThetaPrior",
     "TruncationPolicy",
     "build_designs",
     "default_posterior_n_grid_max",
     "detection_probs",
-    "eval_lambda",
-    "eval_p",
     "fit_laplace",
     "fit_ml",
     "format_fit_summary",
     "lambda_fitted",
     "lambda_values",
     "numeric_gradient",
-    "numeric_hessian",
     "parse_config",
     "posterior_n",
     "read_dataset",

@@ -18,4 +18,4 @@ class ModelError(NmixError):
 
 
 class NumericError(NmixError):
-    """Numeric failure: overflow, divergence, non-finite intermediate."""
+    """Numeric failure: overflow, an exhausted term budget, non-finite intermediate."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
@@ -42,12 +41,6 @@ from .model import (
 )
 
 
-class ThetaPrior(Enum):
-    """Prior for the dispersion parameter, stated on the internal log scale."""
-
-    FLAT_ON_INTERNAL_SCALE = "flat-internal"
-
-
 @dataclass(frozen=True)
 class PriorSpec:
     """Independent normal priors on every coefficient; flat prior on log_theta.
@@ -59,7 +52,6 @@ class PriorSpec:
 
     normal_mean: float = 0.0
     normal_precision: float = 0.01
-    theta_prior: ThetaPrior = ThetaPrior.FLAT_ON_INTERNAL_SCALE
 
     def __post_init__(self):
         if not (np.isfinite(self.normal_precision) and self.normal_precision > 0.0):

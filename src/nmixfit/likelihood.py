@@ -2,29 +2,32 @@
 
 Each table row contributes an infinite series over the latent abundance N:
 
-    L = sum_{N >= y*} D(N) * prod_j Binomial(y_j; N, p_j),    y* = max_j y_j
+    L = sum_{N >= y*} g(N),  g(N) = D(N) * prod_j Binomial(y_j; N, p_j),  y* = max_j y_j
 
-with D either Poisson or negative binomial.  Instead of summing log-pmf
-terms, the series is evaluated through consecutive term ratios
+with D either Poisson or negative binomial.  The series is evaluated
+through consecutive term ratios, cheap rational expressions,
 
-    r(N) = D(N)/D(N-1) * prod_j [N / (N - y_j)] * (1 - p_j)
+    r(N) = g(N)/g(N-1) = d(N) * prod_j [N / (N - y_j)] * (1 - p_j),  d = D(N)/D(N-1)
 
-which are cheap rational expressions, so L = g(y*) * S with
-S = 1 + r(y*+1) + r(y*+1) r(y*+2) + ...  Only the single leading term
-g(y*) needs log-pmf machinery.  The series is cut off adaptively: the
-tail after N is bounded by a geometric series with ratio
+so L = g(s) * (1 + r(s+1) + r(s+1) r(s+2) + ...), with only g(s) taken
+from log-pmfs and every term scaled to g(s).  Most rows start at s = y*;
+a row whose mode may lie far above y*, or whose g(y*) is small enough
+for a sum from y* to overflow, starts near its mode instead (see
+:func:`_series_start`).  Geometric bounds cover the skipped terms:
 
-    q(N) = prod_j [N / (N - y_j)](1 - p_j) * max(d(N), d_inf)
+* right of N_max, ratio q(N) = prod_j [N / (N - y_j)](1 - p_j) *
+  max(d(N), d_inf) dominates every later ratio from any start, since
+  the survey factor decreases in N and d is monotone toward d_inf;
+* left of s, ratio 1 / r(s), since r decreases on (y*, inf) for every
+  row whose start moves.
 
-(d is the mixing-density ratio, d_inf its limit), and summation stops
-once that bound drops below ``relative_increment_floor`` times the
-partial sum.  The bound is valid because the survey factor decreases in
-N while d is monotone toward d_inf, so q(N) dominates every later ratio.
-
-Rows are processed in vectorised blocks of geometrically growing width;
-rows whose running products overflow double precision are redone in log
-space with the same stopping rule.  On request the same pass also
-accumulates the posterior moments of N that the exact score needs (see
+Summation stops once the right bound is below half of
+``relative_increment_floor`` times the partial sum; a row whose left
+bound is not that small is summed again from lower down.  There is one
+summation path, in vectorised blocks of geometrically growing width; a
+sum that leaves double range or a row that exhausts its term budget
+raises ``NumericError`` naming the row.  The same pass can accumulate
+the posterior moments of N that the exact score needs (see
 :func:`table_loglik_score`).
 """
 
@@ -50,19 +53,32 @@ from .model import (
 _BLOCK_START = 32
 _BLOCK_MAX = 4096
 
-# The geometric tail bound is compared against half the policy floor, so
-# the discarded mass stays strictly below the floor even when the bound
-# is nearly sharp.
+# Each geometric tail bound is compared against half the policy floor,
+# so the mass discarded on both sides together stays strictly below the
+# floor even when the bounds are nearly sharp.
 _TAIL_SAFETY = 0.5
+
+# A moved row starts _START_SDS sds below the summand's mode, and only
+# _MIN_SHIFT or more above y*, so rows near y* keep a plain sum's rounding.
+_START_SDS = 9.0
+_MIN_SHIFT = 2 * _BLOCK_START
+# Summed from y*, terms scaled to g(y*) add up to L / g(y*) <= 1 / g(y*):
+# no overflow while log g(y*) > -_LEAD_LIMIT, so rows below it always move.
+_LEAD_LIMIT = 600.0
+# Newton stops once every step in log(N - y*) is below _NEWTON_TOL.
+_NEWTON_STEPS = 10
+_NEWTON_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Adaptive stopping rule for the latent-abundance series.
+    """Stopping rule and term budget for the latent-abundance series.
 
-    ``relative_increment_floor`` bounds the relative mass of the
-    discarded tail; ``hard_cap_offset`` caps the number of terms past
-    max(y) regardless, guarding against divergent inputs.
+    ``relative_increment_floor`` bounds the relative mass discarded on
+    both sides of the summed range.  ``hard_cap_offset`` is each row's
+    term budget past its start; a row that exhausts it raises
+    ``NumericError``.  The series always converges for p > 0, so that
+    means the row's posterior is too wide, never that it diverges.
     """
 
     relative_increment_floor: float = 1e-12
@@ -118,9 +134,12 @@ class RowLikelihoodInput:
 
 @dataclass(frozen=True)
 class RowLikelihoodDetail:
+    """One row's log-likelihood and the range n_min..n_max of N summed."""
+
     loglik: float
     n_terms: int
     n_max: int
+    n_min: int
 
 
 def _log_poisson_pmf(n, lam):
@@ -156,18 +175,18 @@ def log_count_density(n, lam, theta=None):
     return _log_negbin_pmf(n, theta, lam)
 
 
-def _leading_log_term(ystar, counts, mask, lam, p, theta):
-    """log g(y*): mixing pmf at y* times every observed binomial factor."""
+def _leading_log_term(start, counts, mask, lam, p, theta):
+    """log g(s): mixing pmf at s times every observed binomial factor."""
     if theta is None:
-        lead = _log_poisson_pmf(ystar, lam)
+        lead = _log_poisson_pmf(start, lam)
     else:
-        lead = _log_negbin_pmf(ystar, theta, lam)
+        lead = _log_negbin_pmf(start, theta, lam)
     n_surveys = counts.shape[1]
     for j in range(n_surveys):
         m = mask[:, j]
         if np.any(m):
             lead = lead + np.where(
-                m, _log_binom_pmf(counts[:, j], ystar, np.where(m, p[:, j], 0.5)), 0.0
+                m, _log_binom_pmf(counts[:, j], start, np.where(m, p[:, j], 0.5)), 0.0
             )
     return lead
 
@@ -188,65 +207,127 @@ def _ratio_parts(n_grid, counts, mask, lam, p, theta):
     return dens, survey
 
 
-def _batch_loglik(counts, mask, lam, p, theta, trunc):
-    """Log-likelihood and chosen N_max for every row of a count table.
+def _log_ratio(n, y0, base, theta, slope=False):
+    """log r(N) at one N per row and, if ``slope``, its derivative in N.
 
-    ``counts``/``mask``/``p`` have shape (n_rows, n_surveys); ``lam`` has
-    shape (n_rows,); ``theta`` is a scalar or None.  Missing cells must
-    be masked False (their count values are ignored).
+    ``y0`` has missing cells set to 0; ``base`` is log r's part free of N.
+    The survey factors (each >= 1) are multiplied before the one log, so
+    an overflowing product gives inf, which still says r >= 1.
     """
-    ll, n_max, _ = _batch_series(counts, mask, lam, p, theta, trunc, moments=False)
-    return ll, n_max
+    col = n[:, None]
+    frac = col / (col - y0)
+    dens = 1.0 / n if theta is None else (n + (theta - 1.0)) / n
+    f = base + np.log(np.multiply.reduce(frac, axis=1) * dens)
+    if not slope:
+        return f
+    # d/dN log[N / (N - y)] = (1 - N / (N - y)) / N
+    df = (frac.shape[1] - np.add.reduce(frac, axis=1)) / n
+    df += -1.0 / n if theta is None else 1.0 / (n + (theta - 1.0)) - 1.0 / n
+    return f, df
 
 
-def _batch_series(counts, mask, lam, p, theta, trunc, moments):
-    """Row log-likelihoods, N_max and, if ``moments``, posterior moments.
+def _series_start(ystar, y0, log_keep, lam, theta, lead):
+    """Each row's start s, and the summand's mode m and sd (0 where s = y*).
 
-    The moments are E[N | y] and, for the NB family,
-    E[psi(N + theta) | y] - psi(theta), accumulated in the same pass as
-    the series: with terms t_k at N = y* + k, E[N] = y* + sum k t_k / S,
-    and psi(y* + k + theta) = psi(y* + theta) + h_k where h_k is the
-    running sum of 1 / (N - 1 + theta).  Returns (ll, n_max, None) or
-    (ll, n_max, (mean_n, mean_dpsi)); ``mean_dpsi`` is None for Poisson.
+    ``lead`` is log g(y*).  A row moves to s = floor(m - c sd) when that
+    is ``_MIN_SHIFT`` above y*, or above y* at all if lead < -_LEAD_LIMIT.
+    The first needs D = m - y* >= _MIN_SHIFT + c sd with sd >= sqrt(D / J)
+    (-d log r/dN <= (D + J y*) / (m D) at the mode, J surveys), so rows
+    with r < 1 at the root of D = _MIN_SHIFT + c sqrt(D / J) are screened
+    out.  Bracketed Newton steps in u = log(N - y*) start from the root of
+    log r's large-N form: N - y* = exp(base) for Poisson, exact for one
+    survey, and N = (sum_j y_j + theta - 1) / -base for NB.
+    """
+    start = ystar.copy()
+    mode = np.zeros_like(ystar)
+    sd = np.zeros_like(ystar)
+    base = log_keep + np.log(lam if theta is None else lam / (theta + lam))
+    c_j = _START_SDS / np.sqrt(y0.shape[1])
+    reach = (0.5 * (c_j + np.sqrt(c_j**2 + 4.0 * _MIN_SHIFT))) ** 2
+    with np.errstate(invalid="ignore"):
+        far = _log_ratio(ystar + reach, y0, base, theta) >= 0.0
+        rows = np.flatnonzero(far | (lead < -_LEAD_LIMIT))
+    if not rows.size:
+        return start, mode, sd
+    ys = ystar[rows]
+    args = (y0[rows], base[rows], theta)
+    if theta is None:
+        guess = np.exp(base[rows])
+    else:
+        guess = (np.add.reduce(args[0], axis=1) + (theta - 1.0)) / -args[1] - ys
+    # the root lies in (lo, hi); log r is decreasing on (y*, inf)
+    lo = np.where(far[rows], np.log(reach), -np.inf)
+    hi = np.where(far[rows], np.inf, np.log(reach))
+    u = np.log(np.maximum(guess, reach))
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            gap = np.exp(u)
+            f, df = _log_ratio(ys + gap, *args, slope=True)
+            lo = np.where(f >= 0.0, u, lo)
+            hi = np.where(f < 0.0, u, hi)
+            nxt = u - f / (df * gap)
+            # outside the bracket, bisect it or widen it by e^2
+            bisect = np.where(np.isinf(hi), lo + 2.0, np.where(np.isinf(lo), hi - 2.0, 0.5 * (lo + hi)))
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, bisect)
+            done = np.all(np.abs(nxt - u) < _NEWTON_TOL)
+            u = nxt
+            if done:
+                break
+        # sd from the slope at the last iterate evaluated
+        m = ys + np.exp(u)
+        spread = 1.0 / np.sqrt(-df)
+        s = np.floor(m - _START_SDS * spread)
+        moved = (s - ys >= _MIN_SHIFT) | ((s > ys) & (lead[rows] < -_LEAD_LIMIT))
+    rows = rows[moved]
+    start[rows] = s[moved]
+    mode[rows] = m[moved]
+    sd[rows] = spread[moved]
+    return start, mode, sd
+
+
+def _block_for(span):
+    """First block width: near the 95th percentile of the rows' expected
+    stopping offsets, so most rows finish in one vectorised pass."""
+    return int(np.clip(np.percentile(span, 95.0), _BLOCK_START, _BLOCK_MAX))
+
+
+def _sum_upward(active, start, counts, mask, lam, p, theta, trunc, moments, block):
+    """Sum rows ``active`` upward from N = start, with t(start) = 1.
+
+    Returns full-length (part_sum, n_max, sum_k, sum_h), meaningful on
+    ``active``: sum_k = sum k t_k and, for NB moments, sum_h = sum h_k t_k
+    with h_k the running sum of 1 / (N - 1 + theta).
     """
     n_rows = counts.shape[0]
-    ystar = np.max(np.where(mask, counts, -np.inf), axis=1)
-    lead = _leading_log_term(ystar, counts, mask, lam, p, theta)
     d_inf = 0.0 if theta is None else lam / (theta + lam)
     with_h = moments and theta is not None
-
     part_sum = np.ones(n_rows)
     carry = np.ones(n_rows)
-    # sum of k t_k, sum of h_k t_k, and h at the end of the last block
     sum_k = np.zeros(n_rows)
     sum_h = np.zeros(n_rows)
     carry_h = np.zeros(n_rows)
-    n_max = ystar.astype(float).copy()
-    fallback = np.zeros(n_rows, dtype=bool)
-    # rows whose moment sums overflow while their series does not: only
-    # their moments are redone in log space
-    moment_fallback = np.zeros(n_rows, dtype=bool)
-    active = np.arange(n_rows)
+    n_max = start.copy()
     floor = _TAIL_SAFETY * trunc.relative_increment_floor
 
-    # size the first block near the 95th percentile of the expected
-    # stopping offset so most rows finish in a single vectorised pass
-    thinned = lam * np.exp(np.sum(np.log1p(-p, where=mask, out=np.zeros_like(p)), axis=1))
-    estimate = thinned + 6.0 * np.sqrt(thinned + 1.0) + 16.0
-    block = int(np.clip(np.percentile(estimate, 95.0), _BLOCK_START, _BLOCK_MAX))
-
     offset = 0
-    while active.size and offset < trunc.hard_cap_offset:
+    while active.size:
+        if offset >= trunc.hard_cap_offset:
+            row = int(active[0])
+            raise NumericError(
+                f"term budget exhausted for row {row} (lam={lam[row]:.6g}, start N={start[row]:.0f}): "
+                f"{offset + 1} terms summed without meeting the truncation floor, "
+                f"hard_cap_offset={trunc.hard_cap_offset}"
+            )
         all_active = active.size == n_rows
         width = min(block, trunc.hard_cap_offset - offset)
         steps = offset + np.arange(1, width + 1, dtype=float)
         if all_active:
-            ys, cs, ms, lm, ps = ystar, counts, mask, lam, p
+            st, cs, ms, lm, ps = start, counts, mask, lam, p
             cr, sm = carry, part_sum
         else:
-            ys, cs, ms, lm, ps = ystar[active], counts[active], mask[active], lam[active], p[active]
+            st, cs, ms, lm, ps = start[active], counts[active], mask[active], lam[active], p[active]
             cr, sm = carry[active], part_sum[active]
-        n_grid = ys[:, None] + steps[None, :]
+        n_grid = st[:, None] + steps[None, :]
         dens, survey = _ratio_parts(n_grid, cs, ms, lm, ps, theta)
         ratio = dens * survey
         if theta is None:
@@ -255,42 +336,34 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
         else:
             dlim = (d_inf if all_active else d_inf[active])[:, None]
             q_bound = survey * np.maximum(dens, dlim)
-        # overflow here is expected for extreme inputs; such rows are
-        # detected below and redone in log space
         with np.errstate(over="ignore", invalid="ignore"):
             cum = cr[:, None] * np.cumprod(ratio, axis=1)
             running = sm[:, None] + np.cumsum(cum, axis=1)
 
-        bad = ~np.isfinite(running[:, -1])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             tail = cum * (q_bound / (1.0 - q_bound))
         stop = (q_bound < 1.0) & (tail <= floor * running)
-        if bad.any():
-            stop &= ~bad[:, None]
         stopped = stop.any(axis=1)
         first = np.argmax(stop, axis=1)
 
         rows_done = active[stopped]
         part_sum[rows_done] = running[stopped, first[stopped]]
-        n_max[rows_done] = ystar[rows_done] + offset + first[stopped] + 1.0
+        n_max[rows_done] = start[rows_done] + offset + first[stopped] + 1.0
 
-        fallback[active[bad]] = True
-
-        keep = ~stopped & ~bad
+        keep = ~stopped
         rows_kept = active[keep]
         part_sum[rows_kept] = running[keep, -1]
         carry[rows_kept] = cum[keep, -1]
-        n_max[rows_kept] = ystar[rows_kept] + offset + width
+        n_max[rows_kept] = start[rows_kept] + offset + width
 
         if moments:
             # rows x block each: drop the dead ones so the moment sums do
             # not raise the block's peak memory
-            del dens, survey, ratio, tail
+            del dens, survey, ratio, tail, q_bound
             with np.errstate(over="ignore", invalid="ignore"):
                 run_k = cum * steps
                 np.cumsum(run_k, axis=1, out=run_k)
                 run_k += sum_k[active, None]
-                spilled = ~np.isfinite(run_k[:, -1])
                 sum_k[rows_done] = run_k[stopped, first[stopped]]
                 sum_k[rows_kept] = run_k[keep, -1]
                 if with_h:
@@ -302,141 +375,101 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
                     run_h *= cum
                     np.cumsum(run_h, axis=1, out=run_h)
                     run_h += sum_h[active, None]
-                    spilled |= ~np.isfinite(run_h[:, -1])
                     sum_h[rows_done] = run_h[stopped, first[stopped]]
                     sum_h[rows_kept] = run_h[keep, -1]
-            moment_fallback[active[spilled]] = True
-        if offset + width >= trunc.hard_cap_offset and rows_kept.size:
-            growing = q_bound[keep, -1] >= 1.0
-            if np.any(growing):
-                row = int(rows_kept[np.argmax(growing)])
-                raise NumericError(
-                    f"latent-abundance series still growing at the hard cap for row {row} "
-                    f"(lam={lam[row]:.6g}, max count={ystar[row]:.0f}); "
-                    "the mixture is divergent for these inputs"
-                )
         active = rows_kept
         offset += width
         block = min(block * 2, _BLOCK_MAX)
-
-    out = lead + np.log(part_sum)
-    stats = None
-    if moments:
-        # rows redone in log space hold inf or nan here and are overwritten below
-        with np.errstate(invalid="ignore"):
-            mean_n = ystar + sum_k / part_sum
-            mean_dpsi = (
-                digamma(ystar + theta) - digamma(theta) + sum_h / part_sum if with_h else None
-            )
-        stats = (mean_n, mean_dpsi)
-    redo = fallback | moment_fallback
-    if np.any(redo):
-        rows = np.flatnonzero(redo)
-        ll_fb, nmax_fb, stats_fb = _batch_series_logspace(
-            counts[rows], mask[rows], lam[rows], p[rows], theta, trunc, moments
-        )
-        value_rows = fallback[rows]
-        out[rows[value_rows]] = ll_fb[value_rows]
-        n_max[rows[value_rows]] = nmax_fb[value_rows]
-        if moments:
-            stats[0][rows] = stats_fb[0]
-            if with_h:
-                stats[1][rows] = stats_fb[1]
-    return out, n_max.astype(int), stats
+    return part_sum, n_max, sum_k, sum_h
 
 
-def _batch_series_logspace(counts, mask, lam, p, theta, trunc, moments):
-    """Same series, stopping rule and moments, accumulated in log space.
+def _left_tail_ok(rows, start, counts, mask, lam, p, theta, part_sum, floor):
+    """Whether the terms below each moved row's start are negligible.
 
-    Slow path for rows whose running products overflow linear doubles
-    (very large counts or means).  Kept structurally parallel to the
-    linear path so both obey the same truncation policy.
+    r decreases on (y*, inf) for a moved row (for NB with theta < 1 the
+    rise of d loses to the survey factor of a count y* >= 1), so the
+    skipped terms sum to at most q / (1 - q) with q = 1 / r(s).
+    """
+    dens, survey = _ratio_parts(start[rows, None], counts[rows], mask[rows], lam[rows], p[rows], theta)
+    with np.errstate(divide="ignore"):
+        q = 1.0 / (dens[:, 0] * survey[:, 0])
+        return (q < 1.0) & (q / (1.0 - q) <= floor * part_sum[rows])
+
+
+def _batch_loglik(counts, mask, lam, p, theta, trunc):
+    """Log-likelihood and chosen N_max for every row of a count table.
+
+    ``counts``/``mask``/``p`` have shape (n_rows, n_surveys); ``lam`` has
+    shape (n_rows,); ``theta`` is a scalar or None.  Missing cells must
+    be masked False (their count values are ignored).
+    """
+    ll, _, n_max, _ = _batch_series(counts, mask, lam, p, theta, trunc, moments=False)
+    return ll, n_max
+
+
+def _batch_series(counts, mask, lam, p, theta, trunc, moments):
+    """Row log-likelihoods, the summed range and, if ``moments``, posterior moments.
+
+    The moments are E[N | y] = s + sum k t_k / S and, for NB,
+    E[psi(N + theta) | y] - psi(theta), using psi(s + k + theta) =
+    psi(s + theta) + h_k.  Returns (ll, n_min, n_max, stats) with stats
+    None or (mean_n, mean_dpsi); ``mean_dpsi`` is None for Poisson.
     """
     n_rows = counts.shape[0]
     ystar = np.max(np.where(mask, counts, -np.inf), axis=1)
+    log_keep = np.sum(np.log1p(-p, where=mask, out=np.zeros_like(p)), axis=1)
     lead = _leading_log_term(ystar, counts, mask, lam, p, theta)
-    d_inf = 0.0 if theta is None else lam / (theta + lam)
-    with_h = moments and theta is not None
+    y0 = counts if mask.all() else np.where(mask, counts, 0.0)
+    start, mode, sd = _series_start(ystar, y0, log_keep, lam, theta, lead)
+    moved = start > ystar
 
-    log_sum = np.zeros(n_rows)
-    log_carry = np.zeros(n_rows)
-    # logs of sum k t_k and sum h_k t_k; the k = 0 term adds nothing to either
-    log_sum_k = np.full(n_rows, -np.inf)
-    log_sum_h = np.full(n_rows, -np.inf)
-    carry_h = np.zeros(n_rows)
-    n_max = ystar.astype(float).copy()
-    active = np.arange(n_rows)
-    log_floor = np.log(_TAIL_SAFETY * trunc.relative_increment_floor)
+    thinned = lam * np.exp(log_keep)
+    span = thinned + 6.0 * np.sqrt(thinned + 1.0) + 16.0
+    if moved.any():
+        span = np.where(moved, mode - start + 8.0 * sd + 16.0, span)
+    sums = _sum_upward(
+        np.arange(n_rows), start, counts, mask, lam, p, theta, trunc, moments, _block_for(span)
+    )
+    part_sum = sums[0]
 
-    def log_accumulate(start, log_terms):
-        stacked = np.concatenate([start[:, None], log_terms], axis=1)
-        return np.logaddexp.accumulate(stacked, axis=1)[:, 1:]
+    floor = _TAIL_SAFETY * trunc.relative_increment_floor
+    pending = np.flatnonzero(moved)
+    # c sd lower, then twice as far each time, so the retries end
+    drop = np.ceil(_START_SDS * sd)
+    while pending.size:
+        pending = pending[~_left_tail_ok(pending, start, counts, mask, lam, p, theta, part_sum, floor)]
+        if not pending.size:
+            break
+        start[pending] = np.maximum(ystar[pending], start[pending] - drop[pending])
+        drop[pending] *= 2.0
+        block = _block_for(mode[pending] - start[pending] + 8.0 * sd[pending] + 16.0)
+        redo = _sum_upward(pending, start, counts, mask, lam, p, theta, trunc, moments, block)
+        for whole, part in zip(sums, redo):
+            whole[pending] = part[pending]
+        pending = pending[start[pending] > ystar[pending]]
 
-    offset = 0
-    block = _BLOCK_START
-    while active.size and offset < trunc.hard_cap_offset:
-        width = min(block, trunc.hard_cap_offset - offset)
-        steps = offset + np.arange(1, width + 1, dtype=float)
-        n_grid = ystar[active, None] + steps[None, :]
-        dens, survey = _ratio_parts(
-            n_grid, counts[active], mask[active], lam[active], p[active], theta
+    part_sum, n_max, sum_k, sum_h = sums
+    # a sum that overflowed holds inf, and the stopping rule then stops it
+    spilled = np.flatnonzero(~np.isfinite(part_sum + sum_k + sum_h))
+    if spilled.size:
+        row = int(spilled[0])
+        raise NumericError(
+            f"latent-abundance series overflowed double precision for row {row} "
+            f"(lam={lam[row]:.6g}, start N={start[row]:.0f})"
         )
-        if theta is None:
-            q_bound = dens * survey
-        else:
-            q_bound = survey * np.maximum(dens, d_inf[active, None])
-        log_cum = log_carry[active, None] + np.cumsum(np.log(dens) + np.log(survey), axis=1)
-        log_running = log_accumulate(log_sum[active], log_cum)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_tail = np.where(
-                q_bound < 1.0, log_cum + np.log(q_bound) - np.log1p(-q_bound), np.inf
-            )
-        stop = log_tail <= log_floor + log_running
-        stopped = stop.any(axis=1)
-        first = np.argmax(stop, axis=1)
-
-        rows_done = active[stopped]
-        log_sum[rows_done] = log_running[stopped, first[stopped]]
-        n_max[rows_done] = ystar[rows_done] + offset + first[stopped] + 1.0
-
-        rows_kept = active[~stopped]
-        log_sum[rows_kept] = log_running[~stopped, -1]
-        log_carry[rows_kept] = log_cum[~stopped, -1]
-        n_max[rows_kept] = ystar[rows_kept] + offset + width
-        if moments:
-            log_run_k = log_accumulate(log_sum_k[active], log_cum + np.log(steps))
-            log_sum_k[rows_done] = log_run_k[stopped, first[stopped]]
-            log_sum_k[rows_kept] = log_run_k[~stopped, -1]
-        if with_h:
-            h = carry_h[active, None] + np.cumsum(1.0 / (n_grid + (theta - 1.0)), axis=1)
-            carry_h[rows_kept] = h[~stopped, -1]
-            log_run_h = log_accumulate(log_sum_h[active], log_cum + np.log(h))
-            log_sum_h[rows_done] = log_run_h[stopped, first[stopped]]
-            log_sum_h[rows_kept] = log_run_h[~stopped, -1]
-        if offset + width >= trunc.hard_cap_offset and rows_kept.size:
-            growing = q_bound[~stopped, -1] >= 1.0
-            if np.any(growing):
-                row = int(rows_kept[np.argmax(growing)])
-                raise NumericError(
-                    f"latent-abundance series still growing at the hard cap for row {row} "
-                    f"(lam={lam[row]:.6g}, max count={ystar[row]:.0f}); "
-                    "the mixture is divergent for these inputs"
-                )
-        active = rows_kept
-        offset += width
-        block = min(block * 2, _BLOCK_MAX)
-
+    shifted = np.flatnonzero(start > ystar)
+    if shifted.size:
+        lead[shifted] = _leading_log_term(
+            start[shifted], counts[shifted], mask[shifted], lam[shifted], p[shifted], theta
+        )
+    ll = lead + np.log(part_sum)
     stats = None
     if moments:
-        mean_n = ystar + np.exp(log_sum_k - log_sum)
-        mean_dpsi = (
-            digamma(ystar + theta) - digamma(theta) + np.exp(log_sum_h - log_sum)
-            if with_h
-            else None
+        mean_dpsi = None if theta is None else (
+            digamma(start + theta) - digamma(theta) + sum_h / part_sum
         )
-        stats = (mean_n, mean_dpsi)
-    return lead + log_sum, n_max.astype(int), stats
+        stats = (start + sum_k / part_sum, mean_dpsi)
+    return ll, start.astype(int), n_max.astype(int), stats
 
 
 def row_loglik_recursive(
@@ -449,7 +482,7 @@ def row_loglik_recursive(
     row : RowLikelihoodInput
         Observed counts, detection probabilities and mixing parameters.
     trunc : TruncationPolicy
-        Stopping rule for the latent-abundance series.
+        Stopping rule and term budget for the latent-abundance series.
 
     Returns
     -------
@@ -459,7 +492,8 @@ def row_loglik_recursive(
     Raises
     ------
     NumericError
-        If the series is still growing when the hard cap is reached.
+        If the row needs more than ``trunc.hard_cap_offset`` terms past
+        its start.
     """
     return row_loglik_detail(row, trunc).loglik
 
@@ -467,14 +501,18 @@ def row_loglik_recursive(
 def row_loglik_detail(
     row: RowLikelihoodInput, trunc: TruncationPolicy = DEFAULT_TRUNCATION
 ) -> RowLikelihoodDetail:
-    """Like :func:`row_loglik_recursive` but also reports the truncation point."""
+    """Like :func:`row_loglik_recursive` but also reports the summed range of N."""
     counts = row.y[None, :]
     mask = np.ones_like(counts, dtype=bool)
-    ll, n_max = _batch_loglik(
-        counts, mask, np.array([row.lam]), row.p[None, :], row.theta, trunc
+    ll, n_min, n_max, _ = _batch_series(
+        counts, mask, np.array([row.lam]), row.p[None, :], row.theta, trunc, moments=False
     )
-    n_terms = int(n_max[0] - np.max(row.y) + 1)
-    return RowLikelihoodDetail(loglik=float(ll[0]), n_terms=n_terms, n_max=int(n_max[0]))
+    return RowLikelihoodDetail(
+        loglik=float(ll[0]),
+        n_terms=int(n_max[0] - n_min[0] + 1),
+        n_max=int(n_max[0]),
+        n_min=int(n_min[0]),
+    )
 
 
 def row_loglik_bruteforce(row: RowLikelihoodInput, n_max: int) -> float:
@@ -600,7 +638,7 @@ def table_loglik_score(
     p = detection_probs(params, designs)
     theta = params.theta if family.has_dispersion else None
     counts, mask = table.filled_counts(), table.mask
-    ll, _, (mean_n, mean_dpsi) = _batch_series(counts, mask, lam, p, theta, trunc, moments=True)
+    ll, _, _, (mean_n, mean_dpsi) = _batch_series(counts, mask, lam, p, theta, trunc, moments=True)
 
     if theta is None:
         d_eta_lam = mean_n - lam
@@ -686,19 +724,3 @@ def numeric_gradient(
 
     return finite_diff_gradient(f, params.to_array())
 
-
-def numeric_hessian(
-    params: ParameterVector,
-    table: ObservationTable,
-    designs: DesignMatrices,
-    family: MixtureFamily,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> np.ndarray:
-    """Hessian of table_loglik in the stacked parameter order."""
-    p_lam, p_det = designs.p_lambda, designs.p_detect
-
-    def f(x):
-        pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        return table_loglik(pv, table, designs, family, trunc)
-
-    return finite_diff_hessian(f, params.to_array())

@@ -266,12 +266,3 @@ def detection_probs(params: ParameterVector, designs: DesignMatrices) -> np.ndar
     eta = designs.detection_design @ params.alpha
     return np.clip(expit(eta), P_CLAMP, 1.0 - P_CLAMP)
 
-
-def eval_lambda(params: ParameterVector, designs: DesignMatrices, row: int) -> float:
-    """Abundance mean for a single row."""
-    return float(lambda_values(params, designs)[row])
-
-
-def eval_p(params: ParameterVector, designs: DesignMatrices, row: int, survey: int) -> float:
-    """Detection probability for a single (row, survey) cell."""
-    return float(detection_probs(params, designs)[row, survey])

@@ -31,7 +31,6 @@ from nmixfit import (
     table_loglik_score,
     table_row_logliks,
 )
-from nmixfit import likelihood
 from nmixfit.likelihood import (
     finite_diff_gradient,
     finite_diff_hessian,
@@ -51,6 +50,14 @@ def _rel_err(a, b):
     return abs(a - b) / max(1.0, abs(b))
 
 
+def _thinned_logpmf(y, lam, p, theta=None):
+    """One survey's marginal: thinning scales the mean, keeps the NB size."""
+    mean = lam * p
+    if theta is None:
+        return poisson.logpmf(y, mean)
+    return nbinom.logpmf(y, theta, theta / (theta + mean))
+
+
 class TestThinningIdentities:
     """A binomially thinned mixture count has a closed-form marginal."""
 
@@ -58,17 +65,13 @@ class TestThinningIdentities:
     def test_single_survey_poisson(self, lam, p):
         for y in range(26):
             got = row_loglik_recursive(_row([y], [p], lam))
-            want = poisson.logpmf(y, lam * p)
-            assert _rel_err(got, want) < 1e-12
+            assert _rel_err(got, _thinned_logpmf(y, lam, p)) < 1e-12
 
     @pytest.mark.parametrize("lam,p,theta", [(2.0, 0.3, 0.7), (25.0, 0.6, 4.0)])
     def test_single_survey_negative_binomial(self, lam, p, theta):
-        # thinning scales the mean and keeps the size parameter
-        mean = lam * p
         for y in range(26):
             got = row_loglik_recursive(_row([y], [p], lam, theta))
-            want = nbinom.logpmf(y, theta, theta / (theta + mean))
-            assert _rel_err(got, want) < 1e-10
+            assert _rel_err(got, _thinned_logpmf(y, lam, p, theta)) < 1e-10
 
     @pytest.mark.parametrize("p", [[0.5], [0.2, 0.7], [0.35, 0.5, 0.65]])
     def test_all_zero_poisson_row(self, p):
@@ -157,10 +160,22 @@ class TestTruncation:
         assert abs(loose - tight) < 1e-11 * max(1.0, abs(tight))
 
     def test_hard_cap_divergence_is_an_error(self):
-        # mean so large the ratio series cannot start shrinking by the cap
+        # the posterior of N has sd ~700, far wider than a budget of 50
+        # terms; the error names the budget and never claims divergence
         row = _row([0.0], [0.5], 1e6)
-        with pytest.raises(NumericError, match="hard cap"):
+        with pytest.raises(NumericError, match="term budget exhausted") as info:
             row_loglik_recursive(row, TruncationPolicy(hard_cap_offset=50))
+        assert "hard_cap_offset=50" in str(info.value)
+        assert "divergent" not in str(info.value)
+
+    def test_left_tail_too_heavy_for_the_floor_is_summed_from_lower(self):
+        # at a floor of 1e-30 the terms below mode - 9 sd are not negligible,
+        # so the row is summed again from a lower start
+        row = _row([10.0], [0.001], 5e4)
+        default = row_loglik_detail(row)
+        tight = row_loglik_detail(row, TruncationPolicy(relative_increment_floor=1e-30))
+        assert 10 < tight.n_min < default.n_min
+        assert _rel_err(tight.loglik, _thinned_logpmf(10, 5e4, 0.001)) < 1e-10
 
     def test_policy_validation(self):
         with pytest.raises(ModelError):
@@ -175,10 +190,12 @@ class TestTruncation:
 
 class TestExtremeInputs:
     def test_huge_mean_with_rare_detection(self):
-        # survival factor ~ e^990 overflows the linear pass; the log-space
-        # fallback must still deliver the thinning identity
-        got = row_loglik_recursive(_row([0.0], [0.01], 1000.0))
-        assert _rel_err(got, -10.0) < 1e-12
+        # terms grow by ~e^990 from N = 0 to the summand's mode near 990;
+        # the sum starts just below the mode, and must still deliver the
+        # thinning identity
+        row = _row([0.0], [0.01], 1000.0)
+        assert row_loglik_detail(row).n_min > 0
+        assert _rel_err(row_loglik_recursive(row), -10.0) < 1e-12
 
     def test_large_counts_stay_finite_and_match_oracle(self):
         row = _row([1000.0, 998.0, 1005.0], [0.5, 0.5, 0.5], 2000.0)
@@ -192,6 +209,52 @@ class TestExtremeInputs:
         detail = row_loglik_detail(row)
         want = nbinom.logpmf(2, 0.5, 0.5 / (0.5 + 50.0 * 0.001))
         assert _rel_err(detail.loglik, want) < 1e-10
+
+
+# a budget wide enough for every row of the extreme-regime tests
+_WIDE_BUDGET = TruncationPolicy(hard_cap_offset=4_000_000)
+
+_LOG_LAM = st.floats(math.log(0.01), math.log(1e6))
+_P = st.one_of(st.floats(1e-4, 0.99), st.floats(math.log(1e-4), math.log(0.99)).map(math.exp))
+_THETA = st.one_of(st.none(), st.floats(math.log(0.05), math.log(50.0)).map(math.exp))
+
+
+def _value_or_budget_error(row, want):
+    """The row's log-likelihood equals ``want`` to 1e-9 relative, or it
+    raises the term-budget error and a wider budget then gives ``want``."""
+    try:
+        got = row_loglik_recursive(row)
+    except NumericError as exc:
+        message = str(exc)
+        assert "term budget exhausted" in message
+        assert "divergent" not in message
+        detail = row_loglik_detail(row, _WIDE_BUDGET)
+        assert detail.n_terms > TruncationPolicy().hard_cap_offset
+        got = detail.loglik
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+class TestExtremeRegimes:
+    """Closed forms over lam in [0.01, 1e6], p in [1e-4, 0.99] and theta in
+    {None} U [0.05, 50]: every row gives its value or names an exhausted
+    term budget, never a wrong value or a divergence."""
+
+    @given(log_lam=_LOG_LAM, p=_P, theta=_THETA, q=st.floats(0.0, 1.0))
+    @settings(max_examples=300)
+    def test_single_survey_thinning(self, log_lam, p, theta, q):
+        lam = math.exp(log_lam)
+        mean = lam * p
+        # the count is a quantile of its own marginal, tails included
+        law = poisson(mean) if theta is None else nbinom(theta, theta / (theta + mean))
+        y = float(law.ppf(min(max(q, 1e-6), 1.0 - 1e-6)))
+        _value_or_budget_error(_row([y], [p], lam, theta), _thinned_logpmf(y, lam, p, theta))
+
+    @given(log_lam=_LOG_LAM, p=st.lists(_P, min_size=1, max_size=5))
+    @settings(max_examples=200)
+    def test_all_zero_poisson(self, log_lam, p):
+        lam = math.exp(log_lam)
+        want = lam * (np.prod(1.0 - np.asarray(p)) - 1.0)
+        _value_or_budget_error(_row([0.0] * len(p), p, lam), want)
 
 
 class TestInputValidation:
@@ -396,18 +459,52 @@ _SCORE_CASES = {
     "missing-cells": (lambda: _covariate_case(missing=True), MixtureFamily.NEGBIN),
     "clamped-p": (_clamped_case, MixtureFamily.POISSON),
     "multi-block-nb": (_multi_block_case, MixtureFamily.NEGBIN),
-    "logspace-poisson": (
-        lambda: _single_row_case([1000.0, 1000.0, 1000.0], 2000.0, 0.5), MixtureFamily.POISSON
-    ),
-    # the series stays finite in linear space but sum k t_k overflows
-    "moment-overflow": (
-        lambda: _single_row_case([100.0, 100.0, 100.0], 2000.0, 0.5), MixtureFamily.POISSON
-    ),
-    "logspace-nb": (
-        lambda: _single_row_case([200.0, 180.0, 210.0], 1e4, 0.02, theta=3.0),
-        MixtureFamily.NEGBIN,
+}
+
+# Rows whose summand's mode lies far above max(y), so the sum starts
+# higher: (y, lam, p, theta).  The first three names are kept so that
+# their score-case test ids stay stable.
+_MOVED_ROWS = {
+    "logspace-poisson": ([1000.0, 1000.0, 1000.0], 2000.0, 0.5, None),
+    # summed from max(y), the sum of k t_k would overflow here
+    "moment-overflow": ([100.0, 100.0, 100.0], 2000.0, 0.5, None),
+    "logspace-nb": ([200.0, 180.0, 210.0], 1e4, 0.02, 3.0),
+    "large-counts": ([1000.0, 1000.0, 1000.0], 50.0, 0.5, None),
+    # a fixed cap of 10,000 terms past max(y) cannot reach these modes
+    "far-mode-5e4": ([10.0], 5e4, 0.001, None),
+    "far-mode-2e4": ([150.0], 2e4, 0.01, None),
+    # 50 surveys at p = 0.99: the mode is only ~36 above max(y), but
+    # g(max(y)) is e^-937 of g(mode), so a sum from max(y) would overflow
+    "many-surveys": (
+        list(np.random.default_rng(50).binomial(5064, 0.99, 50).astype(float)), 5000.0, 0.99, None
     ),
 }
+
+
+def _moved_case(name):
+    y, lam, p, theta = _MOVED_ROWS[name]
+    family = MixtureFamily.POISSON if theta is None else MixtureFamily.NEGBIN
+    return (lambda: _single_row_case(y, lam, p, theta)), family
+
+
+_SCORE_CASES.update({name: _moved_case(name) for name in _MOVED_ROWS})
+
+
+class TestMovedStart:
+    """Rows whose sum starts above max(y) match their oracles."""
+
+    @pytest.mark.parametrize("name", sorted(_MOVED_ROWS))
+    def test_start_moves_and_matches_oracle(self, name):
+        y, lam, p, theta = _MOVED_ROWS[name]
+        row = _row(y, [p] * len(y), lam, theta)
+        detail = row_loglik_detail(row)
+        assert detail.n_min > max(y)
+        assert detail.n_terms == detail.n_max - detail.n_min + 1
+        if len(y) == 1:
+            want = _thinned_logpmf(y[0], lam, p, theta)
+        else:
+            want = row_loglik_bruteforce(row, n_max=detail.n_max + 1000)
+        assert _rel_err(detail.loglik, want) < 1e-10
 
 
 class TestScore:
@@ -446,20 +543,6 @@ class TestScore:
         np.testing.assert_allclose(
             score, want, rtol=1e-6, atol=1e-6 * np.max(np.abs(want))
         )
-
-    @pytest.mark.parametrize("name", ["logspace-nb", "logspace-poisson", "moment-overflow"])
-    def test_large_rows_take_the_log_space_path(self, name, monkeypatch):
-        calls = []
-        slow = likelihood._batch_series_logspace
-
-        def counting(*args):
-            calls.append(args[-1])
-            return slow(*args)
-
-        monkeypatch.setattr(likelihood, "_batch_series_logspace", counting)
-        table, designs, params, family = self._case(name)
-        table_loglik_score(params, table, designs, family)
-        assert calls == [True]
 
     def test_clamped_cells_contribute_nothing(self):
         table, designs, params, family = self._case("clamped-p")

@@ -11,8 +11,6 @@ from nmixfit import (
     ObservationTable,
     ParameterVector,
     detection_probs,
-    eval_lambda,
-    eval_p,
     lambda_values,
 )
 from nmixfit.model import P_CLAMP, stacked_parameter_names
@@ -149,14 +147,14 @@ class TestLinearPredictors:
         designs, params = self._setup()
         lam = lambda_values(params, designs)
         np.testing.assert_allclose(lam, np.exp([2.0, 0.0]))
-        assert eval_lambda(params, designs, 1) == pytest.approx(1.0)
+        assert lam[1] == pytest.approx(1.0)
 
     def test_detection_probs_logit_link(self):
         designs, params = self._setup()
         p = detection_probs(params, designs)
         expected = 1.0 / (1.0 + np.exp(-np.array([0.3, 0.7])))
         np.testing.assert_allclose(p[:, 0], expected)
-        assert eval_p(params, designs, 0, 1) == pytest.approx(expected[0])
+        assert p[0, 1] == pytest.approx(expected[0])
 
     def test_lambda_overflow_guard(self):
         designs, params = self._setup()
