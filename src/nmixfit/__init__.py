@@ -24,11 +24,11 @@ from .likelihood import (
     DEFAULT_TRUNCATION,
     RowLikelihoodInput,
     TruncationPolicy,
-    numeric_gradient,
     row_loglik_bruteforce,
     row_loglik_detail,
     row_loglik_recursive,
     table_loglik,
+    table_loglik_hessian,
     table_loglik_score,
     table_row_logliks,
 )
@@ -74,7 +74,6 @@ __all__ = [
     "format_fit_summary",
     "lambda_fitted",
     "lambda_values",
-    "numeric_gradient",
     "parse_config",
     "posterior_n",
     "read_dataset",
@@ -85,6 +84,7 @@ __all__ = [
     "simulate",
     "summarize_fit",
     "table_loglik",
+    "table_loglik_hessian",
     "table_loglik_score",
     "table_row_logliks",
     "write_dataset",

@@ -58,14 +58,18 @@ def _run_one(args) -> list[BiasRecord]:
     sim = simulate(config)
     truths = np.array(list(config.beta) + list(config.alpha) + [np.log(config.theta)])
     records = []
+    # the models share their parameter layout: the survey fit starts at the
+    # averaged fit's optimum when that fit converged, else at the default
+    start = None
     for model, designs in (
         ("averaged", sim.designs_mean),
         ("survey", sim.designs_survey),
     ):
         try:
-            fit = fit_laplace(sim.table_survey, designs, config.family, options=_FIT_OPTIONS)
+            fit = fit_laplace(sim.table_survey, designs, config.family, options=_FIT_OPTIONS, start=start)
             estimates = fit.estimates.to_array()
             converged = fit.converged
+            start = fit.estimates if converged else None
         except NmixError:
             estimates = np.full(truths.size, np.nan)
             converged = False

@@ -2,11 +2,12 @@
 
 Both engines maximise a smooth log density over the stacked parameter
 vector (beta, alpha, log_theta), given as one function that returns the
-value and its exact gradient (the score) from a single kernel pass.
-BFGS runs on that pair, and convergence is judged by the score at the
-returned point.  The covariance is the inverse negative Hessian
-at the mode, taken from central differences of the score: 2n score
-passes for n parameters.
+value, its exact gradient (the score) and its exact Hessian from a
+single kernel pass.  scipy's ``trust-exact`` (Newton steps in a trust
+region, safe where the Hessian is indefinite) runs on that triple, and
+convergence is judged by the score at the returned point.  The
+covariance is the inverse negative Hessian at the mode, which the last
+pass already computed, so it costs no extra pass.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .model import (
     MixtureFamily,
     ObservationTable,
     ParameterVector,
+    stacked_parameter_names,
 )
 
 
@@ -49,7 +51,9 @@ class FitResult:
     ``covariance`` is None when the curvature at the mode was not
     positive definite or covariance computation was switched off.
     ``converged`` judges the score at the mode; ``optimizer_success`` and
-    ``optimizer_message`` are BFGS's own verdict and termination message.
+    ``optimizer_message`` are the optimiser's own verdict and termination
+    message.  ``kernel_passes`` counts the evaluations of the log density,
+    one series pass each, covariance included.
     """
 
     estimates: ParameterVector
@@ -62,6 +66,7 @@ class FitResult:
     parameter_names: tuple[str, ...]
     optimizer_success: bool = True
     optimizer_message: str = ""
+    kernel_passes: int = 0
 
     @property
     def n_params(self) -> int:
@@ -110,23 +115,41 @@ def check_designs_for_fit(
         )
 
 
-def _guarded(log_density_and_score):
-    """Negated value and gradient; invalid regions report +inf."""
+class _Negated:
+    """The negated log density, gradient and Hessian for a minimiser.
 
-    def neg(x):
+    The two most recent points are cached, so a rejected trial point
+    never forces a second pass at the accepted one; ``passes`` counts the
+    evaluations.  Invalid regions report +inf (and zero derivatives,
+    unused since the minimiser rejects the point).
+    """
+
+    def __init__(self, log_density_derivs):
+        self._fn = log_density_derivs
+        self._recent = []
+        self.passes = 0
+
+    def __call__(self, x):
+        key = x.tobytes()
+        for seen, result in self._recent:
+            if seen == key:
+                return result
+        self.passes += 1
         try:
-            value, grad = log_density_and_score(x)
+            value, grad, hess = self._fn(x)
         except NumericError:
             value = np.inf
-        if not np.isfinite(value):
-            return np.inf, np.full(x.size, np.nan)
-        return -value, -np.asarray(grad, dtype=float)
-
-    return neg
+        if np.isfinite(value):
+            result = (-value, -np.asarray(grad, dtype=float), -np.asarray(hess, dtype=float))
+        else:
+            result = (np.inf, np.zeros(x.size), np.zeros((x.size, x.size)))
+        self._recent = [(key, result)] + self._recent[:1]
+        return result
 
 
 class Optimum(NamedTuple):
-    """Outcome of :func:`maximize_log_density`."""
+    """Outcome of :func:`maximize_log_density`; ``hessian`` is the log
+    density's Hessian at ``x`` and ``passes`` the evaluations made."""
 
     x: np.ndarray
     value: float
@@ -135,28 +158,31 @@ class Optimum(NamedTuple):
     gradient_norm: float
     success: bool
     message: str
+    hessian: np.ndarray
+    passes: int
 
 
-def maximize_log_density(log_density_and_score, x0: np.ndarray, options: FitOptions) -> Optimum:
-    """Maximise a log density from ``x0`` by BFGS on its exact gradient.
+def maximize_log_density(log_density_derivs, x0: np.ndarray, options: FitOptions) -> Optimum:
+    """Maximise a log density from ``x0`` by trust-region Newton steps.
 
-    ``log_density_and_score(x)`` returns (value, gradient).  The result's
-    gradient_norm is the infinity norm of the gradient at the returned
-    point, from BFGS's own last evaluation; ``converged`` compares it
-    with ``options.convergence_gradient_norm``.
+    ``log_density_derivs(x)`` returns (value, gradient, Hessian).  The
+    result's gradient_norm is the infinity norm of the gradient at the
+    returned point; ``converged`` compares it with
+    ``options.convergence_gradient_norm``.
     """
+    objective = _Negated(log_density_derivs)
+    x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(objective(x0)[0]):
+        raise NumericError("objective is not finite at the starting point")
     with np.errstate(all="ignore"):
         res = scipy.optimize.minimize(
-            _guarded(log_density_and_score),
-            np.asarray(x0, dtype=float),
+            lambda x: objective(x)[:2],
+            x0,
             jac=True,
-            method="BFGS",
+            hess=lambda x: objective(x)[2],
+            method="trust-exact",
             options={"gtol": options.gradient_tol, "maxiter": options.max_iterations},
         )
-    # every accepted line-search step lowers the objective, so the result
-    # is finite unless the starting point already was not
-    if not np.isfinite(res.fun):
-        raise NumericError("objective is not finite at the starting point")
     gnorm = float(np.max(np.abs(res.jac)))
     return Optimum(
         x=res.x,
@@ -166,30 +192,16 @@ def maximize_log_density(log_density_and_score, x0: np.ndarray, options: FitOpti
         gradient_norm=gnorm,
         success=bool(res.success),
         message=str(res.message),
+        hessian=-objective(res.x)[2],
+        passes=objective.passes,
     )
 
 
-def covariance_from_log_density(log_density_and_score, x_hat: np.ndarray) -> np.ndarray | None:
-    """Covariance as the inverse negative Hessian, or None when not usable.
-
-    The Hessian comes from central differences of the score, with steps
-    1e-5 * max(1, |x_i|), symmetrised.  None signals curvature
-    that is singular or not positive definite at the mode; callers
-    surface this as a fit without standard errors rather than an error.
-    """
-    x_hat = np.asarray(x_hat, dtype=float)
-    n = x_hat.size
-    neg_hess = np.empty((n, n))
-    try:
-        for i in range(n):
-            shift = np.zeros(n)
-            shift[i] = 1e-5 * max(1.0, abs(x_hat[i]))
-            _, g_up = log_density_and_score(x_hat + shift)
-            _, g_down = log_density_and_score(x_hat - shift)
-            neg_hess[i] = (np.asarray(g_down) - np.asarray(g_up)) / (2.0 * shift[i])
-    except NumericError:
-        return None
-    neg_hess = 0.5 * (neg_hess + neg_hess.T)
+def covariance_from_log_density(hessian: np.ndarray) -> np.ndarray | None:
+    """Covariance as the inverse negative Hessian of the log density at the
+    mode, or None when that curvature is not finite and positive definite;
+    callers surface None as a fit without standard errors, not an error."""
+    neg_hess = -0.5 * (hessian + hessian.T)
     if not np.all(np.isfinite(neg_hess)):
         return None
     eigval, eigvec = np.linalg.eigh(neg_hess)
@@ -197,6 +209,27 @@ def covariance_from_log_density(log_density_and_score, x_hat: np.ndarray) -> np.
         return None
     cov = (eigvec / eigval) @ eigvec.T
     return 0.5 * (cov + cov.T)
+
+
+def fit_result(
+    opt: Optimum, covariance: np.ndarray | None, designs: DesignMatrices, family: MixtureFamily
+) -> FitResult:
+    """The :class:`FitResult` of an optimum over the stacked parameter vector."""
+    return FitResult(
+        estimates=ParameterVector.from_array(
+            opt.x, designs.p_lambda, designs.p_detect, family.has_dispersion
+        ),
+        covariance=covariance,
+        loglik=opt.value,
+        converged=opt.converged,
+        iterations=opt.iterations,
+        gradient_norm=opt.gradient_norm,
+        family=family,
+        parameter_names=stacked_parameter_names(designs, family),
+        optimizer_success=opt.success,
+        optimizer_message=opt.message,
+        kernel_passes=opt.passes,
+    )
 
 
 def default_start(

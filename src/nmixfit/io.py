@@ -252,6 +252,7 @@ def fit_to_json(fit: FitResult, summary_rows=None, extra: dict | None = None) ->
         "iterations": fit.iterations,
         "gradient_norm": fit.gradient_norm,
         "optimizer_message": fit.optimizer_message,
+        "kernel_passes": fit.kernel_passes,
         "loglik": fit.loglik,
         "parameter_names": list(fit.parameter_names),
         "estimates": fit.estimates.to_array().tolist(),

@@ -23,6 +23,7 @@ from .fitcore import (
     check_designs_for_fit,
     covariance_from_log_density,
     default_start,
+    fit_result,
     maximize_log_density,
 )
 from .likelihood import (
@@ -30,14 +31,13 @@ from .likelihood import (
     TruncationPolicy,
     log_count_density,
     table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
-    table_loglik_score,
+    table_loglik_hessian,
 )
 from .model import (
     DesignMatrices,
     MixtureFamily,
     ObservationTable,
     ParameterVector,
-    stacked_parameter_names,
 )
 
 
@@ -71,6 +71,10 @@ class PriorSpec:
         """Gradient of :meth:`log_density`: -precision * (coefs - mean)."""
         return -self.normal_precision * (coefs - self.normal_mean)
 
+    def hessian(self, coefs: np.ndarray) -> np.ndarray:
+        """Hessian of :meth:`log_density`: -precision * I."""
+        return -self.normal_precision * np.eye(coefs.size)
+
 
 DEFAULT_PRIOR = PriorSpec()
 
@@ -94,33 +98,18 @@ def fit_laplace(
     p_lam, p_det = designs.p_lambda, designs.p_detect
     n_coef = p_lam + p_det
 
-    def log_density_and_score(x):
+    def log_density_derivs(x):
         pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        loglik, score = table_loglik_score(pv, table, designs, family, trunc)
+        loglik, score, hess = table_loglik_hessian(pv, table, designs, family, trunc)
         score[:n_coef] += priors.score(x[:n_coef])
-        return loglik + priors.log_density(x[:n_coef]), score
+        hess[:n_coef, :n_coef] += priors.hessian(x[:n_coef])
+        return loglik + priors.log_density(x[:n_coef]), score, hess
 
     if start is None:
         start = default_start(table, designs, family)
-    x0 = start.to_array()
-    opt = maximize_log_density(log_density_and_score, x0, options)
-    cov = (
-        covariance_from_log_density(log_density_and_score, opt.x)
-        if options.compute_covariance
-        else None
-    )
-    return FitResult(
-        estimates=ParameterVector.from_array(opt.x, p_lam, p_det, family.has_dispersion),
-        covariance=cov,
-        loglik=opt.value,
-        converged=opt.converged,
-        iterations=opt.iterations,
-        gradient_norm=opt.gradient_norm,
-        family=family,
-        parameter_names=stacked_parameter_names(designs, family),
-        optimizer_success=opt.success,
-        optimizer_message=opt.message,
-    )
+    opt = maximize_log_density(log_density_derivs, start.to_array(), options)
+    cov = covariance_from_log_density(opt.hessian) if options.compute_covariance else None
+    return fit_result(opt, cov, designs, family)
 
 
 @dataclass(frozen=True)

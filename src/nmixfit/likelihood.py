@@ -27,16 +27,17 @@ bound is not that small is summed again from lower down.  There is one
 summation path, in vectorised blocks of geometrically growing width; a
 sum that leaves double range or a row that exhausts its term budget
 raises ``NumericError`` naming the row.  The same pass can accumulate
-the posterior moments of N that the exact score needs (see
-:func:`table_loglik_score`).
+the posterior moments of N that the exact score and Hessian need (see
+:func:`table_loglik_hessian`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import digamma, gammaln, logsumexp, polygamma
 from scipy.stats import binom, nbinom, poisson
 
 from .errors import ModelError, NumericError
@@ -294,18 +295,18 @@ def _block_for(span):
 def _sum_upward(active, start, counts, mask, lam, p, theta, trunc, moments, block):
     """Sum rows ``active`` upward from N = start, with t(start) = 1.
 
-    Returns full-length (part_sum, n_max, sum_k, sum_h), meaningful on
-    ``active``: sum_k = sum k t_k and, for NB moments, sum_h = sum h_k t_k
-    with h_k the running sum of 1 / (N - 1 + theta).
+    Returns full-length (part_sum, n_max, sums), meaningful on ``active``.
+    With ``moments``, sums has rows sum t_k * (k, k^2, h_k, h_k^2, k h_k,
+    h'_k), where k = N - start and, for NB, h_k and h'_k are the running
+    sums of 1 / (N - 1 + theta) and of its square (zero for Poisson).
     """
     n_rows = counts.shape[0]
     d_inf = 0.0 if theta is None else lam / (theta + lam)
     with_h = moments and theta is not None
     part_sum = np.ones(n_rows)
     carry = np.ones(n_rows)
-    sum_k = np.zeros(n_rows)
-    sum_h = np.zeros(n_rows)
-    carry_h = np.zeros(n_rows)
+    sums = np.zeros((6 if moments else 0, n_rows))
+    carry_h = np.zeros((2, n_rows))
     n_max = start.copy()
     floor = _TAIL_SAFETY * trunc.relative_increment_floor
 
@@ -359,28 +360,31 @@ def _sum_upward(active, start, counts, mask, lam, p, theta, trunc, moments, bloc
         if moments:
             # rows x block each: drop the dead ones so the moment sums do
             # not raise the block's peak memory
-            del dens, survey, ratio, tail, q_bound
+            del dens, survey, ratio, tail, q_bound, running
+            last = np.where(stopped, first, width - 1)
+            cum[np.arange(width) > last[:, None]] = 0.0
             with np.errstate(over="ignore", invalid="ignore"):
-                run_k = cum * steps
-                np.cumsum(run_k, axis=1, out=run_k)
-                run_k += sum_k[active, None]
-                sum_k[rows_done] = run_k[stopped, first[stopped]]
-                sum_k[rows_kept] = run_k[keep, -1]
+                sums[0, active] += cum @ steps
+                sums[1, active] += cum @ (steps * steps)
                 if with_h:
-                    run_h = n_grid + (theta - 1.0)
-                    np.reciprocal(run_h, out=run_h)
-                    np.cumsum(run_h, axis=1, out=run_h)
-                    run_h += carry_h[active, None]
-                    carry_h[rows_kept] = run_h[keep, -1]
-                    run_h *= cum
-                    np.cumsum(run_h, axis=1, out=run_h)
-                    run_h += sum_h[active, None]
-                    sum_h[rows_done] = run_h[stopped, first[stopped]]
-                    sum_h[rows_kept] = run_h[keep, -1]
+                    h = np.reciprocal(np.add(n_grid, theta - 1.0, out=n_grid), out=n_grid)
+                    h_sq = np.cumsum(h * h, axis=1)
+                    np.cumsum(h, axis=1, out=h)
+                    h += carry_h[0, active, None]
+                    h_sq += carry_h[1, active, None]
+                    carry_h[0, rows_kept] = h[keep, -1]
+                    carry_h[1, rows_kept] = h_sq[keep, -1]
+                    h_sq *= cum
+                    sums[5, active] += np.add.reduce(h_sq, axis=1)
+                    np.multiply(h, cum, out=h_sq)
+                    sums[2, active] += np.add.reduce(h_sq, axis=1)
+                    sums[4, active] += h_sq @ steps
+                    h_sq *= h
+                    sums[3, active] += np.add.reduce(h_sq, axis=1)
         active = rows_kept
         offset += width
         block = min(block * 2, _BLOCK_MAX)
-    return part_sum, n_max, sum_k, sum_h
+    return part_sum, n_max, sums
 
 
 def _left_tail_ok(rows, start, counts, mask, lam, p, theta, part_sum, floor):
@@ -407,13 +411,25 @@ def _batch_loglik(counts, mask, lam, p, theta, trunc):
     return ll, n_max
 
 
+class PosteriorMoments(NamedTuple):
+    """Per-row moments of the latent N given the row's counts, with
+    psi = digamma(N + theta); for Poisson the psi fields are zero."""
+
+    mean_n: np.ndarray
+    var_n: np.ndarray
+    mean_dpsi: np.ndarray  # E[psi] - digamma(theta)
+    var_psi: np.ndarray
+    cov_n_psi: np.ndarray
+    mean_dtrigamma: np.ndarray  # E[psi'(N + theta)] - trigamma(theta)
+
+
 def _batch_series(counts, mask, lam, p, theta, trunc, moments):
     """Row log-likelihoods, the summed range and, if ``moments``, posterior moments.
 
-    The moments are E[N | y] = s + sum k t_k / S and, for NB,
-    E[psi(N + theta) | y] - psi(theta), using psi(s + k + theta) =
-    psi(s + theta) + h_k.  Returns (ll, n_min, n_max, stats) with stats
-    None or (mean_n, mean_dpsi); ``mean_dpsi`` is None for Poisson.
+    Moments are centred at the start s (k = N - s), so the variances do
+    not cancel, and use psi(s + k + theta) = psi(s + theta) + h_k and
+    psi'(s + k + theta) = psi'(s + theta) - h'_k.  Returns (ll, n_min,
+    n_max, stats) with stats None or a :class:`PosteriorMoments`.
     """
     n_rows = counts.shape[0]
     ystar = np.max(np.where(mask, counts, -np.inf), axis=1)
@@ -445,12 +461,12 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
         block = _block_for(mode[pending] - start[pending] + 8.0 * sd[pending] + 16.0)
         redo = _sum_upward(pending, start, counts, mask, lam, p, theta, trunc, moments, block)
         for whole, part in zip(sums, redo):
-            whole[pending] = part[pending]
+            whole[..., pending] = part[..., pending]
         pending = pending[start[pending] > ystar[pending]]
 
-    part_sum, n_max, sum_k, sum_h = sums
+    part_sum, n_max, raw = sums
     # a sum that overflowed holds inf, and the stopping rule then stops it
-    spilled = np.flatnonzero(~np.isfinite(part_sum + sum_k + sum_h))
+    spilled = np.flatnonzero(~np.isfinite(part_sum + np.add.reduce(raw, axis=0)))
     if spilled.size:
         row = int(spilled[0])
         raise NumericError(
@@ -465,10 +481,17 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
     ll = lead + np.log(part_sum)
     stats = None
     if moments:
-        mean_dpsi = None if theta is None else (
-            digamma(start + theta) - digamma(theta) + sum_h / part_sum
+        k, k_sq, h, h_sq, k_h, h_prime = raw / part_sum
+        stats = PosteriorMoments(
+            mean_n=start + k,
+            var_n=k_sq - k * k,
+            mean_dpsi=h if theta is None else digamma(start + theta) - digamma(theta) + h,
+            var_psi=h_sq - h * h,
+            cov_n_psi=k_h - k * h,
+            mean_dtrigamma=h_prime if theta is None else (
+                polygamma(1, start + theta) - polygamma(1, theta) - h_prime
+            ),
         )
-        stats = (start + sum_k / part_sum, mean_dpsi)
     return ll, start.astype(int), n_max.astype(int), stats
 
 
@@ -618,12 +641,25 @@ def table_loglik_score(
     family: MixtureFamily,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> tuple[float, np.ndarray]:
-    """Total log-likelihood and its exact score, from one kernel pass.
+    """Total log-likelihood and its exact score: the first two outputs of
+    :func:`table_loglik_hessian`."""
+    return table_loglik_hessian(params, table, designs, family, trunc)[:2]
 
-    By Fisher's identity the score of log L_i is the posterior mean,
-    given the row's counts, of the complete-data score (Louis 1982).
-    With m_i = E[N_i | y_i] the parts are, in the stacked (beta, alpha,
-    log_theta) order:
+
+def table_loglik_hessian(
+    params: ParameterVector,
+    table: ObservationTable,
+    designs: DesignMatrices,
+    family: MixtureFamily,
+    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Total log-likelihood, its exact score and its exact Hessian, from one
+    kernel pass, in the stacked (beta, alpha, log_theta) order.
+
+    By Fisher's identity the score of log L_i is the posterior mean, given
+    the row's counts, of the complete-data score s_i; by Louis's identity
+    (Louis 1982) the Hessian is E[d^2 l_c | y] + Var[s_i | y].  With
+    m_i = E[N_i | y_i] the score's parts are:
 
     * beta: X^T theta (m - lam) / (theta + lam), or X^T (m - lam) for Poisson;
     * alpha: the sum over observed cells of (y_ij - m_i p_ij) W_ij, with
@@ -631,96 +667,49 @@ def table_loglik_score(
     * log_theta: theta sum_i [E psi(N_i + theta) - psi(theta)
       + log(theta / (theta + lam_i)) + (lam_i - m_i) / (theta + lam_i)].
 
-    The value equals :func:`table_loglik` exactly.
+    s_i is affine in N_i and psi(N_i + theta), and d^2 l_c in N_i and
+    psi'(N_i + theta), so a few posterior moments from the series pass
+    give the Hessian.  The value equals :func:`table_loglik` exactly.
     """
     _check_model_dims(params, table, designs, family)
     lam = lambda_values(params, designs)
     p = detection_probs(params, designs)
     theta = params.theta if family.has_dispersion else None
     counts, mask = table.filled_counts(), table.mask
-    ll, _, _, (mean_n, mean_dpsi) = _batch_series(counts, mask, lam, p, theta, trunc, moments=True)
+    ll, _, _, mom = _batch_series(counts, mask, lam, p, theta, trunc, moments=True)
+    x, w, m = designs.abundance_design, designs.detection_design, mom.mean_n
 
     if theta is None:
-        d_eta_lam = mean_n - lam
+        c_lam = np.ones_like(lam)
+        d2_lam = -lam
     else:
-        d_eta_lam = theta * (mean_n - lam) / (theta + lam)
+        c_lam = theta / (theta + lam)
+        d2_lam = -c_lam * lam * (theta + m) / (theta + lam)
     # clip() has zero slope where it binds, so clamped cells drop out
     free = mask & (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
-    d_eta_p = np.where(free, counts - mean_n[:, None] * p, 0.0)
-    parts = [
-        designs.abundance_design.T @ d_eta_lam,
-        np.tensordot(d_eta_p, designs.detection_design, axes=([0, 1], [0, 1])),
-    ]
+    p_free = np.where(free, p, 0.0)
+    d_eta_p = np.where(free, counts - m[:, None] * p, 0.0)
+    score = [x.T @ (c_lam * (m - lam)), np.tensordot(d_eta_p, w, axes=([0, 1], [0, 1]))]
+    # slope of each row's complete-data score in N
+    slope = [c_lam[:, None] * x, -np.einsum("ij,ijk->ik", p_free, w)]
     if theta is not None:
-        d_theta = mean_dpsi + np.log(theta / (theta + lam)) + (lam - mean_n) / (theta + lam)
-        parts.append(np.array([theta * np.sum(d_theta)]))
-    return float(np.sum(ll)), np.concatenate(parts)
+        d_theta = mom.mean_dpsi + np.log(c_lam) + (lam - m) / (theta + lam)
+        score.append(np.array([theta * np.sum(d_theta)]))
+        slope.append(-c_lam[:, None])
+    slope = np.concatenate(slope, axis=1)
 
-
-def finite_diff_gradient(f, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient with per-coordinate steps 1e-5 * max(1, |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
-        up = x.copy()
-        up[i] += h
-        down = x.copy()
-        down[i] -= h
-        f_up, f_down = f(up), f(down)
-        if not (np.isfinite(f_up) and np.isfinite(f_down)):
-            raise NumericError(
-                f"non-finite objective while probing coordinate {i} with step {h:.3g}"
-            )
-        grad[i] = (f_up - f_down) / (2.0 * h)
-    return grad
-
-
-def finite_diff_hessian(f, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
-    """Central-difference Hessian, symmetrised as (H + H^T)/2."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
-    f0 = f(x)
-    if not np.isfinite(f0):
-        raise NumericError("non-finite objective at the Hessian expansion point")
-    hess = np.empty((n, n))
-
-    def probe(shift):
-        val = f(x + shift)
-        if not np.isfinite(val):
-            raise NumericError(
-                f"non-finite objective while probing Hessian shift {shift}"
-            )
-        return val
-
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        hess[i, i] = (probe(e) - 2.0 * f0 + probe(-e)) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            hess[i, j] = (
-                probe(e + ej) - probe(e - ej) - probe(-e + ej) + probe(-e - ej)
-            ) / (4.0 * h[i] * h[j])
-            hess[j, i] = hess[i, j]
-    return 0.5 * (hess + hess.T)
-
-
-def numeric_gradient(
-    params: ParameterVector,
-    table: ObservationTable,
-    designs: DesignMatrices,
-    family: MixtureFamily,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> np.ndarray:
-    """Gradient of table_loglik in the stacked (beta, alpha, log_theta) order."""
-    p_lam, p_det = designs.p_lambda, designs.p_detect
-
-    def f(x):
-        pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        return table_loglik(pv, table, designs, family, trunc)
-
-    return finite_diff_gradient(f, params.to_array())
-
+    n_lam, n_coef = designs.p_lambda, designs.p_lambda + designs.p_detect
+    hess = slope.T @ (mom.var_n[:, None] * slope)
+    hess[:n_lam, :n_lam] += x.T @ (d2_lam[:, None] * x)
+    hess[n_lam:n_coef, n_lam:n_coef] -= np.einsum("ijk,ij,ijl->kl", w, m[:, None] * p_free * (1.0 - p), w)
+    if theta is not None:
+        # psi(N + theta) enters only the log_theta component, with slope theta
+        cross = slope.T @ (theta * mom.cov_n_psi)
+        cross[:n_lam] += x.T @ (theta * lam * (m - lam) / (theta + lam) ** 2)
+        hess[:, -1] += cross
+        hess[-1, :] += cross
+        d2_theta = theta * d_theta + theta**2 * (
+            mom.mean_dtrigamma + 1.0 / theta - 1.0 / (theta + lam) - (lam - m) / (theta + lam) ** 2
+        )
+        hess[-1, -1] += np.sum(d2_theta + theta**2 * mom.var_psi)
+    return float(np.sum(ll)), np.concatenate(score), hess

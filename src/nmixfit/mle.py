@@ -15,20 +15,20 @@ from .fitcore import (
     check_designs_for_fit,
     covariance_from_log_density,
     default_start,
+    fit_result,
     maximize_log_density,
 )
 from .likelihood import (
     DEFAULT_TRUNCATION,
     TruncationPolicy,
     table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
-    table_loglik_score,
+    table_loglik_hessian,
 )
 from .model import (
     DesignMatrices,
     MixtureFamily,
     ObservationTable,
     ParameterVector,
-    stacked_parameter_names,
 )
 
 
@@ -64,31 +64,15 @@ def fit_ml(
     check_designs_for_fit(table, designs, family)
     p_lam, p_det = designs.p_lambda, designs.p_detect
 
-    def log_density_and_score(x):
+    def log_density_derivs(x):
         pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        return table_loglik_score(pv, table, designs, family, trunc)
+        return table_loglik_hessian(pv, table, designs, family, trunc)
 
     if start is None:
         start = default_start(table, designs, family)
-    x0 = start.to_array()
-    opt = maximize_log_density(log_density_and_score, x0, options)
-    cov = (
-        covariance_from_log_density(log_density_and_score, opt.x)
-        if options.compute_covariance
-        else None
-    )
-    return FitResult(
-        estimates=ParameterVector.from_array(opt.x, p_lam, p_det, family.has_dispersion),
-        covariance=cov,
-        loglik=opt.value,
-        converged=opt.converged,
-        iterations=opt.iterations,
-        gradient_norm=opt.gradient_norm,
-        family=family,
-        parameter_names=stacked_parameter_names(designs, family),
-        optimizer_success=opt.success,
-        optimizer_message=opt.message,
-    )
+    opt = maximize_log_density(log_density_derivs, start.to_array(), options)
+    cov = covariance_from_log_density(opt.hessian) if options.compute_covariance else None
+    return fit_result(opt, cov, designs, family)
 
 
 @dataclass(frozen=True)
@@ -141,5 +125,5 @@ def format_fit_summary(fit: FitResult) -> str:
         f"iterations={fit.iterations}, gradient norm {fit.gradient_norm:.3g}"
     )
     if not fit.optimizer_success:
-        lines.append(f"BFGS did not report success: {fit.optimizer_message}")
+        lines.append(f"optimizer did not report success: {fit.optimizer_message}")
     return "\n".join(lines)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nmixfit import SimConfig
+from nmixfit import NumericError, SimConfig, experiments
 from nmixfit.experiments import (
     BiasRecord,
     median_abs_bias,
@@ -57,6 +57,36 @@ class TestRunMechanics:
     def test_workers_do_not_change_results(self, records):
         parallel = run_bias_experiment(runs=3, seed=42, workers=2, base=SMALL)
         assert parallel == records
+
+
+class TestSurveyStart:
+    def _starts(self, monkeypatch, fail_averaged):
+        """Run one replicate, recording each fit's start and result."""
+        calls = []
+        real = experiments.fit_laplace
+
+        def recording(table, designs, family, start=None, **kwargs):
+            if fail_averaged and not calls:
+                calls.append((start, None))
+                raise NumericError("averaged fit failed")
+            fit = real(table, designs, family, start=start, **kwargs)
+            calls.append((start, fit))
+            return fit
+
+        monkeypatch.setattr(experiments, "fit_laplace", recording)
+        run_bias_experiment(runs=1, seed=42, base=SMALL)
+        return calls
+
+    def test_survey_fit_starts_at_the_averaged_optimum(self, monkeypatch):
+        (avg_start, avg_fit), (srv_start, _) = self._starts(monkeypatch, fail_averaged=False)
+        assert avg_start is None
+        assert avg_fit.converged
+        assert srv_start is avg_fit.estimates
+
+    def test_failed_averaged_fit_leaves_the_default_start(self, monkeypatch):
+        _, (srv_start, srv_fit) = self._starts(monkeypatch, fail_averaged=True)
+        assert srv_start is None
+        assert srv_fit.converged
 
 
 class TestMedianAbsBias:

@@ -21,6 +21,12 @@ from nmixfit.fitcore import (
 )
 
 
+def _log_domain(x):
+    """-(log x - 1)^2, defined only for x > 0, with its derivatives."""
+    u = np.log(x[0]) - 1.0
+    return -(u**2), np.array([-2.0 * u / x[0]]), np.array([[(2.0 * u - 2.0) / x[0] ** 2]])
+
+
 class TestMaximize:
     def test_finds_quadratic_mode(self):
         m = np.array([[3.0, 0.7], [0.7, 1.2]])
@@ -28,7 +34,7 @@ class TestMaximize:
 
         def f(x):
             d = x - target
-            return -0.5 * d @ m @ d, -m @ d
+            return -0.5 * d @ m @ d, -m @ d, -m
 
         opt = maximize_log_density(f, np.zeros(2), FitOptions())
         assert opt.converged
@@ -37,11 +43,14 @@ class TestMaximize:
         assert opt.iterations >= 1
         np.testing.assert_allclose(opt.x, target, atol=1e-5)
         assert opt.value == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_array_equal(opt.hessian, -m)
+        assert opt.passes <= opt.iterations + 1
 
     def test_monotone_improvement_from_any_start(self):
         def f(x):
             value = -np.cosh(x[0] - 0.3) - (x[1] + 1.0) ** 4
-            return value, np.array([-np.sinh(x[0] - 0.3), -4.0 * (x[1] + 1.0) ** 3])
+            grad = np.array([-np.sinh(x[0] - 0.3), -4.0 * (x[1] + 1.0) ** 3])
+            return value, grad, np.diag([-np.cosh(x[0] - 0.3), -12.0 * (x[1] + 1.0) ** 2])
 
         x0 = np.array([5.0, 2.0])
         opt = maximize_log_density(f, x0, FitOptions())
@@ -52,8 +61,8 @@ class TestMaximize:
         # log density undefined left of zero; optimizer must stay inside
         def f(x):
             if x[0] <= 0:
-                return -np.inf, np.array([np.nan])
-            return -((np.log(x[0]) - 1.0) ** 2), np.array([-2.0 * (np.log(x[0]) - 1.0) / x[0]])
+                return -np.inf, np.array([np.nan]), np.array([[np.nan]])
+            return _log_domain(x)
 
         opt = maximize_log_density(f, np.array([0.5]), FitOptions())
         assert opt.converged
@@ -63,7 +72,7 @@ class TestMaximize:
         def f(x):
             if x[0] <= 0:
                 raise NumericError("outside the domain")
-            return -((np.log(x[0]) - 1.0) ** 2), np.array([-2.0 * (np.log(x[0]) - 1.0) / x[0]])
+            return _log_domain(x)
 
         opt = maximize_log_density(f, np.array([0.5]), FitOptions())
         assert opt.converged
@@ -72,7 +81,9 @@ class TestMaximize:
     def test_non_finite_start_is_an_error(self):
         with pytest.raises(NumericError, match="starting point"):
             maximize_log_density(
-                lambda x: (-np.inf, np.full(1, np.nan)), np.array([0.5]), FitOptions()
+                lambda x: (-np.inf, np.full(1, np.nan), np.full((1, 1), np.nan)),
+                np.array([0.5]),
+                FitOptions(),
             )
 
     def test_stopping_status_is_reported(self):
@@ -80,7 +91,7 @@ class TestMaximize:
 
         def f(x):
             d = x - np.array([1.5, -2.0])
-            return -0.5 * d @ m @ d, -m @ d
+            return -0.5 * d @ m @ d, -m @ d, -m
 
         opt = maximize_log_density(f, np.zeros(2), FitOptions(max_iterations=1))
         assert opt.iterations == 1
@@ -91,44 +102,41 @@ class TestMaximize:
 class TestCovariance:
     def test_quadratic_curvature_inverts_exactly(self):
         m = np.array([[2.0, 0.4], [0.4, 1.0]])
-
-        def f(x):
-            return -0.5 * x @ m @ x, -m @ x
-
-        cov = covariance_from_log_density(f, np.array([0.3, -1.7]))
-        np.testing.assert_allclose(cov, np.linalg.inv(m), atol=1e-6)
+        cov = covariance_from_log_density(-m)
+        np.testing.assert_allclose(cov, np.linalg.inv(m), rtol=1e-12)
         np.testing.assert_allclose(cov, cov.T)
 
     def test_saddle_yields_no_covariance(self):
-        def f(x):
-            return 0.5 * (x[0] ** 2) - 0.5 * (x[1] ** 2), np.array([x[0], -x[1]])
+        assert covariance_from_log_density(np.diag([1.0, -1.0])) is None
 
-        assert covariance_from_log_density(f, np.zeros(2)) is None
+    def test_non_pd_hessian_at_the_mode_yields_no_covariance(self):
+        # singular: flat along (1, -1); and a Hessian that is not finite
+        assert covariance_from_log_density(-np.ones((2, 2))) is None
+        assert covariance_from_log_density(np.full((2, 2), np.nan)) is None
 
-    def test_failed_score_probe_yields_no_covariance(self):
-        def f(x):
-            if x[0] > 0:
-                raise NumericError("probe left the domain")
-            return -0.5 * x @ x, -x
-
-        assert covariance_from_log_density(f, np.zeros(2)) is None
-
-    def test_costs_two_score_passes_per_parameter(self):
+    def test_costs_no_extra_passes(self):
+        m = np.array([[2.0, 0.4], [0.4, 1.0]])
         calls = []
 
         def f(x):
             calls.append(x)
-            return -0.5 * x @ x, -x
+            return -0.5 * x @ m @ x, -m @ x, -m
 
-        covariance_from_log_density(f, np.zeros(3))
-        assert len(calls) == 6
+        opt = maximize_log_density(f, np.array([0.3, -1.7]), FitOptions())
+        passes = len(calls)
+        assert opt.passes == passes
+        cov = covariance_from_log_density(opt.hessian)
+        np.testing.assert_allclose(cov, np.linalg.inv(m), rtol=1e-12)
+        assert len(calls) == passes
 
 
 class TestKernelPasses:
     def test_example_ml_fit_takes_few_kernel_passes(self, example_sim, monkeypatch):
         """The seed-6 ML fit, covariance included, runs the series kernel
-        at most 60 times: one pass per BFGS evaluation plus 2n for the
-        covariance (it took 1,405 with finite-difference gradients)."""
+        at most 15 times: one pass per trust-region evaluation, with value,
+        score and Hessian from each, and none for the covariance (it took
+        42 with BFGS and score differences, 1,405 with finite-difference
+        gradients)."""
         passes = []
         kernel = likelihood._batch_series
 
@@ -141,7 +149,8 @@ class TestKernelPasses:
         assert fit.converged
         assert fit.optimizer_success
         assert fit.covariance is not None
-        assert 2 * fit.n_params < len(passes) <= 60
+        assert len(passes) <= 15
+        assert fit.kernel_passes == len(passes)
         assert all(passes)
 
 

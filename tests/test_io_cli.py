@@ -16,6 +16,7 @@ from nmixfit import (
     SimConfig,
     build_designs,
     fit_ml,
+    likelihood,
     parse_config,
     read_dataset,
     simulate,
@@ -174,8 +175,16 @@ class TestCli:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_fit_writes_json_and_prints_summary(self, tmp_path, capsys):
+    def test_fit_writes_json_and_prints_summary(self, tmp_path, capsys, monkeypatch):
         self._simulate(tmp_path)
+        passes = []
+        kernel = likelihood._batch_series
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(likelihood, "_batch_series", counting)
         code = main(
             ["fit", "--dataset", str(tmp_path / "sim_counts_mean.csv"),
              "--family", "nb", "--engine", "ml",
@@ -189,6 +198,8 @@ class TestCli:
         blob = json.loads((tmp_path / "fit.json").read_text())
         assert blob["converged"] is True
         assert blob["optimizer_message"] == "Optimization terminated successfully."
+        # the covariance comes from the last pass's Hessian: no extra passes
+        assert blob["kernel_passes"] == len(passes) <= 15
         assert "lambda:x1" in blob["parameter_names"]
 
     def test_lambda_fitted_csv(self, tmp_path):

@@ -24,8 +24,9 @@ from nmixfit import (
     sample_posterior,
     table_loglik,
 )
-from nmixfit.likelihood import finite_diff_gradient
 from nmixfit.model import stacked_parameter_names
+
+from derivatives import finite_diff_gradient
 
 
 def _intercept_only(counts):
@@ -320,6 +321,12 @@ class TestPriorSpec:
         want = finite_diff_gradient(spec.log_density, x)
         np.testing.assert_allclose(spec.score(x), want, rtol=1e-8)
         np.testing.assert_allclose(spec.score(x), -4.0 * (x - 0.5), rtol=1e-15)
+
+    def test_hessian_is_the_score_jacobian(self):
+        spec = PriorSpec(normal_mean=0.5, normal_precision=4.0)
+        x = np.array([1.0, -0.5, 2.25])
+        np.testing.assert_allclose(spec.hessian(x), finite_diff_gradient(spec.score, x), atol=1e-8)
+        np.testing.assert_array_equal(spec.hessian(x), -4.0 * np.eye(3))
 
     def test_precision_must_be_positive(self):
         with pytest.raises(ModelError):

@@ -1,6 +1,6 @@
 """Marginal likelihood kernel: analytic identities, the brute-force
-oracle, truncation behaviour, the exact score, and the numeric
-derivative helpers.
+oracle, truncation behaviour, the exact score and Hessian, and the
+finite-difference helpers the tests use as oracles.
 
 The recursive evaluator and the brute-force evaluator share no code
 beyond the input container, so agreement between them is evidence, not
@@ -28,14 +28,17 @@ from nmixfit import (
     row_loglik_detail,
     row_loglik_recursive,
     table_loglik,
+    table_loglik_hessian,
     table_loglik_score,
     table_row_logliks,
 )
-from nmixfit.likelihood import (
+from nmixfit.likelihood import log_count_density
+
+from derivatives import (
     finite_diff_gradient,
     finite_diff_hessian,
-    log_count_density,
     numeric_gradient,
+    richardson_gradient,
 )
 
 
@@ -490,6 +493,26 @@ def _moved_case(name):
 _SCORE_CASES.update({name: _moved_case(name) for name in _MOVED_ROWS})
 
 
+def _score_case(name):
+    make, family = _SCORE_CASES[name]
+    table, designs, params = make()
+    if family is MixtureFamily.POISSON:
+        params = ParameterVector(beta=params.beta, alpha=params.alpha)
+    return table, designs, params, family
+
+
+def _richardson(fn, table, designs, params, family):
+    """Richardson-extrapolated differences of fn over the stacked vector:
+    the large-count rows curve so sharply in beta that plain steps of
+    1e-5 are off by ~1e-5."""
+
+    def f(x):
+        pv = ParameterVector.from_array(x, designs.p_lambda, designs.p_detect, family.has_dispersion)
+        return fn(pv, table, designs, family)
+
+    return richardson_gradient(f, params.to_array())
+
+
 class TestMovedStart:
     """Rows whose sum starts above max(y) match their oracles."""
 
@@ -510,43 +533,40 @@ class TestMovedStart:
 class TestScore:
     """The exact score against finite differences of table_loglik."""
 
-    def _case(self, name):
-        make, family = _SCORE_CASES[name]
-        table, designs, params = make()
-        if family is MixtureFamily.POISSON:
-            params = ParameterVector(beta=params.beta, alpha=params.alpha)
-        return table, designs, params, family
-
-    @staticmethod
-    def _fd_score(table, designs, params, family):
-        """Richardson-extrapolated central differences: the large-count rows
-        curve so sharply in beta that plain steps of 1e-5 are off by ~1e-5."""
-
-        def f(x):
-            pv = ParameterVector.from_array(
-                x, designs.p_lambda, designs.p_detect, family.has_dispersion
-            )
-            return table_loglik(pv, table, designs, family)
-
-        x = params.to_array()
-        fine = finite_diff_gradient(f, x, rel_step=1e-5)
-        coarse = finite_diff_gradient(f, x, rel_step=2e-5)
-        return (4.0 * fine - coarse) / 3.0
-
     @pytest.mark.parametrize("name", sorted(_SCORE_CASES))
     def test_matches_finite_differences(self, name):
-        table, designs, params, family = self._case(name)
+        table, designs, params, family = _score_case(name)
         value, score = table_loglik_score(params, table, designs, family)
         assert value == table_loglik(params, table, designs, family)
-        want = self._fd_score(table, designs, params, family)
+        want = _richardson(table_loglik, table, designs, params, family)
         assert score.shape == (params.n_params,)
         np.testing.assert_allclose(
             score, want, rtol=1e-6, atol=1e-6 * np.max(np.abs(want))
         )
 
     def test_clamped_cells_contribute_nothing(self):
-        table, designs, params, family = self._case("clamped-p")
-        _, score = table_loglik_score(params, table, designs, family)
+        table, designs, params, family = _score_case("clamped-p")
+        _, score, hess = table_loglik_hessian(params, table, designs, family)
         # alpha[1] and alpha[2] reach only the clamped cells
         assert score[3] == 0.0
         assert score[4] == 0.0
+        assert np.all(hess[3:5] == 0.0) and np.all(hess[:, 3:5] == 0.0)
+
+
+class TestHessian:
+    """The exact Hessian against finite differences of the exact score."""
+
+    @pytest.mark.parametrize("name", sorted(_SCORE_CASES))
+    def test_matches_score_differences(self, name):
+        table, designs, params, family = _score_case(name)
+        value, score, hess = table_loglik_hessian(params, table, designs, family)
+        assert value == table_loglik(params, table, designs, family)
+        np.testing.assert_array_equal(score, table_loglik_score(params, table, designs, family)[1])
+        want = _richardson(
+            lambda *args: table_loglik_score(*args)[1], table, designs, params, family
+        )
+        assert hess.shape == (params.n_params, params.n_params)
+        np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            hess, want, rtol=1e-6, atol=1e-6 * np.max(np.abs(want))
+        )

@@ -200,7 +200,8 @@ class TestSummaries:
             optimizer_message="Maximum number of iterations has been exceeded.",
         )
         assert "Maximum number of iterations" in format_fit_summary(fit)
-        assert "BFGS" not in format_fit_summary(self._synthetic_fit())
+        assert "did not report success" in format_fit_summary(fit)
+        assert "did not report success" not in format_fit_summary(self._synthetic_fit())
 
     def test_summary_requires_covariance(self, small_sim):
         fit = fit_ml(
