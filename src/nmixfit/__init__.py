@@ -14,7 +14,6 @@ from .laplace import (
     LambdaFittedSummary,
     PosteriorSamples,
     PriorSpec,
-    default_posterior_n_grid_max,
     fit_laplace,
     lambda_fitted,
     posterior_n,
@@ -67,7 +66,6 @@ __all__ = [
     "SimOutput",
     "TruncationPolicy",
     "build_designs",
-    "default_posterior_n_grid_max",
     "detection_probs",
     "fit_laplace",
     "fit_ml",

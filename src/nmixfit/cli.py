@@ -126,7 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     _fit_flags(p)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--row", type=int, default=None, help="1-based row index (default 1)")
-    p.add_argument("--n-grid-max", type=int, default=None)
+    p.add_argument(
+        "--n-grid-max", type=int, default=None,
+        help="optional ceiling on N: the pmf is zero-padded to it; mass past it is an error",
+    )
     _common_flags(p)
 
     p = sub.add_parser("bias-experiment", help="Monte Carlo bias sweep over a4")

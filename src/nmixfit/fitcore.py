@@ -25,7 +25,6 @@ from .model import (
     MixtureFamily,
     ObservationTable,
     ParameterVector,
-    stacked_parameter_names,
 )
 
 
@@ -209,27 +208,6 @@ def covariance_from_log_density(hessian: np.ndarray) -> np.ndarray | None:
         return None
     cov = (eigvec / eigval) @ eigvec.T
     return 0.5 * (cov + cov.T)
-
-
-def fit_result(
-    opt: Optimum, covariance: np.ndarray | None, designs: DesignMatrices, family: MixtureFamily
-) -> FitResult:
-    """The :class:`FitResult` of an optimum over the stacked parameter vector."""
-    return FitResult(
-        estimates=ParameterVector.from_array(
-            opt.x, designs.p_lambda, designs.p_detect, family.has_dispersion
-        ),
-        covariance=covariance,
-        loglik=opt.value,
-        converged=opt.converged,
-        iterations=opt.iterations,
-        gradient_norm=opt.gradient_norm,
-        family=family,
-        parameter_names=stacked_parameter_names(designs, family),
-        optimizer_success=opt.success,
-        optimizer_message=opt.message,
-        kernel_passes=opt.passes,
-    )
 
 
 def default_start(

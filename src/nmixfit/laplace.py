@@ -13,26 +13,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .errors import ModelError, NumericError
 from .fitcore import (
     DEFAULT_FIT_OPTIONS,
     FitOptions,
     FitResult,
-    check_designs_for_fit,
-    covariance_from_log_density,
-    default_start,
-    fit_result,
-    maximize_log_density,
+    covariance_from_log_density,  # noqa: F401  perfbench/tracer.py wraps the name here
+    maximize_log_density,  # noqa: F401  perfbench/tracer.py wraps the name here
 )
 from .likelihood import (
     DEFAULT_TRUNCATION,
     TruncationPolicy,
-    log_count_density,
+    _batch_series,
+    _leading_log_term,
+    _ratio_parts,
     table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
-    table_loglik_hessian,
 )
+from .mle import _fit
 from .model import (
     DesignMatrices,
     MixtureFamily,
@@ -94,22 +92,7 @@ def fit_laplace(
     (log-likelihood plus log prior) at the mode and whose ``covariance``
     approximates the posterior covariance.
     """
-    check_designs_for_fit(table, designs, family)
-    p_lam, p_det = designs.p_lambda, designs.p_detect
-    n_coef = p_lam + p_det
-
-    def log_density_derivs(x):
-        pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        loglik, score, hess = table_loglik_hessian(pv, table, designs, family, trunc)
-        score[:n_coef] += priors.score(x[:n_coef])
-        hess[:n_coef, :n_coef] += priors.hessian(x[:n_coef])
-        return loglik + priors.log_density(x[:n_coef]), score, hess
-
-    if start is None:
-        start = default_start(table, designs, family)
-    opt = maximize_log_density(log_density_derivs, start.to_array(), options)
-    cov = covariance_from_log_density(opt.hessian) if options.compute_covariance else None
-    return fit_result(opt, cov, designs, family)
+    return _fit(table, designs, family, priors, options, trunc, start)
 
 
 @dataclass(frozen=True)
@@ -212,18 +195,6 @@ def lambda_fitted(
     ]
 
 
-# largest mass the averaged pmf may put on its last grid point before the
-# grid counts as truncating the posterior
-_POSTERIOR_EDGE_MASS = 1e-10
-
-
-def default_posterior_n_grid_max(y_row: np.ndarray, lambda_draws: np.ndarray) -> int:
-    """Grid ceiling max(y) + 50 sqrt(median lambda) + 50: far beyond any
-    region with visible posterior mass."""
-    lam_med = float(np.median(lambda_draws))
-    return int(np.max(y_row) + math.ceil(50.0 * math.sqrt(lam_med)) + 50)
-
-
 def posterior_n(
     y_row: np.ndarray,
     lambda_draws: np.ndarray,
@@ -231,16 +202,21 @@ def posterior_n(
     theta_draws: np.ndarray | None = None,
     n_grid_max: int | None = None,
 ) -> np.ndarray:
-    """Posterior pmf of one row's latent abundance N.
+    """Posterior pmf of one row's latent abundance N, averaged over draws.
 
-    For each posterior draw the conditional pmf over N = max(y) ..
-    n_grid_max is normalised, then the draws are averaged and the result
-    renormalised.  Returns the probability vector aligned with
-    ``np.arange(max(y), n_grid_max + 1)``.
+    The draws are the rows of one batch of the likelihood's series
+    kernel, so each draw's support is the range that the kernel's two
+    geometric tail bounds select (under 1e-12 of its mass lies outside).
+    On the union of the ranges each draw's pmf g(N) / L is rebuilt from
+    the kernel's leading term and term ratios; the pmfs are averaged and
+    renormalised.
 
-    Raises NumericError, naming ``n_grid_max``, when the averaged pmf puts
-    more than 1e-10 of its mass on the last grid point: the grid then
-    cuts off posterior mass and the pmf would be silently wrong.
+    Returns the pmf aligned with ``np.arange(max(y), top + 1)``, where
+    ``top`` is ``n_grid_max`` if given, else the highest end of a draw's
+    range; entries outside the union are zero.  Raises NumericError when
+    a draw gives the counts zero likelihood (p = 1 with unequal counts),
+    when a range runs past ``n_grid_max`` (naming it), or when the kernel
+    fails on a draw (its message calls the draw a row).
 
     Parameters
     ----------
@@ -251,15 +227,13 @@ def posterior_n(
     theta_draws : array of shape (n_draws,), optional
         Dispersion draws; None for the Poisson mixture.
     n_grid_max : int, optional
-        Grid ceiling; defaults to :func:`default_posterior_n_grid_max`.
+        Ceiling on the support; the pmf is zero-padded up to it.
     """
     y = np.atleast_1d(np.asarray(y_row, dtype=float))
     lam = np.atleast_1d(np.asarray(lambda_draws, dtype=float))
     p = np.atleast_2d(np.asarray(p_draws, dtype=float))
     if p.shape != (lam.size, y.size):
-        raise ModelError(
-            f"p_draws must have shape ({lam.size}, {y.size}), got {p.shape}"
-        )
+        raise ModelError(f"p_draws must have shape ({lam.size}, {y.size}), got {p.shape}")
     if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
         raise ModelError("lambda draws must be positive and finite")
     # p = 1 is admitted: perfect detection pins N at the observed count
@@ -270,40 +244,29 @@ def posterior_n(
         theta = np.atleast_1d(np.asarray(theta_draws, dtype=float))
         if theta.shape != lam.shape or np.any(theta <= 0):
             raise ModelError("theta draws must be positive with one entry per draw")
-    if n_grid_max is None:
-        n_grid_max = default_posterior_n_grid_max(y, lam)
     ystar = int(np.max(y))
-    if n_grid_max < ystar:
+    if n_grid_max is not None and n_grid_max < ystar:
         raise ModelError(f"n_grid_max={n_grid_max} is below the largest count {ystar}")
 
-    grid = np.arange(ystar, n_grid_max + 1, dtype=float)[None, :]
-    if theta is None:
-        logw = log_count_density(grid, lam[:, None])
-    else:
-        logw = log_count_density(grid, lam[:, None], theta[:, None])
-    for j in range(y.size):
-        pj = p[:, j][:, None]
-        # xlogy/xlog1py keep the 0 * log(0) corner finite so p = 1 works
-        logw = logw + (
-            gammaln(grid + 1.0)
-            - gammaln(y[j] + 1.0)
-            - gammaln(grid - y[j] + 1.0)
-            + xlogy(y[j], pj)
-            + xlog1py(grid - y[j], -pj)
+    counts, mask = np.broadcast_to(y, p.shape), np.ones(p.shape, dtype=bool)
+    # log(1 - p) is -inf at p = 1; the kernel's ratios are then exactly 0
+    with np.errstate(divide="ignore"):
+        log_l, n_min, n_max, _ = _batch_series(
+            counts, mask, lam, p, theta, DEFAULT_TRUNCATION, moments=False
         )
-    log_norm = logsumexp(logw, axis=1)
-    if not np.all(np.isfinite(log_norm)):
-        bad = int(np.argmax(~np.isfinite(log_norm)))
-        raise NumericError(
-            f"posterior draw {bad} puts no mass on the latent-abundance grid; "
-            "increase n_grid_max"
-        )
-    per_draw = np.exp(logw - log_norm[:, None])
-    probs = per_draw.mean(axis=0)
-    probs = probs / probs.sum()
-    if probs[-1] > _POSTERIOR_EDGE_MASS:
-        raise NumericError(
-            f"posterior of N puts {probs[-1]:.3g} of its mass on the last grid point "
-            f"n_grid_max={n_grid_max}; the grid truncates the posterior, so raise n_grid_max"
-        )
-    return probs
+        if not np.all(np.isfinite(log_l)):
+            bad = int(np.argmax(~np.isfinite(log_l)))
+            raise NumericError(f"posterior draw {bad} gives the counts zero likelihood")
+        lo, hi = int(n_min.min()), int(n_max.max())
+        if n_grid_max is not None and hi > n_grid_max:
+            raise NumericError(
+                f"posterior draw {int(np.argmax(n_max))} has mass up to N={hi}, past "
+                f"n_grid_max={n_grid_max}; raise n_grid_max or leave it unset"
+            )
+        lead = _leading_log_term(np.full(lam.size, float(lo)), counts, mask, lam, p, theta)
+        grid = np.arange(lo + 1.0, hi + 1.0)[None, :]
+        dens, survey = _ratio_parts(grid, counts, mask, lam, p, theta)
+        log_g = np.cumsum(np.column_stack([lead, np.log(dens * survey)]), axis=1)
+    probs = np.exp(log_g - log_l[:, None]).mean(axis=0)
+    top = hi if n_grid_max is None else n_grid_max
+    return np.pad(probs / probs.sum(), (lo - ystar, top - hi))

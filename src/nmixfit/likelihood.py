@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp, polygamma
+from scipy.special import digamma, gammaln, logsumexp, xlog1py, zeta
 from scipy.stats import binom, nbinom, poisson
 
 from .errors import ModelError, NumericError
@@ -143,47 +143,35 @@ class RowLikelihoodDetail:
     n_min: int
 
 
-def _log_poisson_pmf(n, lam):
-    return n * np.log(lam) - lam - gammaln(n + 1.0)
-
-
-def _log_negbin_pmf(n, theta, lam):
-    # size/mean form: success probability theta / (theta + lam)
-    return (
-        gammaln(n + theta)
-        - gammaln(theta)
-        - gammaln(n + 1.0)
-        + theta * np.log(theta / (theta + lam))
-        + n * np.log(lam / (theta + lam))
-    )
-
-
 def _log_binom_pmf(y, n, p):
+    # xlog1py makes 0 * log(0) vanish, so p = 1 gives a point mass; p > 0
+    # always, so y * log(p) needs no such guard
     return (
         gammaln(n + 1.0)
         - gammaln(y + 1.0)
         - gammaln(n - y + 1.0)
         + y * np.log(p)
-        + (n - y) * np.log1p(-p)
+        + xlog1py(n - y, -p)
     )
 
 
 def log_count_density(n, lam, theta=None):
-    """Log pmf of the mixing distribution, vectorised over ``n``."""
+    """Log pmf of the mixing distribution, vectorised over ``n``: Poisson
+    when ``theta`` is None, else negative binomial in size/mean form
+    (success probability theta / (theta + lam))."""
     n = np.asarray(n, dtype=float)
     if theta is None:
-        return _log_poisson_pmf(n, lam)
-    return _log_negbin_pmf(n, theta, lam)
+        return n * np.log(lam) - lam - gammaln(n + 1.0)
+    return (
+        gammaln(n + theta) - gammaln(theta) - gammaln(n + 1.0)
+        + theta * np.log(theta / (theta + lam)) + n * np.log(lam / (theta + lam))
+    )
 
 
 def _leading_log_term(start, counts, mask, lam, p, theta):
     """log g(s): mixing pmf at s times every observed binomial factor."""
-    if theta is None:
-        lead = _log_poisson_pmf(start, lam)
-    else:
-        lead = _log_negbin_pmf(start, theta, lam)
-    n_surveys = counts.shape[1]
-    for j in range(n_surveys):
+    lead = log_count_density(start, lam, theta)
+    for j in range(counts.shape[1]):
         m = mask[:, j]
         if np.any(m):
             lead = lead + np.where(
@@ -192,12 +180,19 @@ def _leading_log_term(start, counts, mask, lam, p, theta):
     return lead
 
 
+def _take(rows, counts, mask, lam, p, theta):
+    """The per-row kernel inputs at ``rows``; a None or scalar theta passes through."""
+    th = theta if np.ndim(theta) == 0 else theta[rows]
+    return counts[rows], mask[rows], lam[rows], p[rows], th
+
+
 def _ratio_parts(n_grid, counts, mask, lam, p, theta):
     """Density ratio d(N) and survey factor prod_j [N/(N-y_j)](1-p_j)."""
     if theta is None:
         dens = lam[:, None] / n_grid
     else:
-        dens = ((n_grid - 1.0 + theta) / n_grid) * (lam / (theta + lam))[:, None]
+        th = theta if np.ndim(theta) == 0 else theta[:, None]
+        dens = ((n_grid - 1.0 + th) / n_grid) * (lam / (theta + lam))[:, None]
     survey = None
     for j in range(counts.shape[1]):
         m = mask[:, j]
@@ -251,11 +246,11 @@ def _series_start(ystar, y0, log_keep, lam, theta, lead):
     if not rows.size:
         return start, mode, sd
     ys = ystar[rows]
-    args = (y0[rows], base[rows], theta)
+    args = (y0[rows], base[rows], theta if np.ndim(theta) == 0 else theta[rows])
     if theta is None:
         guess = np.exp(base[rows])
     else:
-        guess = (np.add.reduce(args[0], axis=1) + (theta - 1.0)) / -args[1] - ys
+        guess = (np.add.reduce(args[0], axis=1) + (args[2] - 1.0)) / -args[1] - ys
     # the root lies in (lo, hi); log r is decreasing on (y*, inf)
     lo = np.where(far[rows], np.log(reach), -np.inf)
     hi = np.where(far[rows], np.inf, np.log(reach))
@@ -323,13 +318,13 @@ def _sum_upward(active, start, counts, mask, lam, p, theta, trunc, moments, bloc
         width = min(block, trunc.hard_cap_offset - offset)
         steps = offset + np.arange(1, width + 1, dtype=float)
         if all_active:
-            st, cs, ms, lm, ps = start, counts, mask, lam, p
+            st, cs, ms, lm, ps, th = start, counts, mask, lam, p, theta
             cr, sm = carry, part_sum
         else:
-            st, cs, ms, lm, ps = start[active], counts[active], mask[active], lam[active], p[active]
-            cr, sm = carry[active], part_sum[active]
+            st, cr, sm = start[active], carry[active], part_sum[active]
+            cs, ms, lm, ps, th = _take(active, counts, mask, lam, p, theta)
         n_grid = st[:, None] + steps[None, :]
-        dens, survey = _ratio_parts(n_grid, cs, ms, lm, ps, theta)
+        dens, survey = _ratio_parts(n_grid, cs, ms, lm, ps, th)
         ratio = dens * survey
         if theta is None:
             # Poisson d(N) decreases toward 0, so the ratio bounds itself
@@ -367,7 +362,8 @@ def _sum_upward(active, start, counts, mask, lam, p, theta, trunc, moments, bloc
                 sums[0, active] += cum @ steps
                 sums[1, active] += cum @ (steps * steps)
                 if with_h:
-                    h = np.reciprocal(np.add(n_grid, theta - 1.0, out=n_grid), out=n_grid)
+                    h = np.add(n_grid, (th if np.ndim(th) == 0 else th[:, None]) - 1.0, out=n_grid)
+                    h = np.reciprocal(h, out=h)
                     h_sq = np.cumsum(h * h, axis=1)
                     np.cumsum(h, axis=1, out=h)
                     h += carry_h[0, active, None]
@@ -394,7 +390,7 @@ def _left_tail_ok(rows, start, counts, mask, lam, p, theta, part_sum, floor):
     rise of d loses to the survey factor of a count y* >= 1), so the
     skipped terms sum to at most q / (1 - q) with q = 1 / r(s).
     """
-    dens, survey = _ratio_parts(start[rows, None], counts[rows], mask[rows], lam[rows], p[rows], theta)
+    dens, survey = _ratio_parts(start[rows, None], *_take(rows, counts, mask, lam, p, theta))
     with np.errstate(divide="ignore"):
         q = 1.0 / (dens[:, 0] * survey[:, 0])
         return (q < 1.0) & (q / (1.0 - q) <= floor * part_sum[rows])
@@ -404,8 +400,8 @@ def _batch_loglik(counts, mask, lam, p, theta, trunc):
     """Log-likelihood and chosen N_max for every row of a count table.
 
     ``counts``/``mask``/``p`` have shape (n_rows, n_surveys); ``lam`` has
-    shape (n_rows,); ``theta`` is a scalar or None.  Missing cells must
-    be masked False (their count values are ignored).
+    shape (n_rows,); ``theta`` is None, a scalar or an array of one per row.
+    Missing cells must be masked False (their count values are ignored).
     """
     ll, _, n_max, _ = _batch_series(counts, mask, lam, p, theta, trunc, moments=False)
     return ll, n_max
@@ -429,7 +425,8 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
     Moments are centred at the start s (k = N - s), so the variances do
     not cancel, and use psi(s + k + theta) = psi(s + theta) + h_k and
     psi'(s + k + theta) = psi'(s + theta) - h'_k.  Returns (ll, n_min,
-    n_max, stats) with stats None or a :class:`PosteriorMoments`.
+    n_max, stats) with stats None or a :class:`PosteriorMoments`.  ``theta``
+    is None (Poisson), a scalar or an array with one value per row.
     """
     n_rows = counts.shape[0]
     ystar = np.max(np.where(mask, counts, -np.inf), axis=1)
@@ -476,7 +473,7 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
     shifted = np.flatnonzero(start > ystar)
     if shifted.size:
         lead[shifted] = _leading_log_term(
-            start[shifted], counts[shifted], mask[shifted], lam[shifted], p[shifted], theta
+            start[shifted], *_take(shifted, counts, mask, lam, p, theta)
         )
     ll = lead + np.log(part_sum)
     stats = None
@@ -489,7 +486,7 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
             var_psi=h_sq - h * h,
             cov_n_psi=k_h - k * h,
             mean_dtrigamma=h_prime if theta is None else (
-                polygamma(1, start + theta) - polygamma(1, theta) - h_prime
+                zeta(2.0, start + theta) - zeta(2.0, theta) - h_prime
             ),
         )
     return ll, start.astype(int), n_max.astype(int), stats
@@ -610,12 +607,7 @@ def table_loglik(
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> float:
     """Total log-likelihood of a count table: the sum over row contributions."""
-    _check_model_dims(params, table, designs, family)
-    lam = lambda_values(params, designs)
-    p = detection_probs(params, designs)
-    theta = params.theta if family.has_dispersion else None
-    ll, _ = _batch_loglik(table.filled_counts(), table.mask, lam, p, theta, trunc)
-    return float(np.sum(ll))
+    return float(np.sum(table_row_logliks(params, table, designs, family, trunc)))
 
 
 def table_row_logliks(

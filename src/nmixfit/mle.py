@@ -15,7 +15,6 @@ from .fitcore import (
     check_designs_for_fit,
     covariance_from_log_density,
     default_start,
-    fit_result,
     maximize_log_density,
 )
 from .likelihood import (
@@ -29,7 +28,44 @@ from .model import (
     MixtureFamily,
     ObservationTable,
     ParameterVector,
+    stacked_parameter_names,
 )
+
+
+def _fit(table, designs, family, prior, options, trunc, start) -> FitResult:
+    """Both engines' fit: ML when ``prior`` is None, else the posterior mode
+    under ``prior`` (a ``PriorSpec``) on the coefficient block.  It calls
+    the optimiser through this module's names, which perfbench/tracer.py wraps."""
+    check_designs_for_fit(table, designs, family)
+    p_lam, p_det = designs.p_lambda, designs.p_detect
+    n_coef = p_lam + p_det
+
+    def log_density_derivs(x):
+        pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
+        loglik, score, hess = table_loglik_hessian(pv, table, designs, family, trunc)
+        if prior is None:
+            return loglik, score, hess
+        score[:n_coef] += prior.score(x[:n_coef])
+        hess[:n_coef, :n_coef] += prior.hessian(x[:n_coef])
+        return loglik + prior.log_density(x[:n_coef]), score, hess
+
+    if start is None:
+        start = default_start(table, designs, family)
+    opt = maximize_log_density(log_density_derivs, start.to_array(), options)
+    cov = covariance_from_log_density(opt.hessian) if options.compute_covariance else None
+    return FitResult(
+        estimates=ParameterVector.from_array(opt.x, p_lam, p_det, family.has_dispersion),
+        covariance=cov,
+        loglik=opt.value,
+        converged=opt.converged,
+        iterations=opt.iterations,
+        gradient_norm=opt.gradient_norm,
+        family=family,
+        parameter_names=stacked_parameter_names(designs, family),
+        optimizer_success=opt.success,
+        optimizer_message=opt.message,
+        kernel_passes=opt.passes,
+    )
 
 
 def fit_ml(
@@ -61,18 +97,7 @@ def fit_ml(
         Mode, covariance (inverse observed information), maximised
         log-likelihood, and convergence diagnostics.
     """
-    check_designs_for_fit(table, designs, family)
-    p_lam, p_det = designs.p_lambda, designs.p_detect
-
-    def log_density_derivs(x):
-        pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        return table_loglik_hessian(pv, table, designs, family, trunc)
-
-    if start is None:
-        start = default_start(table, designs, family)
-    opt = maximize_log_density(log_density_derivs, start.to_array(), options)
-    cov = covariance_from_log_density(opt.hessian) if options.compute_covariance else None
-    return fit_result(opt, cov, designs, family)
+    return _fit(table, designs, family, None, options, trunc, start)
 
 
 @dataclass(frozen=True)

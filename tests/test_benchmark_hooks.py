@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import nmixfit
+from nmixfit import MixtureFamily, mle
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -30,3 +33,19 @@ def _layer_functions():
 )
 def test_traced_function_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+@pytest.mark.parametrize("engine", ["fit_ml", "fit_laplace"])
+def test_fits_optimise_through_the_traced_name(engine, monkeypatch, small_sim):
+    """Both engines reach the optimiser through ``nmixfit.mle``'s binding,
+    the one the tracer wraps, so its fitcore spans see every fit."""
+    calls = []
+    original = mle.maximize_log_density
+
+    def counting(*args, **kwargs):
+        calls.append(engine)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mle, "maximize_log_density", counting)
+    getattr(nmixfit, engine)(small_sim.table_mean, small_sim.designs_mean, MixtureFamily.POISSON)
+    assert calls == [engine]

@@ -4,7 +4,8 @@ posterior."""
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
+from scipy.special import logsumexp
+from scipy.stats import binom, nbinom, poisson
 
 from nmixfit import (
     DesignMatrices,
@@ -16,11 +17,12 @@ from nmixfit import (
     ParameterVector,
     PosteriorSamples,
     PriorSpec,
-    default_posterior_n_grid_max,
+    RowLikelihoodInput,
     fit_laplace,
     fit_ml,
     lambda_fitted,
     posterior_n,
+    row_loglik_detail,
     sample_posterior,
     table_loglik,
 )
@@ -266,23 +268,42 @@ class TestPosteriorN:
     def test_default_grid_reaches_past_the_visible_tail(self):
         y = np.array([3.0, 11.0])
         lam = np.array([4.0, 9.0, 16.0])
-        cap = default_posterior_n_grid_max(y, lam)
-        assert cap == 11 + int(np.ceil(50.0 * 3.0)) + 50
         probs = posterior_n(y, lam, np.full((3, 2), 0.5))
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert probs[-1] < 1e-12
 
-    def test_truncating_default_grid_is_an_error(self):
-        """Large mean, rare detection: the default grid ends at 11,243, far
-        below the posterior mean of about 49,881, and must not return a
-        pmf piled on its last point."""
+    def test_far_posterior_mass_needs_no_ceiling(self):
+        """Large mean, rare detection: the posterior mean, about 49,881,
+        lies far above the counts.  The default support reaches it; a
+        ceiling of 11,243 cuts it off and is named in the error."""
         y = np.array([10.0, 12.0, 9.0])
         lam, p = np.array([5e4]), np.full((1, 3), 0.001)
-        with pytest.raises(NumericError, match="n_grid_max=11243"):
-            posterior_n(y, lam, p)
-        probs = posterior_n(y, lam, p, n_grid_max=60000)
-        grid = np.arange(12, 60001)
+        probs = posterior_n(y, lam, p)
+        grid = np.arange(12, 12 + probs.size)
         assert probs @ grid == pytest.approx(49881.14, abs=0.01)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NumericError, match="n_grid_max=11243"):
+            posterior_n(y, lam, p, n_grid_max=11243)
+
+    def test_matches_a_scipy_average_over_draws(self):
+        """Per-draw theta, and a draw (lam 400, p 0.01) whose series starts
+        far above max(y): the pmf is the average of each draw's normalised
+        scipy pmf on a wide grid, to 1e-12."""
+        y = np.array([3.0, 5.0, 4.0])
+        lam = np.array([6.0, 12.0, 9.0, 400.0])
+        p = np.array([[0.4, 0.5, 0.6], [0.3, 0.3, 0.5], [0.7, 0.6, 0.5], [0.01, 0.01, 0.01]])
+        theta = np.array([2.0, 0.7, 5.0, 1000.0])
+        moved = RowLikelihoodInput(y=y, p=p[3], lam=lam[3], theta=theta[3])
+        assert row_loglik_detail(moved).n_min > y.max()
+        top = 900
+        got = posterior_n(y, lam, p, theta_draws=theta, n_grid_max=top)
+
+        grid = np.arange(5, top + 1)[None, :]
+        logw = nbinom.logpmf(grid, theta[:, None], (theta / (theta + lam))[:, None])
+        for j in range(y.size):
+            logw = logw + binom.logpmf(y[j], grid, p[:, j][:, None])
+        want = np.exp(logw - logsumexp(logw, axis=1)[:, None]).mean(axis=0)
+        np.testing.assert_allclose(got, want / want.sum(), rtol=0, atol=1e-12)
 
     def test_mean_latent_abundance_tracks_truth(self, example_sim):
         """At the generating parameters, averaging E[N | counts] over all

@@ -32,7 +32,7 @@ from nmixfit import (
     table_loglik_score,
     table_row_logliks,
 )
-from nmixfit.likelihood import log_count_density
+from nmixfit.likelihood import _batch_series, log_count_density
 
 from derivatives import (
     finite_diff_gradient,
@@ -528,6 +528,34 @@ class TestMovedStart:
         else:
             want = row_loglik_bruteforce(row, n_max=detail.n_max + 1000)
         assert _rel_err(detail.loglik, want) < 1e-10
+
+
+class TestPerRowTheta:
+    def test_matches_one_scalar_theta_call_per_row(self):
+        """A per-row theta array gives, on every row, exactly what a
+        scalar-theta call gives that row: 58 small rows (two with a
+        missing cell), one spanning several blocks and one whose start
+        moves.  The two wide rows sit above the 95th percentile of the
+        rows' spans, so every call sizes its blocks alike."""
+        rng = np.random.default_rng(21)
+        lam = np.concatenate([rng.uniform(2.0, 12.0, 58), [400.0, 1e4]])
+        counts = rng.binomial(rng.poisson(lam)[:, None], 0.4, size=(60, 3)).astype(float)
+        counts[-1] = [200.0, 180.0, 210.0]
+        p = np.concatenate([rng.uniform(0.3, 0.6, (59, 3)), np.full((1, 3), 0.02)])
+        mask = np.ones(counts.shape, dtype=bool)
+        mask[3, 1] = mask[17, 0] = False
+        theta = rng.uniform(0.5, 8.0, 60)
+        trunc = TruncationPolicy()
+
+        ll, n_min, n_max, mom = _batch_series(counts, mask, lam, p, theta, trunc, moments=True)
+        assert n_min[-1] > 210 and n_max[-2] - n_min[-2] > 2 * 64
+        for i in range(60):
+            ll_i, n_min_i, n_max_i, mom_i = _batch_series(
+                counts, mask, lam, p, theta[i], trunc, moments=True
+            )
+            assert ll[i] == ll_i[i]
+            assert (n_min[i], n_max[i]) == (n_min_i[i], n_max_i[i])
+            assert tuple(f[i] for f in mom) == tuple(f[i] for f in mom_i)
 
 
 class TestScore:
