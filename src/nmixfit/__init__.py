@@ -8,7 +8,7 @@ approximation to the posterior under normal coefficient priors.
 """
 
 from .errors import DataError, ModelError, NmixError, NumericError
-from .fitcore import FitOptions, FitResult
+from .fitcore import FitResult
 from .io import Dataset, build_designs, parse_config, read_dataset, write_dataset
 from .laplace import (
     LambdaFittedSummary,
@@ -49,7 +49,6 @@ __all__ = [
     "Dataset",
     "DesignMatrices",
     "DEFAULT_TRUNCATION",
-    "FitOptions",
     "FitResult",
     "LambdaFittedSummary",
     "MixtureFamily",

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import __version__
 from .errors import DataError, ModelError, NmixError, NumericError
 from .experiments import median_abs_bias, run_bias_experiment, write_bias_csv
-from .fitcore import FitOptions
 from .io import (
     build_designs,
     fit_to_json,
@@ -38,7 +38,7 @@ from .laplace import (
     sample_posterior,
 )
 from .mle import fit_ml, format_fit_summary, summarize_fit
-from .model import MixtureFamily, P_CLAMP
+from .model import MixtureFamily, lambda_from_predictor, p_from_predictor
 from .simulate import SimConfig, simulate
 
 _CONFIG_KEYS = {
@@ -67,7 +67,6 @@ _CONFIG_KEYS = {
 
 def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    parser.add_argument("--threads", type=int, default=None, help="worker processes")
     parser.add_argument("--output-dir", default=None, help="directory for output files")
     parser.add_argument("--config", default=None, help="key = value config file")
 
@@ -91,6 +90,8 @@ def _fit_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    sim = SimConfig()
+    runs = inspect.signature(run_bias_experiment).parameters["runs"].default
     parser = argparse.ArgumentParser(
         prog="nmixfit",
         description="Fit N-mixture abundance models to repeated count data",
@@ -102,15 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, default=None)
     p.add_argument("--surveys", type=int, default=None)
     p.add_argument("--years", type=int, default=None)
-    p.add_argument("--beta", default=None, help="b0,b1,b2,b3 (default 2,2,-3,1)")
-    p.add_argument("--alpha", default=None, help="a0,a1,a4 (default 1,-2,1)")
+    p.add_argument("--beta", default=None, help="b0,b1,b2,b3 (default %g,%g,%g,%g)" % sim.beta)
+    p.add_argument("--alpha", default=None, help="a0,a1,a4 (default %g,%g,%g)" % sim.alpha)
     p.add_argument("--family", choices=["poisson", "nb"], default=None)
-    p.add_argument("--theta", type=float, default=None, help="dispersion (default 3)")
+    p.add_argument("--theta", type=float, default=None, help=f"dispersion (default {sim.theta:g})")
     _common_flags(p)
 
     p = sub.add_parser("fit", help="fit a model to a dataset CSV")
     _fit_flags(p)
-    p.add_argument("--skip-covariance", action="store_true")
     _common_flags(p)
 
     p = sub.add_parser(
@@ -133,11 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("bias-experiment", help="Monte Carlo bias sweep over a4")
-    p.add_argument("--runs", type=int, default=None, help="replicates (default 50)")
+    p.add_argument("--runs", type=int, default=None, help=f"replicates (default {runs})")
     p.add_argument("--sites", type=int, default=None)
     p.add_argument("--surveys", type=int, default=None)
     p.add_argument("--years", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--threads", type=int, default=None, help="worker processes")
     _common_flags(p)
 
     return parser
@@ -164,6 +165,17 @@ def _default(args, name, value):
         setattr(args, name, value)
 
 
+def _given(**values) -> dict:
+    """The keyword arguments whose value was set (not None)."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _sim_config(args, **values) -> SimConfig:
+    """``SimConfig()`` with only the flags given replaced."""
+    flags = dict(n_sites=args.sites, n_surveys=args.surveys, n_years=args.years, theta=args.theta)
+    return replace(SimConfig(), **_given(**flags, **values))
+
+
 def _split_names(text: str | None) -> tuple[str, ...]:
     if not text:
         return ()
@@ -187,16 +199,14 @@ def _out_path(args, filename: str) -> str:
 
 def _cmd_simulate(args) -> int:
     _default(args, "family", "nb")
-    theta = None if args.family == "poisson" else (args.theta if args.theta is not None else 3.0)
-    config = SimConfig(
-        n_sites=args.sites if args.sites is not None else 72,
-        n_surveys=args.surveys if args.surveys is not None else 3,
-        n_years=args.years if args.years is not None else 9,
-        beta=_parse_floats(args.beta, 4, "beta") if args.beta else (2.0, 2.0, -3.0, 1.0),
-        alpha=_parse_floats(args.alpha, 3, "alpha") if args.alpha else (1.0, -2.0, 1.0),
-        theta=theta,
+    config = _sim_config(
+        args,
+        beta=_parse_floats(args.beta, 4, "beta") if args.beta else None,
+        alpha=_parse_floats(args.alpha, 3, "alpha") if args.alpha else None,
         seed=args.seed,
     )
+    if args.family == "poisson":
+        config = replace(config, theta=None)
     sim = simulate(config)
     mean_ds, survey_ds = sim_to_datasets(sim)
     paths = {
@@ -222,8 +232,6 @@ def _prepare_fit(args):
     if args.engine is None:
         raise DataError("--engine is required: ml or laplace")
     _default(args, "family", "nb")
-    _default(args, "prior_mean", 0.0)
-    _default(args, "prior_precision", 0.01)
     dataset = read_dataset(args.dataset)
     table, designs, notes = build_designs(
         dataset, _split_names(args.lambda_covariates), _split_names(args.p_covariates)
@@ -233,25 +241,20 @@ def _prepare_fit(args):
     return table, designs, MixtureFamily(args.family)
 
 
-def _run_engine(args, table, designs, family, compute_covariance=True):
-    options = FitOptions(compute_covariance=compute_covariance)
+def _run_engine(args, table, designs, family):
     start = time.perf_counter()
     if args.engine == "ml":
-        fit = fit_ml(table, designs, family, options=options)
+        fit = fit_ml(table, designs, family)
     else:
-        priors = PriorSpec(
-            normal_mean=args.prior_mean, normal_precision=args.prior_precision
-        )
-        fit = fit_laplace(table, designs, family, priors=priors, options=options)
+        given = _given(normal_mean=args.prior_mean, normal_precision=args.prior_precision)
+        fit = fit_laplace(table, designs, family, priors=replace(PriorSpec(), **given))
     elapsed = time.perf_counter() - start
     return fit, elapsed
 
 
 def _cmd_fit(args) -> int:
     table, designs, family = _prepare_fit(args)
-    fit, elapsed = _run_engine(
-        args, table, designs, family, compute_covariance=not args.skip_covariance
-    )
+    fit, elapsed = _run_engine(args, table, designs, family)
     summary = summarize_fit(fit) if fit.covariance is not None else None
     path = _out_path(args, "fit.json")
     extra = {
@@ -269,7 +272,8 @@ def _cmd_fit(args) -> int:
     else:
         print(
             f"estimates: {np.array2string(fit.estimates.to_array(), precision=6)}\n"
-            f"converged={fit.converged}, no covariance computed"
+            f"converged={fit.converged}; no covariance: the curvature at the mode "
+            "is not positive definite"
         )
     print(f"fit written to {path} ({elapsed:.2f} s)")
     return 0
@@ -307,22 +311,29 @@ def _cmd_lambda_fitted(args) -> int:
     return 0
 
 
+def _row_draws(samples, table, designs, idx):
+    """Row ``idx``'s observed counts and its lambda, p and theta under each
+    posterior draw, through the model's links."""
+    observed = table.mask[idx]
+    lam = lambda_from_predictor(
+        samples.beta_draws() @ np.asarray(designs.abundance_design[idx]), unit="draw"
+    )
+    # one matrix-vector product per draw, as detection_probs makes one per
+    # row, so each draw's p equals detection_probs' at that draw to the bit
+    eta_p = np.asarray(designs.detection_design[idx]) @ samples.alpha_draws()[:, :, None]
+    p = p_from_predictor(eta_p[:, observed, 0])
+    log_theta = samples.log_theta_draws()
+    theta = None if log_theta is None else np.exp(np.clip(log_theta, -700.0, 700.0))
+    return np.asarray(table.counts[idx])[observed], lam, p, theta
+
+
 def _cmd_posterior_n(args) -> int:
     table, designs, family = _prepare_fit(args)
     _default(args, "row", 1)
     if not 1 <= args.row <= table.n_rows:
         raise ModelError(f"--row must lie in 1..{table.n_rows}")
     fit, samples, elapsed = _posterior_samples(args, table, designs, family)
-    idx = args.row - 1
-    observed = table.mask[idx]
-    y_row = np.asarray(table.counts[idx])[observed]
-    design_row = np.asarray(designs.detection_design[idx])[observed]
-    eta_p = samples.alpha_draws() @ design_row.T
-    p_draws = np.clip(expit(eta_p), P_CLAMP, 1.0 - P_CLAMP)
-    eta_lam = samples.beta_draws() @ np.asarray(designs.abundance_design[idx])
-    lam_draws = np.exp(np.clip(eta_lam, None, 700.0))
-    log_theta = samples.log_theta_draws()
-    theta_draws = None if log_theta is None else np.exp(np.clip(log_theta, -700.0, 700.0))
+    y_row, lam_draws, p_draws, theta_draws = _row_draws(samples, table, designs, args.row - 1)
     probs = posterior_n(
         y_row, lam_draws, p_draws, theta_draws=theta_draws, n_grid_max=args.n_grid_max
     )
@@ -344,19 +355,12 @@ def _cmd_posterior_n(args) -> int:
 
 
 def _cmd_bias_experiment(args) -> int:
-    _default(args, "runs", 50)
-    config = SimConfig(
-        n_sites=args.sites if args.sites is not None else 72,
-        n_surveys=args.surveys if args.surveys is not None else 3,
-        n_years=args.years if args.years is not None else 9,
-        theta=args.theta if args.theta is not None else 3.0,
-    )
     records = run_bias_experiment(
-        runs=args.runs, seed=args.seed, workers=args.threads, base=config
+        seed=args.seed, base=_sim_config(args), **_given(runs=args.runs, workers=args.threads)
     )
     path = _out_path(args, "bias_experiment.csv")
     write_bias_csv(records, path)
-    print(f"{len(records)} records from {args.runs} runs written to {path}")
+    print(f"{len(records)} records from {records[-1].run + 1} runs written to {path}")
     for model in ("averaged", "survey"):
         strong = median_abs_bias(records, model, a4_window=(2.0, np.inf))
         weak = median_abs_bias(records, model, a4_window=(0.0, 1.0))
@@ -385,7 +389,6 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         _default(args, "seed", 0)
-        _default(args, "threads", 1)
         _default(args, "output_dir", ".")
         return _COMMANDS[args.command](args)
     except DataError as exc:

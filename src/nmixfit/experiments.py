@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NmixError
-from .fitcore import FitOptions
 from .laplace import fit_laplace
 from .simulate import SimConfig, simulate
 
@@ -36,9 +35,6 @@ _PARAM_LABELS = (
     "alpha4",
     "log_theta",
 )
-
-_FIT_OPTIONS = FitOptions(compute_covariance=False)
-
 
 @dataclass(frozen=True)
 class BiasRecord:
@@ -66,7 +62,7 @@ def _run_one(args) -> list[BiasRecord]:
         ("survey", sim.designs_survey),
     ):
         try:
-            fit = fit_laplace(sim.table_survey, designs, config.family, options=_FIT_OPTIONS, start=start)
+            fit = fit_laplace(sim.table_survey, designs, config.family, start=start)
             estimates = fit.estimates.to_array()
             converged = fit.converged
             start = fit.estimates if converged else None
@@ -91,19 +87,18 @@ def _run_one(args) -> list[BiasRecord]:
 
 def run_bias_experiment(
     runs: int = 50,
-    a4_low: float = -3.0,
-    a4_high: float = 3.0,
     seed: int = 0,
     workers: int = 1,
     base: SimConfig = SimConfig(),
 ) -> list[BiasRecord]:
-    """Run the sweep and return records ordered by (run, model, parameter)."""
+    """Run the sweep, a4 drawn uniformly from [-3, 3) for each run, and
+    return records ordered by (run, model, parameter)."""
     if runs < 1:
         raise NmixError("runs must be at least 1")
     if base.theta is None:
         raise NmixError("the bias experiment requires a dispersion parameter")
     a4_stream, seed_stream = np.random.SeedSequence(seed).spawn(2)
-    a4_values = np.random.default_rng(a4_stream).uniform(a4_low, a4_high, size=runs)
+    a4_values = np.random.default_rng(a4_stream).uniform(-3.0, 3.0, size=runs)
     sim_seeds = np.random.default_rng(seed_stream).integers(0, 2**63 - 1, size=runs)
     payloads = [
         (run, float(a4_values[run]), int(sim_seeds[run]), base) for run in range(runs)

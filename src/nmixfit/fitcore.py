@@ -7,7 +7,8 @@ single kernel pass.  scipy's ``trust-exact`` (Newton steps in a trust
 region, safe where the Hessian is indefinite) runs on that triple, and
 convergence is judged by the score at the returned point.  The
 covariance is the inverse negative Hessian at the mode, which the last
-pass already computed, so it costs no extra pass.
+pass already computed, so every fit gets one at no extra pass.  Fits
+take no settings: the optimiser's limits are the constants below.
 """
 
 from __future__ import annotations
@@ -28,17 +29,9 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    """Knobs for the optimiser; the defaults suit tables of a few hundred rows."""
-
-    max_iterations: int = 500
-    gradient_tol: float = 1e-5
-    convergence_gradient_norm: float = 1e-4
-    compute_covariance: bool = True
-
-
-DEFAULT_FIT_OPTIONS = FitOptions()
+# trust-exact's limits (its gtol bounds the gradient's 2-norm), and the
+# gradient infinity norm below which a fit counts as converged
+_MAX_ITERATIONS, _GRADIENT_TOL, _CONVERGED_NORM = 500, 1e-5, 1e-4
 
 
 @dataclass(frozen=True)
@@ -47,8 +40,8 @@ class FitResult:
 
     ``loglik`` is the maximised objective: the log-likelihood for the ML
     engine, the log posterior kernel for the Laplace engine.
-    ``covariance`` is None when the curvature at the mode was not
-    positive definite or covariance computation was switched off.
+    ``covariance`` is None only when the curvature at the mode was not
+    finite and positive definite.
     ``converged`` judges the score at the mode; ``optimizer_success`` and
     ``optimizer_message`` are the optimiser's own verdict and termination
     message.  ``kernel_passes`` counts the evaluations of the log density,
@@ -161,13 +154,12 @@ class Optimum(NamedTuple):
     passes: int
 
 
-def maximize_log_density(log_density_derivs, x0: np.ndarray, options: FitOptions) -> Optimum:
+def maximize_log_density(log_density_derivs, x0: np.ndarray) -> Optimum:
     """Maximise a log density from ``x0`` by trust-region Newton steps.
 
     ``log_density_derivs(x)`` returns (value, gradient, Hessian).  The
     result's gradient_norm is the infinity norm of the gradient at the
-    returned point; ``converged`` compares it with
-    ``options.convergence_gradient_norm``.
+    returned point; ``converged`` compares it with ``_CONVERGED_NORM``.
     """
     objective = _Negated(log_density_derivs)
     x0 = np.asarray(x0, dtype=float)
@@ -180,13 +172,13 @@ def maximize_log_density(log_density_derivs, x0: np.ndarray, options: FitOptions
             jac=True,
             hess=lambda x: objective(x)[2],
             method="trust-exact",
-            options={"gtol": options.gradient_tol, "maxiter": options.max_iterations},
+            options={"gtol": _GRADIENT_TOL, "maxiter": _MAX_ITERATIONS},
         )
     gnorm = float(np.max(np.abs(res.jac)))
     return Optimum(
         x=res.x,
         value=-float(res.fun),
-        converged=bool(gnorm < options.convergence_gradient_norm),
+        converged=bool(gnorm < _CONVERGED_NORM),
         iterations=int(res.nit),
         gradient_norm=gnorm,
         success=bool(res.success),

@@ -16,15 +16,12 @@ import numpy as np
 
 from .errors import ModelError, NumericError
 from .fitcore import (
-    DEFAULT_FIT_OPTIONS,
-    FitOptions,
     FitResult,
     covariance_from_log_density,  # noqa: F401  perfbench/tracer.py wraps the name here
     maximize_log_density,  # noqa: F401  perfbench/tracer.py wraps the name here
 )
 from .likelihood import (
     DEFAULT_TRUNCATION,
-    TruncationPolicy,
     _batch_series,
     _leading_log_term,
     _ratio_parts,
@@ -82,8 +79,6 @@ def fit_laplace(
     designs: DesignMatrices,
     family: MixtureFamily,
     priors: PriorSpec = DEFAULT_PRIOR,
-    options: FitOptions = DEFAULT_FIT_OPTIONS,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
     start: ParameterVector | None = None,
 ) -> FitResult:
     """Posterior mode and Gaussian curvature under normal coefficient priors.
@@ -92,7 +87,7 @@ def fit_laplace(
     (log-likelihood plus log prior) at the mode and whose ``covariance``
     approximates the posterior covariance.
     """
-    return _fit(table, designs, family, priors, options, trunc, start)
+    return _fit(table, designs, family, priors, start)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ import numpy as np
 
 from .errors import ModelError
 from .fitcore import (
-    DEFAULT_FIT_OPTIONS,
-    FitOptions,
     FitResult,
     check_designs_for_fit,
     covariance_from_log_density,
@@ -18,8 +16,6 @@ from .fitcore import (
     maximize_log_density,
 )
 from .likelihood import (
-    DEFAULT_TRUNCATION,
-    TruncationPolicy,
     table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
     table_loglik_hessian,
 )
@@ -32,7 +28,7 @@ from .model import (
 )
 
 
-def _fit(table, designs, family, prior, options, trunc, start) -> FitResult:
+def _fit(table, designs, family, prior, start) -> FitResult:
     """Both engines' fit: ML when ``prior`` is None, else the posterior mode
     under ``prior`` (a ``PriorSpec``) on the coefficient block.  It calls
     the optimiser through this module's names, which perfbench/tracer.py wraps."""
@@ -42,7 +38,7 @@ def _fit(table, designs, family, prior, options, trunc, start) -> FitResult:
 
     def log_density_derivs(x):
         pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        loglik, score, hess = table_loglik_hessian(pv, table, designs, family, trunc)
+        loglik, score, hess = table_loglik_hessian(pv, table, designs, family)
         if prior is None:
             return loglik, score, hess
         score[:n_coef] += prior.score(x[:n_coef])
@@ -51,11 +47,10 @@ def _fit(table, designs, family, prior, options, trunc, start) -> FitResult:
 
     if start is None:
         start = default_start(table, designs, family)
-    opt = maximize_log_density(log_density_derivs, start.to_array(), options)
-    cov = covariance_from_log_density(opt.hessian) if options.compute_covariance else None
+    opt = maximize_log_density(log_density_derivs, start.to_array())
     return FitResult(
         estimates=ParameterVector.from_array(opt.x, p_lam, p_det, family.has_dispersion),
-        covariance=cov,
+        covariance=covariance_from_log_density(opt.hessian),
         loglik=opt.value,
         converged=opt.converged,
         iterations=opt.iterations,
@@ -72,32 +67,15 @@ def fit_ml(
     table: ObservationTable,
     designs: DesignMatrices,
     family: MixtureFamily,
-    options: FitOptions = DEFAULT_FIT_OPTIONS,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
     start: ParameterVector | None = None,
 ) -> FitResult:
     """Maximise the marginal likelihood over (beta, alpha, log_theta).
 
-    Parameters
-    ----------
-    table : ObservationTable
-        Repeated counts, one row per (site, year).
-    designs : DesignMatrices
-        Covariate designs; must be full column rank.
-    family : MixtureFamily
-        Mixing distribution for the latent abundances.
-    options, trunc
-        Optimiser knobs and series truncation policy.
-    start : ParameterVector, optional
-        Initial point; defaults to the data-driven start.
-
-    Returns
-    -------
-    FitResult
-        Mode, covariance (inverse observed information), maximised
-        log-likelihood, and convergence diagnostics.
+    ``designs`` must be full column rank; ``start`` defaults to the
+    data-driven start.  The result's covariance is the inverse observed
+    information at the mode.
     """
-    return _fit(table, designs, family, None, options, trunc, start)
+    return _fit(table, designs, family, None, start)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ enter through a log link for abundance and a logit link for detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -234,26 +234,31 @@ def stacked_parameter_names(
     return tuple(names)
 
 
-def lambda_values(params: ParameterVector, designs: DesignMatrices) -> np.ndarray:
-    """Abundance means exp(X beta) for every row.
+def lambda_from_predictor(eta: np.ndarray, unit: str = "row") -> np.ndarray:
+    """Abundance means exp(eta); NumericError names the first ``unit`` whose
+    log-link predictor overflows exp()."""
+    if np.any(eta > LOG_LAMBDA_MAX):
+        bad = int(np.argmax(eta))
+        raise NumericError(
+            f"abundance linear predictor {eta[bad]:.6g} at {unit} {bad} overflows exp()"
+        )
+    return np.exp(eta)
 
-    Raises
-    ------
-    NumericError
-        If any linear predictor exceeds the exp() overflow threshold.
-    """
+
+def p_from_predictor(eta: np.ndarray) -> np.ndarray:
+    """Detection probabilities expit(eta), clamped away from 0 and 1."""
+    return np.clip(expit(eta), P_CLAMP, 1.0 - P_CLAMP)
+
+
+def lambda_values(params: ParameterVector, designs: DesignMatrices) -> np.ndarray:
+    """Abundance means exp(X beta) for every row; NumericError names a row
+    whose linear predictor overflows exp()."""
     if params.beta.size != designs.p_lambda:
         raise ModelError(
             f"beta has length {params.beta.size} but the abundance design has "
             f"{designs.p_lambda} columns"
         )
-    eta = designs.abundance_design @ params.beta
-    if np.any(eta > LOG_LAMBDA_MAX):
-        bad = int(np.argmax(eta))
-        raise NumericError(
-            f"abundance linear predictor {eta[bad]:.6g} at row {bad} overflows exp()"
-        )
-    return np.exp(eta)
+    return lambda_from_predictor(designs.abundance_design @ params.beta)
 
 
 def detection_probs(params: ParameterVector, designs: DesignMatrices) -> np.ndarray:
@@ -263,6 +268,4 @@ def detection_probs(params: ParameterVector, designs: DesignMatrices) -> np.ndar
             f"alpha has length {params.alpha.size} but the detection design has "
             f"{designs.p_detect} columns"
         )
-    eta = designs.detection_design @ params.alpha
-    return np.clip(expit(eta), P_CLAMP, 1.0 - P_CLAMP)
-
+    return p_from_predictor(designs.detection_design @ params.alpha)

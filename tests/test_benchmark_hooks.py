@@ -1,9 +1,11 @@
-"""The benchmark's tracer patches nmixfit functions by module and name.
+"""The benchmark reaches nmixfit by module, function and CLI flag.
 
-``perfbench/tracer.py`` lists them in ``LAYER_FUNCTIONS``; a rename in
-nmixfit would make ``--trace 1`` raise, or stop it seeing a layer.  The
-list is read from the file's source, not imported, so the benchmark's
-code never runs here.
+``perfbench/tracer.py`` patches the functions it lists in
+``LAYER_FUNCTIONS``; a rename in nmixfit would make ``--trace 1`` raise,
+or stop it seeing a layer.  ``perfbench/worker.py`` runs CLI commands
+in-process; a removed flag would fail every one of them.  Both files are
+read from their source, not imported, so the benchmark's code never runs
+here.
 """
 
 import ast
@@ -14,8 +16,10 @@ import pytest
 
 import nmixfit
 from nmixfit import MixtureFamily, mle
+from nmixfit.cli import build_parser
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKER = TRACER.with_name("worker.py")
 
 
 def _layer_functions():
@@ -49,3 +53,55 @@ def test_fits_optimise_through_the_traced_name(engine, monkeypatch, small_sim):
     monkeypatch.setattr(mle, "maximize_log_density", counting)
     getattr(nmixfit, engine)(small_sim.table_mean, small_sim.designs_mean, MixtureFamily.POISSON)
     assert calls == [engine]
+
+
+def _worker_cli_calls():
+    """The CLI argument lists in the worker's source, as it passes them.
+
+    A list bound to a name (``MODEL``, ``data``) is a fragment and is
+    spliced where it is starred.  A list that starts with a subcommand is
+    a call; one that starts with a flag is appended to calls (``[*argv,
+    "--output-dir", out]``), so it is tried after every subcommand.  Values
+    that are not literals become "1".
+    """
+    tree = ast.parse(WORKER.read_text())
+    fragments = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List):
+            for target in node.targets:
+                fragments[getattr(target, "id", getattr(target, "attr", None))] = node.value
+
+    def expand(node):
+        for elt in node.elts:
+            if isinstance(elt, ast.Starred):
+                name = getattr(elt.value, "id", getattr(elt.value, "attr", None))
+                if name in fragments:
+                    yield from expand(fragments[name])
+            else:
+                yield str(elt.value) if isinstance(elt, ast.Constant) else "1"
+
+    spliced = [id(node) for node in fragments.values()]
+    lists = [
+        list(expand(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.List) and id(node) not in spliced
+    ]
+    lists = [argv for argv in lists if any(token.startswith("--") for token in argv)]
+    calls = [argv for argv in lists if not argv[0].startswith("--")]
+    commands = sorted({argv[0] for argv in calls})
+    suffixes = [argv for argv in lists if argv[0].startswith("--")]
+    return calls + [[command, *suffix] for suffix in suffixes for command in commands]
+
+
+def test_worker_reaches_every_cli_command():
+    assert {argv[0] for argv in _worker_cli_calls()} == {
+        "simulate", "fit", "lambda-fitted", "posterior-n"
+    }
+
+
+@pytest.mark.parametrize("argv", _worker_cli_calls(), ids=" ".join)
+def test_worker_cli_flags_are_accepted(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the CLI rejects the benchmark's call {argv}")

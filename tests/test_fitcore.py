@@ -10,10 +10,10 @@ from nmixfit import (
     NumericError,
     ObservationTable,
     fit_ml,
+    fitcore,
     likelihood,
 )
 from nmixfit.fitcore import (
-    FitOptions,
     check_designs_for_fit,
     covariance_from_log_density,
     default_start,
@@ -36,7 +36,7 @@ class TestMaximize:
             d = x - target
             return -0.5 * d @ m @ d, -m @ d, -m
 
-        opt = maximize_log_density(f, np.zeros(2), FitOptions())
+        opt = maximize_log_density(f, np.zeros(2))
         assert opt.converged
         assert opt.success
         assert opt.gradient_norm < 1e-4
@@ -53,7 +53,7 @@ class TestMaximize:
             return value, grad, np.diag([-np.cosh(x[0] - 0.3), -12.0 * (x[1] + 1.0) ** 2])
 
         x0 = np.array([5.0, 2.0])
-        opt = maximize_log_density(f, x0, FitOptions())
+        opt = maximize_log_density(f, x0)
         assert opt.value >= f(x0)[0]
         assert opt.converged
 
@@ -64,7 +64,7 @@ class TestMaximize:
                 return -np.inf, np.array([np.nan]), np.array([[np.nan]])
             return _log_domain(x)
 
-        opt = maximize_log_density(f, np.array([0.5]), FitOptions())
+        opt = maximize_log_density(f, np.array([0.5]))
         assert opt.converged
         assert opt.x[0] == pytest.approx(np.e, rel=1e-4)
 
@@ -74,7 +74,7 @@ class TestMaximize:
                 raise NumericError("outside the domain")
             return _log_domain(x)
 
-        opt = maximize_log_density(f, np.array([0.5]), FitOptions())
+        opt = maximize_log_density(f, np.array([0.5]))
         assert opt.converged
         assert opt.x[0] == pytest.approx(np.e, rel=1e-4)
 
@@ -83,17 +83,17 @@ class TestMaximize:
             maximize_log_density(
                 lambda x: (-np.inf, np.full(1, np.nan), np.full((1, 1), np.nan)),
                 np.array([0.5]),
-                FitOptions(),
             )
 
-    def test_stopping_status_is_reported(self):
+    def test_stopping_status_is_reported(self, monkeypatch):
         m = np.array([[3.0, 0.7], [0.7, 1.2]])
 
         def f(x):
             d = x - np.array([1.5, -2.0])
             return -0.5 * d @ m @ d, -m @ d, -m
 
-        opt = maximize_log_density(f, np.zeros(2), FitOptions(max_iterations=1))
+        monkeypatch.setattr(fitcore, "_MAX_ITERATIONS", 1)
+        opt = maximize_log_density(f, np.zeros(2))
         assert opt.iterations == 1
         assert not opt.success
         assert "iterations" in opt.message
@@ -122,7 +122,7 @@ class TestCovariance:
             calls.append(x)
             return -0.5 * x @ m @ x, -m @ x, -m
 
-        opt = maximize_log_density(f, np.array([0.3, -1.7]), FitOptions())
+        opt = maximize_log_density(f, np.array([0.3, -1.7]))
         passes = len(calls)
         assert opt.passes == passes
         cov = covariance_from_log_density(opt.hessian)

@@ -12,17 +12,23 @@ from nmixfit import (
     DataError,
     Dataset,
     MixtureFamily,
+    NumericError,
     ObservationTable,
+    ParameterVector,
+    PosteriorSamples,
     SimConfig,
     build_designs,
+    detection_probs,
     fit_ml,
+    lambda_values,
     likelihood,
+    mle,
     parse_config,
     read_dataset,
     simulate,
     write_dataset,
 )
-from nmixfit.cli import main
+from nmixfit.cli import _row_draws, main
 from nmixfit.io import fit_to_json, sim_to_datasets
 
 
@@ -202,6 +208,17 @@ class TestCli:
         assert blob["kernel_passes"] == len(passes) <= 15
         assert "lambda:x1" in blob["parameter_names"]
 
+    def test_fit_without_positive_definite_curvature_says_so(self, tmp_path, capsys, monkeypatch):
+        self._simulate(tmp_path)
+        monkeypatch.setattr(mle, "covariance_from_log_density", lambda hessian: None)
+        code = main(
+            ["fit", "--dataset", str(tmp_path / "sim_counts_mean.csv"),
+             "--engine", "ml", "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert "curvature at the mode is not positive definite" in capsys.readouterr().out
+        assert json.loads((tmp_path / "fit.json").read_text())["covariance"] is None
+
     def test_lambda_fitted_csv(self, tmp_path):
         self._simulate(tmp_path)
         code = main(
@@ -282,12 +299,49 @@ class TestCli:
     def test_usage_error_exits_2(self):
         assert main(["fit", "--engine", "bogus"]) == 2
 
+    def test_threads_is_a_bias_experiment_flag(self, tmp_path):
+        assert main(["fit", "--threads", "2"]) == 2
+        code = main(
+            ["bias-experiment", "--runs", "1", "--sites", "8", "--years", "2",
+             "--threads", "1", "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert (tmp_path / "bias_experiment.csv").exists()
+
     def test_console_script_entry_point(self, tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "nmixfit.cli", "--version"],
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip()
+
+
+class TestPosteriorRowDraws:
+    """posterior-n maps each draw through the model's own links."""
+
+    def test_draws_equal_the_model_links_to_the_bit(self, example_sim, posterior_draws):
+        counts = np.array(example_sim.table_mean.counts)
+        counts[3, 1] = np.nan
+        table = ObservationTable(counts)
+        designs = example_sim.designs_mean
+        for idx in (3, 40):
+            y, lam, p, theta = _row_draws(posterior_draws, table, designs, idx)
+            observed = table.mask[idx]
+            np.testing.assert_array_equal(y, counts[idx][observed])
+            for d in (0, 1, 7, 4999):
+                params = ParameterVector.from_array(posterior_draws.draws[d], 4, 3, True)
+                assert lam[d] == lambda_values(params, designs)[idx]
+                np.testing.assert_array_equal(p[d], detection_probs(params, designs)[idx][observed])
+                assert theta[d] == params.theta
+
+    def test_overflowing_lambda_draw_is_named(self, example_sim, posterior_draws):
+        draws = np.array(posterior_draws.draws[:3])
+        draws[1, 0] = 800.0
+        samples = PosteriorSamples(
+            draws, posterior_draws.parameter_names, MixtureFamily.NEGBIN, 4, 3
+        )
+        with pytest.raises(NumericError, match="at draw 1 overflows"):
+            _row_draws(samples, example_sim.table_mean, example_sim.designs_mean, 0)
 
 
 class TestSimExport:
