@@ -18,4 +18,11 @@ class ModelError(NmixError):
 
 
 class NumericError(NmixError):
-    """Numeric failure: overflow, an exhausted term budget, non-finite intermediate."""
+    """Numeric failure: overflow, an exhausted term budget, non-finite intermediate.
+
+    ``row`` is the index of the table row at fault, when one is.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row

@@ -211,7 +211,7 @@ def posterior_n(
     range; entries outside the union are zero.  Raises NumericError when
     a draw gives the counts zero likelihood (p = 1 with unequal counts),
     when a range runs past ``n_grid_max`` (naming it), or when the kernel
-    fails on a draw (its message calls the draw a row).
+    fails on a draw, naming the draw and the term budget.
 
     Parameters
     ----------
@@ -246,9 +246,18 @@ def posterior_n(
     counts, mask = np.broadcast_to(y, p.shape), np.ones(p.shape, dtype=bool)
     # log(1 - p) is -inf at p = 1; the kernel's ratios are then exactly 0
     with np.errstate(divide="ignore"):
-        log_l, n_min, n_max, _ = _batch_series(
-            counts, mask, lam, p, theta, DEFAULT_TRUNCATION, moments=False
-        )
+        try:
+            log_l, n_min, n_max, _ = _batch_series(
+                counts, mask, lam, p, theta, DEFAULT_TRUNCATION, moments=False
+            )
+        except NumericError as exc:
+            if exc.row is None:
+                raise
+            raise NumericError(
+                f"posterior draw {exc.row} (lam={lam[exc.row]:.6g}) fails in the series over N, "
+                f"whose term budget is {DEFAULT_TRUNCATION.hard_cap_offset} terms past the "
+                "draw's start"
+            ) from exc
         if not np.all(np.isfinite(log_l)):
             bad = int(np.argmax(~np.isfinite(log_l)))
             raise NumericError(f"posterior draw {bad} gives the counts zero likelihood")
@@ -260,8 +269,8 @@ def posterior_n(
             )
         lead = _leading_log_term(np.full(lam.size, float(lo)), counts, mask, lam, p, theta)
         grid = np.arange(lo + 1.0, hi + 1.0)[None, :]
-        dens, survey = _ratio_parts(grid, counts, mask, lam, p, theta)
-        log_g = np.cumsum(np.column_stack([lead, np.log(dens * survey)]), axis=1)
+        ratio, _ = _ratio_parts(grid, counts, 1.0 - p, lam, theta)
+        log_g = np.cumsum(np.column_stack([lead, np.log(ratio)]), axis=1)
     probs = np.exp(log_g - log_l[:, None]).mean(axis=0)
     top = hi if n_grid_max is None else n_grid_max
     return np.pad(probs / probs.sum(), (lo - ystar, top - hi))

@@ -24,8 +24,12 @@ for a sum from y* to overflow, starts near its mode instead (see
 Summation stops once the right bound is below half of
 ``relative_increment_floor`` times the partial sum; a row whose left
 bound is not that small is summed again from lower down.  There is one
-summation path, in vectorised blocks of geometrically growing width; a
-sum that leaves double range or a row that exhausts its term budget
+summation path, in vectorised blocks over the rows.  Each row's stopping
+point is estimated from its summand's mode and sd: the first block is as
+wide as the median estimate, and each later one as the widest estimate
+still open, at most doubling; the blocks reuse one set of buffers, and
+a row's sum does not depend on where they end (see :func:`_sum_upward`).
+A sum that leaves double range or a row that exhausts its term budget
 raises ``NumericError`` naming the row.  The same pass can accumulate
 the posterior moments of N that the exact score and Hessian need (see
 :func:`table_loglik_hessian`).
@@ -51,7 +55,6 @@ from .model import (
     lambda_values,
 )
 
-_BLOCK_START = 32
 _BLOCK_MAX = 4096
 
 # Each geometric tail bound is compared against half the policy floor,
@@ -62,13 +65,17 @@ _TAIL_SAFETY = 0.5
 # A moved row starts _START_SDS sds below the summand's mode, and only
 # _MIN_SHIFT or more above y*, so rows near y* keep a plain sum's rounding.
 _START_SDS = 9.0
-_MIN_SHIFT = 2 * _BLOCK_START
+_MIN_SHIFT = 64
 # Summed from y*, terms scaled to g(y*) add up to L / g(y*) <= 1 / g(y*):
 # no overflow while log g(y*) > -_LEAD_LIMIT, so rows below it always move.
 _LEAD_LIMIT = 600.0
 # Newton stops once every step in log(N - y*) is below _NEWTON_TOL.
 _NEWTON_STEPS = 10
 _NEWTON_TOL = 1e-3
+# A row's series is expected to stop _STOP_SDS sds plus _STOP_MARGIN terms
+# past its mode; the margin covers the skew of posteriors near y*.
+_STOP_SDS = 8.0
+_STOP_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -180,27 +187,48 @@ def _leading_log_term(start, counts, mask, lam, p, theta):
     return lead
 
 
-def _take(rows, counts, mask, lam, p, theta):
+def _take(rows, *inputs):
     """The per-row kernel inputs at ``rows``; a None or scalar theta passes through."""
-    th = theta if np.ndim(theta) == 0 else theta[rows]
-    return counts[rows], mask[rows], lam[rows], p[rows], th
+    return tuple(a if np.ndim(a) == 0 else a[rows] for a in inputs)
 
 
-def _ratio_parts(n_grid, counts, mask, lam, p, theta):
-    """Density ratio d(N) and survey factor prod_j [N/(N-y_j)](1-p_j)."""
+def _ratio_parts(n_grid, y0, keep, lam, theta, work=None):
+    """Term ratio r(N) = d(N) prod_j [N/(N-y_j)](1-p_j) on ``n_grid``, and
+    a bound q(N) on every later ratio.
+
+    ``y0`` and ``keep`` hold each cell's count and 1 - p, with 0 and 1 in
+    missing cells, whose factor is then 1.  The bound is q = r for Poisson
+    and for NB with theta >= 1 (d decreases), else the survey factor times
+    d_inf = lam / (theta + lam), which d then rises toward.  ``work`` holds
+    three buffers shaped like the result, which are overwritten, or is None.
+    """
+    if work is None:
+        shape = np.broadcast_shapes(np.shape(n_grid), (y0.shape[0], 1))
+        work = tuple(np.empty(shape) for _ in range(3))
+    ratio, tmp, bound = work
+    d_scale = lam if theta is None else lam / (theta + lam)
+    for j in range(y0.shape[1]):
+        np.subtract(n_grid, y0[:, j, None], out=tmp)
+        if j == 0:
+            np.divide(n_grid, tmp, out=ratio)
+            ratio *= (keep[:, 0] * d_scale)[:, None]
+        else:
+            np.divide(n_grid, tmp, out=tmp)
+            tmp *= keep[:, j, None]
+            ratio *= tmp
     if theta is None:
-        dens = lam[:, None] / n_grid
-    else:
-        th = theta if np.ndim(theta) == 0 else theta[:, None]
-        dens = ((n_grid - 1.0 + th) / n_grid) * (lam / (theta + lam))[:, None]
-    survey = None
-    for j in range(counts.shape[1]):
-        m = mask[:, j]
-        factor = (n_grid / (n_grid - counts[:, j][:, None])) * (1.0 - p[:, j][:, None])
-        if not m.all():
-            factor = np.where(m[:, None], factor, 1.0)
-        survey = factor if survey is None else survey * factor
-    return dens, survey
+        ratio /= n_grid
+        return ratio, ratio
+    th = theta if np.ndim(theta) == 0 else theta[:, None]
+    np.add(n_grid, th - 1.0, out=tmp)
+    tmp /= n_grid
+    if np.all(theta >= 1.0):
+        ratio *= tmp
+        return ratio, ratio
+    np.maximum(tmp, 1.0, out=bound)
+    bound *= ratio
+    ratio *= tmp
+    return ratio, bound
 
 
 def _log_ratio(n, y0, base, theta, slope=False):
@@ -223,7 +251,7 @@ def _log_ratio(n, y0, base, theta, slope=False):
 
 
 def _series_start(ystar, y0, log_keep, lam, theta, lead):
-    """Each row's start s, and the summand's mode m and sd (0 where s = y*).
+    """Each row's start s, and the summand's mode m and sd.
 
     ``lead`` is log g(y*).  A row moves to s = floor(m - c sd) when that
     is ``_MIN_SHIFT`` above y*, or above y* at all if lead < -_LEAD_LIMIT.
@@ -232,29 +260,31 @@ def _series_start(ystar, y0, log_keep, lam, theta, lead):
     with r < 1 at the root of D = _MIN_SHIFT + c sqrt(D / J) are screened
     out.  Bracketed Newton steps in u = log(N - y*) start from the root of
     log r's large-N form: N - y* = exp(base) for Poisson, exact for one
-    survey, and N = (sum_j y_j + theta - 1) / -base for NB.
+    survey, and N = (sum_j y_j + theta - 1) / -base for NB.  Rows screened
+    out get m and sd from two plain Newton steps from the same root,
+    enough to size the summation's blocks (see :func:`_stop_reach`).
     """
     start = ystar.copy()
-    mode = np.zeros_like(ystar)
-    sd = np.zeros_like(ystar)
     base = log_keep + np.log(lam if theta is None else lam / (theta + lam))
+    if theta is None:
+        guess = np.exp(base)
+    else:
+        guess = (np.add.reduce(y0, axis=1) + (theta - 1.0)) / -base - ystar
     c_j = _START_SDS / np.sqrt(y0.shape[1])
     reach = (0.5 * (c_j + np.sqrt(c_j**2 + 4.0 * _MIN_SHIFT))) ** 2
     with np.errstate(invalid="ignore"):
         far = _log_ratio(ystar + reach, y0, base, theta) >= 0.0
-        rows = np.flatnonzero(far | (lead < -_LEAD_LIMIT))
+        screened = ~(far | (lead < -_LEAD_LIMIT))
+    mode, sd = _rough_mode(ystar, y0, base, theta, guess, screened)
+    rows = np.flatnonzero(~screened)
     if not rows.size:
         return start, mode, sd
     ys = ystar[rows]
-    args = (y0[rows], base[rows], theta if np.ndim(theta) == 0 else theta[rows])
-    if theta is None:
-        guess = np.exp(base[rows])
-    else:
-        guess = (np.add.reduce(args[0], axis=1) + (args[2] - 1.0)) / -args[1] - ys
+    args = _take(rows, y0, base, theta)
     # the root lies in (lo, hi); log r is decreasing on (y*, inf)
     lo = np.where(far[rows], np.log(reach), -np.inf)
     hi = np.where(far[rows], np.inf, np.log(reach))
-    u = np.log(np.maximum(guess, reach))
+    u = np.log(np.maximum(guess[rows], reach))
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
             gap = np.exp(u)
@@ -270,33 +300,69 @@ def _series_start(ystar, y0, log_keep, lam, theta, lead):
             if done:
                 break
         # sd from the slope at the last iterate evaluated
-        m = ys + np.exp(u)
-        spread = 1.0 / np.sqrt(-df)
-        s = np.floor(m - _START_SDS * spread)
+        mode[rows] = ys + np.exp(u)
+        sd[rows] = 1.0 / np.sqrt(-df)
+        s = np.floor(mode[rows] - _START_SDS * sd[rows])
         moved = (s - ys >= _MIN_SHIFT) | ((s > ys) & (lead[rows] < -_LEAD_LIMIT))
-    rows = rows[moved]
-    start[rows] = s[moved]
-    mode[rows] = m[moved]
-    sd[rows] = spread[moved]
+    start[rows[moved]] = s[moved]
     return start, mode, sd
 
 
-def _block_for(span):
-    """First block width: near the 95th percentile of the rows' expected
-    stopping offsets, so most rows finish in one vectorised pass."""
-    return int(np.clip(np.percentile(span, 95.0), _BLOCK_START, _BLOCK_MAX))
+def _rough_mode(ystar, y0, base, theta, guess, rows):
+    """Mode and sd of the summand on ``rows`` (elsewhere NaN): two Newton
+    steps in log(N - y*) from the large-N root ``guess``, the sd from the
+    slope of log r where the first step lands."""
+    mode = np.full(ystar.shape, np.nan)
+    sd = np.full(ystar.shape, np.nan)
+    rows = np.flatnonzero(rows)
+    if rows.size:
+        ys = ystar[rows]
+        args = _take(rows, y0, base, theta)
+        gap = np.maximum(guess[rows], 1.0)
+        with np.errstate(all="ignore"):
+            for _ in range(2):
+                f, df = _log_ratio(ys + gap, *args, slope=True)
+                gap = gap * np.exp(-f / (df * gap))
+            mode[rows] = ys + gap
+            sd[rows] = 1.0 / np.sqrt(-df)
+    return mode, sd
 
 
-def _sum_upward(active, start, counts, mask, lam, p, theta, trunc, moments, block):
+def _stop_reach(start, mode, sd):
+    """Each row's expected stopping offset past its start: ``_STOP_SDS``
+    sds and ``_STOP_MARGIN`` terms past its mode, or 0 where the mode
+    estimate failed."""
+    with np.errstate(invalid="ignore"):
+        reach = mode - start + (_STOP_SDS * sd + _STOP_MARGIN)
+    return np.where(reach > 0.0, reach, 0.0)
+
+
+def _block_for(reach):
+    """First block width: the median of the rows' expected stopping
+    offsets.  Half the rows should finish in it; the rest go on in blocks
+    sized to their own estimates (see :func:`_sum_upward`), which on a
+    table of mixed rows costs less than one block sized for the widest."""
+    return int(np.clip(np.ceil(np.median(reach)), 1, _BLOCK_MAX))
+
+
+def _sum_upward(active, start, y0, keep, lam, theta, trunc, moments, reach):
     """Sum rows ``active`` upward from N = start, with t(start) = 1.
+
+    ``reach`` holds each row's expected stopping offset.  The first block
+    is :func:`_block_for` wide; each later one covers the largest reach
+    of the rows still going, but is at most twice the width the block
+    before it was allowed, and once every reach is passed the blocks just
+    double.  Terms and partial sums are accumulated in sequence across
+    blocks, so a row's sum and stopping point do not depend on where
+    the blocks end.  The rows x block arrays are views of buffers kept for
+    the whole call.
 
     Returns full-length (part_sum, n_max, sums), meaningful on ``active``.
     With ``moments``, sums has rows sum t_k * (k, k^2, h_k, h_k^2, k h_k,
     h'_k), where k = N - start and, for NB, h_k and h'_k are the running
     sums of 1 / (N - 1 + theta) and of its square (zero for Poisson).
     """
-    n_rows = counts.shape[0]
-    d_inf = 0.0 if theta is None else lam / (theta + lam)
+    n_rows = y0.shape[0]
     with_h = moments and theta is not None
     part_sum = np.ones(n_rows)
     carry = np.ones(n_rows)
@@ -304,72 +370,81 @@ def _sum_upward(active, start, counts, mask, lam, p, theta, trunc, moments, bloc
     carry_h = np.zeros((2, n_rows))
     n_max = start.copy()
     floor = _TAIL_SAFETY * trunc.relative_increment_floor
+    space, flags = np.empty((5, 0)), np.empty(0, dtype=bool)
 
     offset = 0
+    allowed = width = _block_for(reach[active])
     while active.size:
         if offset >= trunc.hard_cap_offset:
             row = int(active[0])
             raise NumericError(
                 f"term budget exhausted for row {row} (lam={lam[row]:.6g}, start N={start[row]:.0f}): "
                 f"{offset + 1} terms summed without meeting the truncation floor, "
-                f"hard_cap_offset={trunc.hard_cap_offset}"
+                f"hard_cap_offset={trunc.hard_cap_offset}",
+                row=row,
             )
-        all_active = active.size == n_rows
-        width = min(block, trunc.hard_cap_offset - offset)
+        width = min(width, trunc.hard_cap_offset - offset)
+        n_act = active.size
+        size = n_act * width
+        if size > flags.size:
+            space, flags = np.empty((5, size)), np.empty(size, dtype=bool)
+        grid, ratio, tmp, spare, cum = (buf[:size].reshape(n_act, width) for buf in space)
+        stop = flags[:size].reshape(n_act, width)
         steps = offset + np.arange(1, width + 1, dtype=float)
-        if all_active:
-            st, cs, ms, lm, ps, th = start, counts, mask, lam, p, theta
-            cr, sm = carry, part_sum
+        if n_act == n_rows:
+            st, ys, ks, lm, th, cr, sm = start, y0, keep, lam, theta, carry, part_sum
         else:
-            st, cr, sm = start[active], carry[active], part_sum[active]
-            cs, ms, lm, ps, th = _take(active, counts, mask, lam, p, theta)
-        n_grid = st[:, None] + steps[None, :]
-        dens, survey = _ratio_parts(n_grid, cs, ms, lm, ps, th)
-        ratio = dens * survey
-        if theta is None:
-            # Poisson d(N) decreases toward 0, so the ratio bounds itself
-            q_bound = ratio
-        else:
-            dlim = (d_inf if all_active else d_inf[active])[:, None]
-            q_bound = survey * np.maximum(dens, dlim)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cum = cr[:, None] * np.cumprod(ratio, axis=1)
-            running = sm[:, None] + np.cumsum(cum, axis=1)
+            st, ys, ks, lm, th, cr, sm = _take(active, start, y0, keep, lam, theta, carry, part_sum)
 
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tail = cum * (q_bound / (1.0 - q_bound))
-        stop = (q_bound < 1.0) & (tail <= floor * running)
-        stopped = stop.any(axis=1)
+        np.add(st[:, None], steps, out=grid)
+        ratio, bound = _ratio_parts(grid, ys, ks, lm, th, (ratio, tmp, spare))
+        lead_ratio = ratio[:, 0].copy()
+        ratio[:, 0] *= cr
+        running = grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply.accumulate(ratio, axis=1, out=cum)
+            ratio[:, 0] = lead_ratio
+            np.copyto(running, cum)
+            running[:, 0] += sm
+            np.add.accumulate(running, axis=1, out=running)
+            # stop at the first N where q < 1 and the tail bound t q / (1 - q)
+            # is at most floor * running, that is q (t + floor running) <= floor running
+            limit = np.multiply(running, floor, out=tmp)
+            lhs = np.add(cum, limit, out=spare if bound is ratio else ratio)
+            lhs *= bound
+            np.less_equal(lhs, limit, out=stop)
         first = np.argmax(stop, axis=1)
+        stopped = stop[np.arange(n_act), first]
 
         rows_done = active[stopped]
         part_sum[rows_done] = running[stopped, first[stopped]]
         n_max[rows_done] = start[rows_done] + offset + first[stopped] + 1.0
 
-        keep = ~stopped
-        rows_kept = active[keep]
-        part_sum[rows_kept] = running[keep, -1]
-        carry[rows_kept] = cum[keep, -1]
+        kept = ~stopped
+        rows_kept = active[kept]
+        part_sum[rows_kept] = running[kept, -1]
+        carry[rows_kept] = cum[kept, -1]
         n_max[rows_kept] = start[rows_kept] + offset + width
 
         if moments:
-            # rows x block each: drop the dead ones so the moment sums do
-            # not raise the block's peak memory
-            del dens, survey, ratio, tail, q_bound, running
+            # the moment sums take no terms past a row's stop
             last = np.where(stopped, first, width - 1)
-            cum[np.arange(width) > last[:, None]] = 0.0
+            np.greater(np.arange(width), last[:, None], out=stop)
+            np.copyto(cum, 0.0, where=stop)
             with np.errstate(over="ignore", invalid="ignore"):
                 sums[0, active] += cum @ steps
                 sums[1, active] += cum @ (steps * steps)
                 if with_h:
-                    h = np.add(n_grid, (th if np.ndim(th) == 0 else th[:, None]) - 1.0, out=n_grid)
-                    h = np.reciprocal(h, out=h)
-                    h_sq = np.cumsum(h * h, axis=1)
-                    np.cumsum(h, axis=1, out=h)
-                    h += carry_h[0, active, None]
-                    h_sq += carry_h[1, active, None]
-                    carry_h[0, rows_kept] = h[keep, -1]
-                    carry_h[1, rows_kept] = h_sq[keep, -1]
+                    h, h_sq = tmp, spare
+                    np.add((st + (th - 1.0))[:, None], steps, out=h)
+                    np.reciprocal(h, out=h)
+                    np.multiply(h, h, out=h_sq)
+                    h[:, 0] += carry_h[0, active]
+                    h_sq[:, 0] += carry_h[1, active]
+                    np.add.accumulate(h, axis=1, out=h)
+                    np.add.accumulate(h_sq, axis=1, out=h_sq)
+                    carry_h[0, rows_kept] = h[kept, -1]
+                    carry_h[1, rows_kept] = h_sq[kept, -1]
                     h_sq *= cum
                     sums[5, active] += np.add.reduce(h_sq, axis=1)
                     np.multiply(h, cum, out=h_sq)
@@ -379,20 +454,22 @@ def _sum_upward(active, start, counts, mask, lam, p, theta, trunc, moments, bloc
                     sums[3, active] += np.add.reduce(h_sq, axis=1)
         active = rows_kept
         offset += width
-        block = min(block * 2, _BLOCK_MAX)
+        allowed = min(2 * allowed, _BLOCK_MAX)
+        left = np.max(reach[active], initial=0.0) - offset
+        width = int(min(allowed, np.ceil(left))) if left > 0.0 else allowed
     return part_sum, n_max, sums
 
 
-def _left_tail_ok(rows, start, counts, mask, lam, p, theta, part_sum, floor):
+def _left_tail_ok(rows, start, y0, keep, lam, theta, part_sum, floor):
     """Whether the terms below each moved row's start are negligible.
 
     r decreases on (y*, inf) for a moved row (for NB with theta < 1 the
     rise of d loses to the survey factor of a count y* >= 1), so the
     skipped terms sum to at most q / (1 - q) with q = 1 / r(s).
     """
-    dens, survey = _ratio_parts(start[rows, None], *_take(rows, counts, mask, lam, p, theta))
+    ratio, _ = _ratio_parts(start[rows, None], *_take(rows, y0, keep, lam, theta))
     with np.errstate(divide="ignore"):
-        q = 1.0 / (dens[:, 0] * survey[:, 0])
+        q = 1.0 / ratio[:, 0]
         return (q < 1.0) & (q / (1.0 - q) <= floor * part_sum[rows])
 
 
@@ -433,15 +510,12 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
     log_keep = np.sum(np.log1p(-p, where=mask, out=np.zeros_like(p)), axis=1)
     lead = _leading_log_term(ystar, counts, mask, lam, p, theta)
     y0 = counts if mask.all() else np.where(mask, counts, 0.0)
+    keep = 1.0 - p if mask.all() else np.where(mask, 1.0 - p, 1.0)
     start, mode, sd = _series_start(ystar, y0, log_keep, lam, theta, lead)
     moved = start > ystar
-
-    thinned = lam * np.exp(log_keep)
-    span = thinned + 6.0 * np.sqrt(thinned + 1.0) + 16.0
-    if moved.any():
-        span = np.where(moved, mode - start + 8.0 * sd + 16.0, span)
+    inputs = (y0, keep, lam, theta)
     sums = _sum_upward(
-        np.arange(n_rows), start, counts, mask, lam, p, theta, trunc, moments, _block_for(span)
+        np.arange(n_rows), start, *inputs, trunc, moments, _stop_reach(start, mode, sd)
     )
     part_sum = sums[0]
 
@@ -450,13 +524,12 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
     # c sd lower, then twice as far each time, so the retries end
     drop = np.ceil(_START_SDS * sd)
     while pending.size:
-        pending = pending[~_left_tail_ok(pending, start, counts, mask, lam, p, theta, part_sum, floor)]
+        pending = pending[~_left_tail_ok(pending, start, *inputs, part_sum, floor)]
         if not pending.size:
             break
         start[pending] = np.maximum(ystar[pending], start[pending] - drop[pending])
         drop[pending] *= 2.0
-        block = _block_for(mode[pending] - start[pending] + 8.0 * sd[pending] + 16.0)
-        redo = _sum_upward(pending, start, counts, mask, lam, p, theta, trunc, moments, block)
+        redo = _sum_upward(pending, start, *inputs, trunc, moments, _stop_reach(start, mode, sd))
         for whole, part in zip(sums, redo):
             whole[..., pending] = part[..., pending]
         pending = pending[start[pending] > ystar[pending]]
@@ -468,7 +541,8 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
         row = int(spilled[0])
         raise NumericError(
             f"latent-abundance series overflowed double precision for row {row} "
-            f"(lam={lam[row]:.6g}, start N={start[row]:.0f})"
+            f"(lam={lam[row]:.6g}, start N={start[row]:.0f})",
+            row=row,
         )
     shifted = np.flatnonzero(start > ystar)
     if shifted.size:

@@ -285,6 +285,15 @@ class TestPosteriorN:
         with pytest.raises(NumericError, match="n_grid_max=11243"):
             posterior_n(y, lam, p, n_grid_max=11243)
 
+    def test_draw_past_the_term_budget_is_named(self):
+        """NB theta=2 spreads this draw's posterior over more than the
+        series' 10,000-term budget; the error names the posterior draw
+        and the budget, not a table row."""
+        y = np.array([10.0, 12.0, 9.0])
+        with pytest.raises(NumericError, match="posterior draw 0 .*term budget is 10000") as info:
+            posterior_n(y, np.array([5e4]), np.full((1, 3), 0.001), theta_draws=np.array([2.0]))
+        assert "row" not in str(info.value)
+
     def test_matches_a_scipy_average_over_draws(self):
         """Per-draw theta, and a draw (lam 400, p 0.01) whose series starts
         far above max(y): the pmf is the average of each draw's normalised

@@ -23,16 +23,21 @@ from nmixfit import (
     ObservationTable,
     ParameterVector,
     RowLikelihoodInput,
+    SimConfig,
     TruncationPolicy,
+    fit_ml,
     row_loglik_bruteforce,
     row_loglik_detail,
     row_loglik_recursive,
+    simulate,
     table_loglik,
     table_loglik_hessian,
     table_loglik_score,
     table_row_logliks,
 )
+from nmixfit import likelihood
 from nmixfit.likelihood import _batch_series, log_count_density
+from nmixfit.model import P_CLAMP, detection_probs, lambda_values
 
 from derivatives import (
     finite_diff_gradient,
@@ -535,8 +540,8 @@ class TestPerRowTheta:
         """A per-row theta array gives, on every row, exactly what a
         scalar-theta call gives that row: 58 small rows (two with a
         missing cell), one spanning several blocks and one whose start
-        moves.  The two wide rows sit above the 95th percentile of the
-        rows' spans, so every call sizes its blocks alike."""
+        moves.  The two wide rows sit above the median of the rows'
+        expected stopping offsets, so every call sizes their blocks alike."""
         rng = np.random.default_rng(21)
         lam = np.concatenate([rng.uniform(2.0, 12.0, 58), [400.0, 1e4]])
         counts = rng.binomial(rng.poisson(lam)[:, None], 0.4, size=(60, 3)).astype(float)
@@ -556,6 +561,117 @@ class TestPerRowTheta:
             assert ll[i] == ll_i[i]
             assert (n_min[i], n_max[i]) == (n_min_i[i], n_max_i[i])
             assert tuple(f[i] for f in mom) == tuple(f[i] for f in mom_i)
+
+
+def _kernel_regime(lam, p, rows, seed):
+    """Intercept-only Poisson rows with three surveys, as the benchmark's
+    kernel regimes draw them."""
+    rng = np.random.default_rng(seed)
+    counts = rng.binomial(rng.poisson(lam, rows)[:, None], p, (rows, 3)).astype(float)
+    return counts, np.ones(counts.shape, dtype=bool), np.full(rows, lam), np.full((rows, 3), p), None
+
+
+def _mixed_rows(theta="none", missing=False, clamped=False):
+    """40 rows of three surveys, lambda 2-60, as (counts, mask, lam, p, theta)."""
+    rng = np.random.default_rng(31)
+    lam = rng.uniform(2.0, 60.0, 40)
+    counts = rng.binomial(rng.poisson(lam)[:, None], 0.45, (40, 3)).astype(float)
+    p = rng.uniform(0.3, 0.7, (40, 3))
+    mask = np.ones(counts.shape, dtype=bool)
+    if missing:
+        mask[3, 1] = mask[11, 0] = mask[11, 2] = False
+    if clamped:
+        p[5, 0], p[9, 2] = P_CLAMP, 1.0 - P_CLAMP
+    th = {"none": None, "scalar": 2.5, "per-row": rng.uniform(0.5, 6.0, 40)}[theta]
+    return counts, mask, lam, p, th
+
+
+def _moved_row(name):
+    y, lam, p, theta = _MOVED_ROWS[name]
+    counts = np.array([y], dtype=float)
+    return counts, np.ones(counts.shape, dtype=bool), np.array([lam]), np.full(counts.shape, p), theta
+
+
+_LAYOUT_CASES = {
+    "poisson": lambda: _mixed_rows(),
+    "nb-scalar-theta": lambda: _mixed_rows("scalar"),
+    "nb-per-row-theta": lambda: _mixed_rows("per-row"),
+    "missing-cells": lambda: _mixed_rows("scalar", missing=True),
+    "clamped-p": lambda: _mixed_rows(clamped=True),
+    "left-tail-retry": lambda: _moved_row("far-mode-5e4"),
+    "kernel-sparse": lambda: _kernel_regime(2000.0, 0.02, 100, 3),
+    "kernel-large": lambda: _kernel_regime(2000.0, 0.5, 100, 4),
+}
+_LAYOUT_CASES.update({f"moved-{name}": (lambda name=name: _moved_row(name)) for name in _MOVED_ROWS})
+
+
+class TestBlockLayout:
+    """Where the summation's blocks end must not change what it computes."""
+
+    @pytest.mark.parametrize("name", sorted(_LAYOUT_CASES))
+    def test_narrow_blocks_give_the_same_series(self, name, monkeypatch):
+        args = _LAYOUT_CASES[name]()
+        # at 1e-30 the far-mode row's left tail is not negligible, so it is summed again
+        trunc = TruncationPolicy(relative_increment_floor=1e-30 if name == "left-tail-retry" else 1e-12)
+        ll, n_min, n_max, mom = _batch_series(*args, trunc, moments=True)
+        monkeypatch.setattr(likelihood, "_BLOCK_MAX", 8)
+        ll_8, n_min_8, n_max_8, mom_8 = _batch_series(*args, trunc, moments=True)
+        np.testing.assert_array_equal(n_min_8, n_min)
+        np.testing.assert_array_equal(n_max_8, n_max)
+        np.testing.assert_allclose(ll_8, ll, rtol=1e-13, atol=0.0)
+        for got, want in zip(mom_8, mom):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _grid_points_per_row(monkeypatch, counts, mask, lam, p, theta):
+    """Grid points the kernel evaluates per row, and terms it sums per row."""
+    points = []
+    ratio_parts = likelihood._ratio_parts
+
+    def counted(n_grid, *args, **kwargs):
+        points.append(np.size(n_grid))
+        return ratio_parts(n_grid, *args, **kwargs)
+
+    monkeypatch.setattr(likelihood, "_ratio_parts", counted)
+    _, n_min, n_max, _ = _batch_series(counts, mask, lam, p, theta, TruncationPolicy(), moments=True)
+    return sum(points) / lam.size, np.mean(n_max - n_min + 1)
+
+
+def _ml_table(sim, fit):
+    designs = sim.designs_mean
+    return (
+        sim.table_mean.filled_counts(), sim.table_mean.mask,
+        lambda_values(fit.estimates, designs), detection_probs(fit.estimates, designs),
+        fit.estimates.theta,
+    )
+
+
+class TestBlockSizing:
+    """Blocks sized from each row's mode evaluate few grid points past the
+    terms the series sums (a count of work, not a timing)."""
+
+    def test_criterion_3_rows(self, monkeypatch):
+        # the first 20,000 rows of criterion 3's seeded table
+        rng = np.random.default_rng(7)
+        n_true = rng.poisson(np.full(100_000, 50.0))
+        counts = rng.binomial(n_true[:, None], np.full((100_000, 3), 0.5))[:20_000].astype(float)
+        points, terms = _grid_points_per_row(
+            monkeypatch, counts, np.ones(counts.shape, dtype=bool),
+            np.full(20_000, 50.0), np.full(counts.shape, 0.5), None,
+        )
+        assert points <= 1.25 * terms
+
+    @pytest.mark.parametrize("seed, ceiling", [(6, 44.5), (1, 37.3)])
+    def test_fit_tables_at_their_ml_estimates(self, seed, ceiling, example_sim, ml_fit, monkeypatch):
+        """The 648-row NB tables the fit tests use; ceilings are the points
+        per row of a first block sized from the one-survey thinning mean."""
+        if seed == 6:
+            sim, fit = example_sim, ml_fit
+        else:
+            sim = simulate(SimConfig(seed=seed))
+            fit = fit_ml(sim.table_mean, sim.designs_mean, MixtureFamily.NEGBIN)
+        points, _ = _grid_points_per_row(monkeypatch, *_ml_table(sim, fit))
+        assert points <= ceiling
 
 
 class TestScore:
