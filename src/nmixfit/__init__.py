@@ -20,15 +20,11 @@ from .laplace import (
     sample_posterior,
 )
 from .likelihood import (
-    DEFAULT_TRUNCATION,
     RowLikelihoodInput,
-    TruncationPolicy,
     row_loglik_bruteforce,
     row_loglik_detail,
-    row_loglik_recursive,
     table_loglik,
     table_loglik_hessian,
-    table_loglik_score,
     table_row_logliks,
 )
 from .mle import ParameterSummary, fit_ml, format_fit_summary, summarize_fit
@@ -48,7 +44,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "DesignMatrices",
-    "DEFAULT_TRUNCATION",
     "FitResult",
     "LambdaFittedSummary",
     "MixtureFamily",
@@ -63,7 +58,6 @@ __all__ = [
     "RowLikelihoodInput",
     "SimConfig",
     "SimOutput",
-    "TruncationPolicy",
     "build_designs",
     "detection_probs",
     "fit_laplace",
@@ -76,13 +70,11 @@ __all__ = [
     "read_dataset",
     "row_loglik_bruteforce",
     "row_loglik_detail",
-    "row_loglik_recursive",
     "sample_posterior",
     "simulate",
     "summarize_fit",
     "table_loglik",
     "table_loglik_hessian",
-    "table_loglik_score",
     "table_row_logliks",
     "write_dataset",
 ]

@@ -41,30 +41,6 @@ from .mle import fit_ml, format_fit_summary, summarize_fit
 from .model import MixtureFamily, lambda_from_predictor, p_from_predictor
 from .simulate import SimConfig, simulate
 
-_CONFIG_KEYS = {
-    "dataset": str,
-    "family": str,
-    "engine": str,
-    "lambda-covariates": str,
-    "p-covariates": str,
-    "prior-mean": float,
-    "prior-precision": float,
-    "samples": int,
-    "row": int,
-    "n-grid-max": int,
-    "seed": int,
-    "threads": int,
-    "output-dir": str,
-    "sites": int,
-    "surveys": int,
-    "years": int,
-    "beta": str,
-    "alpha": str,
-    "theta": float,
-    "runs": int,
-}
-
-
 def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--output-dir", default=None, help="directory for output files")
@@ -144,20 +120,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> None:
+def _flag_actions(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
+    """Each subcommand's flags, keyed by config key: the long flag without its dashes."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {
+            action.option_strings[0][2:]: action
+            for action in subparser._actions
+            if action.dest not in ("help", "config")
+        }
+        for command, subparser in sub.choices.items()
+    }
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill the flags left unset from ``--config``, checked by each flag's own
+    ``type`` and ``choices``; keys of other subcommands are ignored."""
     if not getattr(args, "config", None):
         return
     cfg = parse_config(args.config)
-    unknown = set(cfg) - set(_CONFIG_KEYS)
+    flags = _flag_actions(parser)
+    unknown = set(cfg).difference(*flags.values())
     if unknown:
         raise DataError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    own = flags[args.command]
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            try:
-                setattr(args, dest, _CONFIG_KEYS[key](value))
-            except ValueError:
-                raise DataError(f"config key {key!r}: cannot parse {value!r}") from None
+        action = own.get(key)
+        if action is None or getattr(args, action.dest) is not None:
+            continue
+        try:
+            value = action.type(value) if action.type else value
+        except ValueError:
+            raise DataError(f"config key {key!r}: cannot parse {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise DataError(
+                f"config key {key!r}: {value!r} is not one of {', '.join(action.choices)}"
+            )
+        setattr(args, action.dest, value)
 
 
 def _default(args, name, value):
@@ -387,7 +386,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _merge_config(args)
+        _merge_config(args, parser)
         _default(args, "seed", 0)
         _default(args, "output_dir", ".")
         return _COMMANDS[args.command](args)

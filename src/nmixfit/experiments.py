@@ -156,16 +156,11 @@ def median_abs_bias(
     records: list[BiasRecord],
     model: str,
     parameters: tuple[str, ...] = ("alpha0", "alpha1", "alpha4"),
-    a4_window: tuple[float | None, float | None] | None = None,
+    a4_window: tuple[float, float] = (0.0, math.inf),
 ) -> float:
-    """Median |bias| over the detection parameters of converged runs,
-    optionally restricted to runs whose |a4| lies in a half-open window
-    [low, high); a None endpoint leaves that side unbounded."""
-    if a4_window is None:
-        low, high = -math.inf, math.inf
-    else:
-        low = -math.inf if a4_window[0] is None else a4_window[0]
-        high = math.inf if a4_window[1] is None else a4_window[1]
+    """Median |bias| over the detection parameters of converged runs whose
+    |a4| lies in the half-open window [low, high); the default takes all."""
+    low, high = a4_window
     values = [
         abs(r.bias)
         for r in records

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import likelihood
 from .errors import ModelError, NumericError
 from .fitcore import (
     FitResult,
@@ -21,7 +22,6 @@ from .fitcore import (
     maximize_log_density,  # noqa: F401  perfbench/tracer.py wraps the name here
 )
 from .likelihood import (
-    DEFAULT_TRUNCATION,
     _batch_series,
     _leading_log_term,
     _ratio_parts,
@@ -247,16 +247,13 @@ def posterior_n(
     # log(1 - p) is -inf at p = 1; the kernel's ratios are then exactly 0
     with np.errstate(divide="ignore"):
         try:
-            log_l, n_min, n_max, _ = _batch_series(
-                counts, mask, lam, p, theta, DEFAULT_TRUNCATION, moments=False
-            )
+            log_l, n_min, n_max, _ = _batch_series(counts, mask, lam, p, theta, moments=False)
         except NumericError as exc:
             if exc.row is None:
                 raise
             raise NumericError(
                 f"posterior draw {exc.row} (lam={lam[exc.row]:.6g}) fails in the series over N, "
-                f"whose term budget is {DEFAULT_TRUNCATION.hard_cap_offset} terms past the "
-                "draw's start"
+                f"whose term budget is {likelihood._TERM_BUDGET} terms past the draw's start"
             ) from exc
         if not np.all(np.isfinite(log_l)):
             bad = int(np.argmax(~np.isfinite(log_l)))

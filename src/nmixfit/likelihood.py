@@ -21,18 +21,18 @@ for a sum from y* to overflow, starts near its mode instead (see
 * left of s, ratio 1 / r(s), since r decreases on (y*, inf) for every
   row whose start moves.
 
-Summation stops once the right bound is below half of
-``relative_increment_floor`` times the partial sum; a row whose left
-bound is not that small is summed again from lower down.  There is one
-summation path, in vectorised blocks over the rows.  Each row's stopping
-point is estimated from its summand's mode and sd: the first block is as
-wide as the median estimate, and each later one as the widest estimate
-still open, at most doubling; the blocks reuse one set of buffers, and
-a row's sum does not depend on where they end (see :func:`_sum_upward`).
-A sum that leaves double range or a row that exhausts its term budget
-raises ``NumericError`` naming the row.  The same pass can accumulate
-the posterior moments of N that the exact score and Hessian need (see
-:func:`table_loglik_hessian`).
+Summation stops once the right bound is below half of the relative
+floor, 1e-12, times the partial sum; a row whose left bound is not that
+small is summed again from lower down.  There is one summation path, in
+vectorised blocks over the rows.  Each row's stopping point is estimated
+from its summand's mode and sd: the first block is as wide as the median
+estimate, and each later one as the widest estimate still open, at most
+doubling; the blocks reuse one set of buffers, and a row's sum does not
+depend on where they end (see :func:`_sum_upward`).  A sum that leaves
+double range or a row that exhausts its budget of 10,000 terms past its
+start raises ``NumericError`` naming the row.  The same pass can
+accumulate the posterior moments of N that the exact score and Hessian
+need (see :func:`table_loglik_hessian`).
 """
 
 from __future__ import annotations
@@ -57,10 +57,16 @@ from .model import (
 
 _BLOCK_MAX = 4096
 
-# Each geometric tail bound is compared against half the policy floor,
-# so the mass discarded on both sides together stays strictly below the
-# floor even when the bounds are nearly sharp.
+# The mass discarded on both sides of a row's summed range is below
+# _REL_FLOOR of its sum: each geometric tail bound is compared against
+# _TAIL_SAFETY times it, so the two together stay strictly below it even
+# when the bounds are nearly sharp.
+_REL_FLOOR = 1e-12
 _TAIL_SAFETY = 0.5
+# A row sums at most _TERM_BUDGET terms past its start, else NumericError.
+# The series always converges for p > 0, so an exhausted budget means the
+# row's posterior is too wide, never that it diverges.
+_TERM_BUDGET = 10000
 
 # A moved row starts _START_SDS sds below the summand's mode, and only
 # _MIN_SHIFT or more above y*, so rows near y* keep a plain sum's rounding.
@@ -76,30 +82,6 @@ _NEWTON_TOL = 1e-3
 # past its mode; the margin covers the skew of posteriors near y*.
 _STOP_SDS = 8.0
 _STOP_MARGIN = 4.0
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Stopping rule and term budget for the latent-abundance series.
-
-    ``relative_increment_floor`` bounds the relative mass discarded on
-    both sides of the summed range.  ``hard_cap_offset`` is each row's
-    term budget past its start; a row that exhausts it raises
-    ``NumericError``.  The series always converges for p > 0, so that
-    means the row's posterior is too wide, never that it diverges.
-    """
-
-    relative_increment_floor: float = 1e-12
-    hard_cap_offset: int = 10000
-
-    def __post_init__(self):
-        if not (0.0 < self.relative_increment_floor < 1.0):
-            raise ModelError("relative_increment_floor must lie in (0, 1)")
-        if self.hard_cap_offset < 1:
-            raise ModelError("hard_cap_offset must be a positive integer")
-
-
-DEFAULT_TRUNCATION = TruncationPolicy()
 
 
 @dataclass(frozen=True)
@@ -345,11 +327,13 @@ def _block_for(reach):
     return int(np.clip(np.ceil(np.median(reach)), 1, _BLOCK_MAX))
 
 
-def _sum_upward(active, start, y0, keep, lam, theta, trunc, moments, reach):
+def _sum_upward(active, start, y0, keep, lam, theta, floor, moments, reach):
     """Sum rows ``active`` upward from N = start, with t(start) = 1.
 
-    ``reach`` holds each row's expected stopping offset.  The first block
-    is :func:`_block_for` wide; each later one covers the largest reach
+    A row stops once its right tail bound is at most ``floor`` times its
+    partial sum, or raises after ``_TERM_BUDGET`` terms.  ``reach`` holds
+    each row's expected stopping offset.  The first block is
+    :func:`_block_for` wide; each later one covers the largest reach
     of the rows still going, but is at most twice the width the block
     before it was allowed, and once every reach is passed the blocks just
     double.  Terms and partial sums are accumulated in sequence across
@@ -369,21 +353,20 @@ def _sum_upward(active, start, y0, keep, lam, theta, trunc, moments, reach):
     sums = np.zeros((6 if moments else 0, n_rows))
     carry_h = np.zeros((2, n_rows))
     n_max = start.copy()
-    floor = _TAIL_SAFETY * trunc.relative_increment_floor
     space, flags = np.empty((5, 0)), np.empty(0, dtype=bool)
 
     offset = 0
     allowed = width = _block_for(reach[active])
     while active.size:
-        if offset >= trunc.hard_cap_offset:
+        if offset >= _TERM_BUDGET:
             row = int(active[0])
             raise NumericError(
                 f"term budget exhausted for row {row} (lam={lam[row]:.6g}, start N={start[row]:.0f}): "
-                f"{offset + 1} terms summed without meeting the truncation floor, "
-                f"hard_cap_offset={trunc.hard_cap_offset}",
+                f"{offset + 1} terms summed without meeting the relative floor; the budget is "
+                f"{_TERM_BUDGET} terms past the start",
                 row=row,
             )
-        width = min(width, trunc.hard_cap_offset - offset)
+        width = min(width, _TERM_BUDGET - offset)
         n_act = active.size
         size = n_act * width
         if size > flags.size:
@@ -473,17 +456,6 @@ def _left_tail_ok(rows, start, y0, keep, lam, theta, part_sum, floor):
         return (q < 1.0) & (q / (1.0 - q) <= floor * part_sum[rows])
 
 
-def _batch_loglik(counts, mask, lam, p, theta, trunc):
-    """Log-likelihood and chosen N_max for every row of a count table.
-
-    ``counts``/``mask``/``p`` have shape (n_rows, n_surveys); ``lam`` has
-    shape (n_rows,); ``theta`` is None, a scalar or an array of one per row.
-    Missing cells must be masked False (their count values are ignored).
-    """
-    ll, _, n_max, _ = _batch_series(counts, mask, lam, p, theta, trunc, moments=False)
-    return ll, n_max
-
-
 class PosteriorMoments(NamedTuple):
     """Per-row moments of the latent N given the row's counts, with
     psi = digamma(N + theta); for Poisson the psi fields are zero."""
@@ -496,14 +468,16 @@ class PosteriorMoments(NamedTuple):
     mean_dtrigamma: np.ndarray  # E[psi'(N + theta)] - trigamma(theta)
 
 
-def _batch_series(counts, mask, lam, p, theta, trunc, moments):
+def _batch_series(counts, mask, lam, p, theta, moments):
     """Row log-likelihoods, the summed range and, if ``moments``, posterior moments.
 
-    Moments are centred at the start s (k = N - s), so the variances do
-    not cancel, and use psi(s + k + theta) = psi(s + theta) + h_k and
-    psi'(s + k + theta) = psi'(s + theta) - h'_k.  Returns (ll, n_min,
-    n_max, stats) with stats None or a :class:`PosteriorMoments`.  ``theta``
-    is None (Poisson), a scalar or an array with one value per row.
+    ``counts``/``mask``/``p`` have shape (n_rows, n_surveys) and ``lam``
+    shape (n_rows,); missing cells are masked False and their counts are
+    ignored.  ``theta`` is None (Poisson), a scalar or an array with one
+    value per row.  Moments are centred at the start s (k = N - s), so the
+    variances do not cancel, and use psi(s + k + theta) = psi(s + theta) + h_k
+    and psi'(s + k + theta) = psi'(s + theta) - h'_k.  Returns (ll, n_min,
+    n_max, stats) with stats None or a :class:`PosteriorMoments`.
     """
     n_rows = counts.shape[0]
     ystar = np.max(np.where(mask, counts, -np.inf), axis=1)
@@ -514,12 +488,12 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
     start, mode, sd = _series_start(ystar, y0, log_keep, lam, theta, lead)
     moved = start > ystar
     inputs = (y0, keep, lam, theta)
+    floor = _TAIL_SAFETY * _REL_FLOOR
     sums = _sum_upward(
-        np.arange(n_rows), start, *inputs, trunc, moments, _stop_reach(start, mode, sd)
+        np.arange(n_rows), start, *inputs, floor, moments, _stop_reach(start, mode, sd)
     )
     part_sum = sums[0]
 
-    floor = _TAIL_SAFETY * trunc.relative_increment_floor
     pending = np.flatnonzero(moved)
     # c sd lower, then twice as far each time, so the retries end
     drop = np.ceil(_START_SDS * sd)
@@ -529,7 +503,7 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
             break
         start[pending] = np.maximum(ystar[pending], start[pending] - drop[pending])
         drop[pending] *= 2.0
-        redo = _sum_upward(pending, start, *inputs, trunc, moments, _stop_reach(start, mode, sd))
+        redo = _sum_upward(pending, start, *inputs, floor, moments, _stop_reach(start, mode, sd))
         for whole, part in zip(sums, redo):
             whole[..., pending] = part[..., pending]
         pending = pending[start[pending] > ystar[pending]]
@@ -566,40 +540,29 @@ def _batch_series(counts, mask, lam, p, theta, trunc, moments):
     return ll, start.astype(int), n_max.astype(int), stats
 
 
-def row_loglik_recursive(
-    row: RowLikelihoodInput, trunc: TruncationPolicy = DEFAULT_TRUNCATION
-) -> float:
+def row_loglik_detail(row: RowLikelihoodInput) -> RowLikelihoodDetail:
     """Marginal log-likelihood of one row via the ratio recursion.
 
     Parameters
     ----------
     row : RowLikelihoodInput
         Observed counts, detection probabilities and mixing parameters.
-    trunc : TruncationPolicy
-        Stopping rule and term budget for the latent-abundance series.
 
     Returns
     -------
-    float
-        log L, finite for all valid inputs.
+    RowLikelihoodDetail
+        log L, finite for all valid inputs, and the range n_min..n_max of
+        N summed, ``n_terms`` terms.
 
     Raises
     ------
     NumericError
-        If the row needs more than ``trunc.hard_cap_offset`` terms past
-        its start.
+        If the row needs more than 10,000 terms past its start.
     """
-    return row_loglik_detail(row, trunc).loglik
-
-
-def row_loglik_detail(
-    row: RowLikelihoodInput, trunc: TruncationPolicy = DEFAULT_TRUNCATION
-) -> RowLikelihoodDetail:
-    """Like :func:`row_loglik_recursive` but also reports the summed range of N."""
     counts = row.y[None, :]
     mask = np.ones_like(counts, dtype=bool)
     ll, n_min, n_max, _ = _batch_series(
-        counts, mask, np.array([row.lam]), row.p[None, :], row.theta, trunc, moments=False
+        counts, mask, np.array([row.lam]), row.p[None, :], row.theta, moments=False
     )
     return RowLikelihoodDetail(
         loglik=float(ll[0]),
@@ -678,10 +641,9 @@ def table_loglik(
     table: ObservationTable,
     designs: DesignMatrices,
     family: MixtureFamily,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> float:
     """Total log-likelihood of a count table: the sum over row contributions."""
-    return float(np.sum(table_row_logliks(params, table, designs, family, trunc)))
+    return float(np.sum(table_row_logliks(params, table, designs, family)))
 
 
 def table_row_logliks(
@@ -689,27 +651,13 @@ def table_row_logliks(
     table: ObservationTable,
     designs: DesignMatrices,
     family: MixtureFamily,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> np.ndarray:
     """Per-row log-likelihood contributions, in table order."""
     _check_model_dims(params, table, designs, family)
     lam = lambda_values(params, designs)
     p = detection_probs(params, designs)
     theta = params.theta if family.has_dispersion else None
-    ll, _ = _batch_loglik(table.filled_counts(), table.mask, lam, p, theta, trunc)
-    return ll
-
-
-def table_loglik_score(
-    params: ParameterVector,
-    table: ObservationTable,
-    designs: DesignMatrices,
-    family: MixtureFamily,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> tuple[float, np.ndarray]:
-    """Total log-likelihood and its exact score: the first two outputs of
-    :func:`table_loglik_hessian`."""
-    return table_loglik_hessian(params, table, designs, family, trunc)[:2]
+    return _batch_series(table.filled_counts(), table.mask, lam, p, theta, moments=False)[0]
 
 
 def table_loglik_hessian(
@@ -717,7 +665,6 @@ def table_loglik_hessian(
     table: ObservationTable,
     designs: DesignMatrices,
     family: MixtureFamily,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Total log-likelihood, its exact score and its exact Hessian, from one
     kernel pass, in the stacked (beta, alpha, log_theta) order.
@@ -742,7 +689,7 @@ def table_loglik_hessian(
     p = detection_probs(params, designs)
     theta = params.theta if family.has_dispersion else None
     counts, mask = table.filled_counts(), table.mask
-    ll, _, _, mom = _batch_series(counts, mask, lam, p, theta, trunc, moments=True)
+    ll, _, _, mom = _batch_series(counts, mask, lam, p, theta, moments=True)
     x, w, m = designs.abundance_design, designs.detection_design, mom.mean_n
 
     if theta is None:

@@ -7,7 +7,7 @@ tests that need more digits Richardson-extrapolate two step sizes.
 
 import numpy as np
 
-from nmixfit import DEFAULT_TRUNCATION, NumericError, ParameterVector, table_loglik
+from nmixfit import NumericError, ParameterVector, table_loglik
 
 
 def finite_diff_gradient(f, x, rel_step=1e-5):
@@ -68,12 +68,12 @@ def finite_diff_hessian(f, x, rel_step=1e-5):
     return 0.5 * (hess + hess.T)
 
 
-def numeric_gradient(params, table, designs, family, trunc=DEFAULT_TRUNCATION):
+def numeric_gradient(params, table, designs, family):
     """Gradient of table_loglik in the stacked (beta, alpha, log_theta) order."""
     p_lam, p_det = designs.p_lambda, designs.p_detect
 
     def f(x):
         pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        return table_loglik(pv, table, designs, family, trunc)
+        return table_loglik(pv, table, designs, family)
 
     return finite_diff_gradient(f, params.to_array())

@@ -26,13 +26,11 @@ from nmixfit.datasets import (
 from nmixfit.experiments import run_bias_experiment
 from nmixfit.laplace import posterior_n
 from nmixfit.likelihood import (
-    DEFAULT_TRUNCATION,
     RowLikelihoodInput,
-    _batch_loglik,
+    _batch_series,
     _bruteforce_table,
     row_loglik_bruteforce,
     row_loglik_detail,
-    row_loglik_recursive,
 )
 from nmixfit.mle import fit_ml, summarize_fit
 
@@ -79,18 +77,18 @@ def test_criterion_2_analytic_identities():
     for lam in (0.1, 1.0, 7.5, 40.0):
         for p in (0.02, 0.3, 0.85):
             for y in (0, 1, 3, 12):
-                got = row_loglik_recursive(
+                got = row_loglik_detail(
                     RowLikelihoodInput(y=np.array([float(y)]), lam=lam, p=np.array([p]))
-                )
+                ).loglik
                 want = poisson.logpmf(y, lam * p)
                 worst_pois = max(worst_pois, abs(got - want) / max(1.0, abs(got)))
                 assert _close(got, want, 1e-12)
                 for theta in (0.5, 3.0, 9.0):
-                    got = row_loglik_recursive(
+                    got = row_loglik_detail(
                         RowLikelihoodInput(
                             y=np.array([float(y)]), lam=lam, p=np.array([p]), theta=theta
                         )
-                    )
+                    ).loglik
                     want = nbinom.logpmf(y, theta, theta / (theta + lam * p))
                     worst_nb = max(worst_nb, abs(got - want) / max(1.0, abs(got)))
                     assert _close(got, want, 1e-10)
@@ -104,9 +102,9 @@ def test_criterion_2_analytic_identities():
             np.array([0.15, 0.6]),
             np.array([0.05, 0.35, 0.8]),
         ):
-            got = row_loglik_recursive(
+            got = row_loglik_detail(
                 RowLikelihoodInput(y=np.zeros_like(p), lam=lam, p=p)
-            )
+            ).loglik
             want = lam * (np.prod(1.0 - p) - 1.0)
             worst_zero = max(worst_zero, abs(got - want) / max(1.0, abs(got)))
             assert _close(got, want, 1e-12)
@@ -129,7 +127,7 @@ def test_criterion_3_performance_and_overflow():
 
     # one untimed pass supplies the per-row truncation points, so both
     # contenders sum exactly the same number of terms
-    ll_rec, n_max = _batch_loglik(counts, mask, lam, p, None, DEFAULT_TRUNCATION)
+    ll_rec, _, n_max, _ = _batch_series(counts, mask, lam, p, None, moments=False)
 
     def best_of(fn, reps=3):
         times = []
@@ -139,7 +137,7 @@ def test_criterion_3_performance_and_overflow():
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    t_rec = best_of(lambda: _batch_loglik(counts, mask, lam, p, None, DEFAULT_TRUNCATION))
+    t_rec = best_of(lambda: _batch_series(counts, mask, lam, p, None, moments=False))
     t_brute = best_of(lambda: _bruteforce_table(counts, mask, lam, p, None, n_max))
     speedup = t_brute / t_rec
 
@@ -165,9 +163,9 @@ def test_criterion_3_performance_and_overflow():
             return float(np.log(np.sum(total)))
 
     def recursion(y):
-        return row_loglik_recursive(
+        return row_loglik_detail(
             RowLikelihoodInput(y=y, lam=50.0, p=np.full(y.size, 0.5))
-        )
+        ).loglik
 
     # sanity: where floats do not overflow the naive sum agrees, so the
     # later failure is the arithmetic and not a bug in the witness

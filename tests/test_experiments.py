@@ -112,15 +112,15 @@ class TestMedianAbsBias:
             self._rec(1, "averaged", "alpha0", 0.5, a4=2.0),
         ]
         assert median_abs_bias(recs, "averaged", a4_window=(1.0, 2.0)) == pytest.approx(0.1)
-        assert median_abs_bias(recs, "averaged", a4_window=(None, 2.0)) == pytest.approx(0.1)
-        assert median_abs_bias(recs, "averaged", a4_window=(2.0, None)) == pytest.approx(0.5)
+        assert median_abs_bias(recs, "averaged", a4_window=(0.0, 2.0)) == pytest.approx(0.1)
+        assert median_abs_bias(recs, "averaged", a4_window=(2.0, math.inf)) == pytest.approx(0.5)
 
     def test_window_applies_to_magnitude(self):
         recs = [
             self._rec(0, "averaged", "alpha0", 0.1, a4=-2.5),
             self._rec(1, "averaged", "alpha0", 0.5, a4=0.5),
         ]
-        assert median_abs_bias(recs, "averaged", a4_window=(2.0, None)) == pytest.approx(0.1)
+        assert median_abs_bias(recs, "averaged", a4_window=(2.0, math.inf)) == pytest.approx(0.1)
 
     def test_nonconverged_records_are_excluded(self):
         recs = [

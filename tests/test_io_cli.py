@@ -279,6 +279,39 @@ class TestCli:
         lines = (tmp_path / "sim_counts_mean.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 * 2
 
+    def test_config_value_outside_the_flag_choices_exits_2(self, tmp_path, capsys):
+        self._simulate(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {tmp_path / 'sim_counts_mean.csv'}\nengine = ML\n")
+        code = main(["fit", "--config", str(cfg), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "'engine'" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_config_family_is_checked_like_the_flag(self, tmp_path):
+        self._simulate(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"dataset = {tmp_path / 'sim_counts_mean.csv'}\nengine = ml\nfamily = NB\n"
+        )
+        assert main(["fit", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_config_keys_of_other_subcommands_are_ignored(self, tmp_path):
+        self._simulate(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"dataset = {tmp_path / 'sim_counts_mean.csv'}\nengine = ml\nthreads = 2\nsamples = 9\n"
+        )
+        assert main(["fit", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "fit.json").read_text())["engine"] == "ml"
+
+    def test_config_key_no_subcommand_knows_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sites = 9\nbogus = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        assert "bogus" in capsys.readouterr().err
+
     def test_missing_dataset_exits_2(self, tmp_path):
         code = main(
             ["fit", "--dataset", str(tmp_path / "absent.csv"),

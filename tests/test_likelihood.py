@@ -8,6 +8,7 @@ tautology.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,15 +25,12 @@ from nmixfit import (
     ParameterVector,
     RowLikelihoodInput,
     SimConfig,
-    TruncationPolicy,
     fit_ml,
     row_loglik_bruteforce,
     row_loglik_detail,
-    row_loglik_recursive,
     simulate,
     table_loglik,
     table_loglik_hessian,
-    table_loglik_score,
     table_row_logliks,
 )
 from nmixfit import likelihood
@@ -72,13 +70,13 @@ class TestThinningIdentities:
     @pytest.mark.parametrize("lam,p", [(0.5, 0.9), (3.0, 0.4), (40.0, 0.07)])
     def test_single_survey_poisson(self, lam, p):
         for y in range(26):
-            got = row_loglik_recursive(_row([y], [p], lam))
+            got = row_loglik_detail(_row([y], [p], lam)).loglik
             assert _rel_err(got, _thinned_logpmf(y, lam, p)) < 1e-12
 
     @pytest.mark.parametrize("lam,p,theta", [(2.0, 0.3, 0.7), (25.0, 0.6, 4.0)])
     def test_single_survey_negative_binomial(self, lam, p, theta):
         for y in range(26):
-            got = row_loglik_recursive(_row([y], [p], lam, theta))
+            got = row_loglik_detail(_row([y], [p], lam, theta)).loglik
             assert _rel_err(got, _thinned_logpmf(y, lam, p, theta)) < 1e-10
 
     @pytest.mark.parametrize("p", [[0.5], [0.2, 0.7], [0.35, 0.5, 0.65]])
@@ -87,12 +85,12 @@ class TestThinningIdentities:
         sum_N Pois(N; lam) prod_j (1-p_j)^N = exp(lam (prod_j (1-p_j) - 1)).
         """
         lam = 7.3
-        got = row_loglik_recursive(_row([0.0] * len(p), p, lam))
+        got = row_loglik_detail(_row([0.0] * len(p), p, lam)).loglik
         want = lam * (np.prod(1.0 - np.asarray(p)) - 1.0)
         assert _rel_err(got, want) < 1e-12
 
     def test_all_zero_single_survey_matches_minus_lam_p(self):
-        got = row_loglik_recursive(_row([0.0], [0.25], 4.0))
+        got = row_loglik_detail(_row([0.0], [0.25], 4.0)).loglik
         assert _rel_err(got, -4.0 * 0.25) < 1e-12
 
 
@@ -137,7 +135,7 @@ class TestBruteForceOracle:
     def test_distribution_sums_to_one_single_survey(self, theta):
         lam, p = 3.0, 0.4
         lls = [
-            row_loglik_recursive(_row([float(y)], [p], lam, theta))
+            row_loglik_detail(_row([float(y)], [p], lam, theta)).loglik
             for y in range(200)
         ]
         assert math.fsum(np.exp(lls)) == pytest.approx(1.0, abs=1e-10)
@@ -145,7 +143,7 @@ class TestBruteForceOracle:
     def test_distribution_sums_to_one_two_surveys(self):
         lam, p = 2.5, (0.55, 0.3)
         total = math.fsum(
-            np.exp(row_loglik_recursive(_row([float(a), float(b)], p, lam)))
+            np.exp(row_loglik_detail(_row([float(a), float(b)], p, lam)).loglik)
             for a in range(50)
             for b in range(50)
         )
@@ -159,37 +157,35 @@ class TestTruncation:
         assert detail.n_terms >= 1
         assert np.isfinite(detail.loglik)
 
-    def test_tighter_floor_changes_little(self):
+    def test_tighter_floor_changes_little(self, monkeypatch):
         """The increment floor bounds the discarded tail, so shrinking it
         by three decades must move the answer by less than the old floor."""
         row = _row([4.0, 9.0, 6.0], [0.3, 0.45, 0.5], 30.0, 1.5)
-        loose = row_loglik_recursive(row, TruncationPolicy(relative_increment_floor=1e-12))
-        tight = row_loglik_recursive(row, TruncationPolicy(relative_increment_floor=1e-15))
+        assert likelihood._REL_FLOOR == 1e-12
+        loose = row_loglik_detail(row).loglik
+        monkeypatch.setattr(likelihood, "_REL_FLOOR", 1e-15)
+        tight = row_loglik_detail(row).loglik
         assert abs(loose - tight) < 1e-11 * max(1.0, abs(tight))
 
-    def test_hard_cap_divergence_is_an_error(self):
+    def test_hard_cap_divergence_is_an_error(self, monkeypatch):
         # the posterior of N has sd ~700, far wider than a budget of 50
         # terms; the error names the budget and never claims divergence
         row = _row([0.0], [0.5], 1e6)
+        monkeypatch.setattr(likelihood, "_TERM_BUDGET", 50)
         with pytest.raises(NumericError, match="term budget exhausted") as info:
-            row_loglik_recursive(row, TruncationPolicy(hard_cap_offset=50))
-        assert "hard_cap_offset=50" in str(info.value)
+            row_loglik_detail(row)
+        assert "the budget is 50 terms past the start" in str(info.value)
         assert "divergent" not in str(info.value)
 
-    def test_left_tail_too_heavy_for_the_floor_is_summed_from_lower(self):
+    def test_left_tail_too_heavy_for_the_floor_is_summed_from_lower(self, monkeypatch):
         # at a floor of 1e-30 the terms below mode - 9 sd are not negligible,
         # so the row is summed again from a lower start
         row = _row([10.0], [0.001], 5e4)
         default = row_loglik_detail(row)
-        tight = row_loglik_detail(row, TruncationPolicy(relative_increment_floor=1e-30))
+        monkeypatch.setattr(likelihood, "_REL_FLOOR", 1e-30)
+        tight = row_loglik_detail(row)
         assert 10 < tight.n_min < default.n_min
         assert _rel_err(tight.loglik, _thinned_logpmf(10, 5e4, 0.001)) < 1e-10
-
-    def test_policy_validation(self):
-        with pytest.raises(ModelError):
-            TruncationPolicy(relative_increment_floor=0.0)
-        with pytest.raises(ModelError):
-            TruncationPolicy(hard_cap_offset=0)
 
     def test_bruteforce_grid_must_cover_counts(self):
         with pytest.raises(ModelError):
@@ -203,7 +199,7 @@ class TestExtremeInputs:
         # thinning identity
         row = _row([0.0], [0.01], 1000.0)
         assert row_loglik_detail(row).n_min > 0
-        assert _rel_err(row_loglik_recursive(row), -10.0) < 1e-12
+        assert _rel_err(row_loglik_detail(row).loglik, -10.0) < 1e-12
 
     def test_large_counts_stay_finite_and_match_oracle(self):
         row = _row([1000.0, 998.0, 1005.0], [0.5, 0.5, 0.5], 2000.0)
@@ -219,8 +215,8 @@ class TestExtremeInputs:
         assert _rel_err(detail.loglik, want) < 1e-10
 
 
-# a budget wide enough for every row of the extreme-regime tests
-_WIDE_BUDGET = TruncationPolicy(hard_cap_offset=4_000_000)
+# a term budget wide enough for every row of the extreme-regime tests
+_WIDE_BUDGET = 4_000_000
 
 _LOG_LAM = st.floats(math.log(0.01), math.log(1e6))
 _P = st.one_of(st.floats(1e-4, 0.99), st.floats(math.log(1e-4), math.log(0.99)).map(math.exp))
@@ -231,13 +227,16 @@ def _value_or_budget_error(row, want):
     """The row's log-likelihood equals ``want`` to 1e-9 relative, or it
     raises the term-budget error and a wider budget then gives ``want``."""
     try:
-        got = row_loglik_recursive(row)
+        got = row_loglik_detail(row).loglik
     except NumericError as exc:
         message = str(exc)
         assert "term budget exhausted" in message
         assert "divergent" not in message
-        detail = row_loglik_detail(row, _WIDE_BUDGET)
-        assert detail.n_terms > TruncationPolicy().hard_cap_offset
+        budget = likelihood._TERM_BUDGET
+        # a function-scoped fixture would not reset between @given examples
+        with mock.patch.object(likelihood, "_TERM_BUDGET", _WIDE_BUDGET):
+            detail = row_loglik_detail(row)
+        assert detail.n_terms > budget
         got = detail.loglik
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -329,9 +328,9 @@ class TestTableLevel:
         rows = table_row_logliks(params, table, designs, MixtureFamily.NEGBIN)
         lam0 = float(np.exp(designs.abundance_design[0] @ params.beta))
         p0 = 1.0 / (1.0 + np.exp(-(designs.detection_design[0] @ params.alpha)))
-        direct = row_loglik_recursive(
+        direct = row_loglik_detail(
             _row([1.0, 3.0], p0, lam0, theta=np.exp(0.3))
-        )
+        ).loglik
         assert rows[0] == pytest.approx(direct, rel=1e-12)
 
     def test_family_and_dispersion_must_agree(self):
@@ -550,13 +549,12 @@ class TestPerRowTheta:
         mask = np.ones(counts.shape, dtype=bool)
         mask[3, 1] = mask[17, 0] = False
         theta = rng.uniform(0.5, 8.0, 60)
-        trunc = TruncationPolicy()
 
-        ll, n_min, n_max, mom = _batch_series(counts, mask, lam, p, theta, trunc, moments=True)
+        ll, n_min, n_max, mom = _batch_series(counts, mask, lam, p, theta, moments=True)
         assert n_min[-1] > 210 and n_max[-2] - n_min[-2] > 2 * 64
         for i in range(60):
             ll_i, n_min_i, n_max_i, mom_i = _batch_series(
-                counts, mask, lam, p, theta[i], trunc, moments=True
+                counts, mask, lam, p, theta[i], moments=True
             )
             assert ll[i] == ll_i[i]
             assert (n_min[i], n_max[i]) == (n_min_i[i], n_max_i[i])
@@ -611,11 +609,12 @@ class TestBlockLayout:
     @pytest.mark.parametrize("name", sorted(_LAYOUT_CASES))
     def test_narrow_blocks_give_the_same_series(self, name, monkeypatch):
         args = _LAYOUT_CASES[name]()
-        # at 1e-30 the far-mode row's left tail is not negligible, so it is summed again
-        trunc = TruncationPolicy(relative_increment_floor=1e-30 if name == "left-tail-retry" else 1e-12)
-        ll, n_min, n_max, mom = _batch_series(*args, trunc, moments=True)
+        if name == "left-tail-retry":
+            # at 1e-30 the far-mode row's left tail is not negligible, so it is summed again
+            monkeypatch.setattr(likelihood, "_REL_FLOOR", 1e-30)
+        ll, n_min, n_max, mom = _batch_series(*args, moments=True)
         monkeypatch.setattr(likelihood, "_BLOCK_MAX", 8)
-        ll_8, n_min_8, n_max_8, mom_8 = _batch_series(*args, trunc, moments=True)
+        ll_8, n_min_8, n_max_8, mom_8 = _batch_series(*args, moments=True)
         np.testing.assert_array_equal(n_min_8, n_min)
         np.testing.assert_array_equal(n_max_8, n_max)
         np.testing.assert_allclose(ll_8, ll, rtol=1e-13, atol=0.0)
@@ -633,7 +632,7 @@ def _grid_points_per_row(monkeypatch, counts, mask, lam, p, theta):
         return ratio_parts(n_grid, *args, **kwargs)
 
     monkeypatch.setattr(likelihood, "_ratio_parts", counted)
-    _, n_min, n_max, _ = _batch_series(counts, mask, lam, p, theta, TruncationPolicy(), moments=True)
+    _, n_min, n_max, _ = _batch_series(counts, mask, lam, p, theta, moments=True)
     return sum(points) / lam.size, np.mean(n_max - n_min + 1)
 
 
@@ -680,7 +679,7 @@ class TestScore:
     @pytest.mark.parametrize("name", sorted(_SCORE_CASES))
     def test_matches_finite_differences(self, name):
         table, designs, params, family = _score_case(name)
-        value, score = table_loglik_score(params, table, designs, family)
+        value, score = table_loglik_hessian(params, table, designs, family)[:2]
         assert value == table_loglik(params, table, designs, family)
         want = _richardson(table_loglik, table, designs, params, family)
         assert score.shape == (params.n_params,)
@@ -705,9 +704,9 @@ class TestHessian:
         table, designs, params, family = _score_case(name)
         value, score, hess = table_loglik_hessian(params, table, designs, family)
         assert value == table_loglik(params, table, designs, family)
-        np.testing.assert_array_equal(score, table_loglik_score(params, table, designs, family)[1])
+        np.testing.assert_array_equal(score, table_loglik_hessian(params, table, designs, family)[1])
         want = _richardson(
-            lambda *args: table_loglik_score(*args)[1], table, designs, params, family
+            lambda *args: table_loglik_hessian(*args)[1], table, designs, params, family
         )
         assert hess.shape == (params.n_params, params.n_params)
         np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=0.0)
