@@ -21,7 +21,6 @@ from .laplace import (
 )
 from .likelihood import (
     RowLikelihoodInput,
-    row_loglik_bruteforce,
     row_loglik_detail,
     table_loglik,
     table_loglik_hessian,
@@ -68,7 +67,6 @@ __all__ = [
     "parse_config",
     "posterior_n",
     "read_dataset",
-    "row_loglik_bruteforce",
     "row_loglik_detail",
     "sample_posterior",
     "simulate",

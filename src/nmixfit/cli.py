@@ -315,7 +315,7 @@ def _row_draws(samples, table, designs, idx):
     posterior draw, through the model's links."""
     observed = table.mask[idx]
     lam = lambda_from_predictor(
-        samples.beta_draws() @ np.asarray(designs.abundance_design[idx]), unit="draw"
+        samples.beta_draws() @ np.asarray(designs.abundance_design[idx]), units=("draw",)
     )
     # one matrix-vector product per draw, as detection_probs makes one per
     # row, so each draw's p equals detection_probs' at that draw to the bit

@@ -103,6 +103,8 @@ def run_bias_experiment(
     payloads = [
         (run, float(a4_values[run]), int(sim_seeds[run]), base) for run in range(runs)
     ]
+    # a fork-started pool starts all its workers at once: no more than tasks
+    workers = min(workers, runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_one, payloads))

@@ -3,12 +3,12 @@
 Both engines maximise a smooth log density over the stacked parameter
 vector (beta, alpha, log_theta), given as one function that returns the
 value, its exact gradient (the score) and its exact Hessian from a
-single kernel pass.  scipy's ``trust-exact`` (Newton steps in a trust
-region, safe where the Hessian is indefinite) runs on that triple, and
-convergence is judged by the score at the returned point.  The
-covariance is the inverse negative Hessian at the mode, which the last
-pass already computed, so every fit gets one at no extra pass.  Fits
-take no settings: the optimiser's limits are the constants below.
+single kernel pass.  An exact trust region (Newton steps, safe where
+the Hessian is indefinite) runs on that triple, evaluating each point
+once, and convergence is judged by the score at the returned point.
+The covariance is the inverse negative Hessian at the mode, which the
+last pass already computed, so every fit gets one at no extra pass.
+Fits take no settings: the optimiser's limits are the constants below.
 """
 
 from __future__ import annotations
@@ -18,20 +18,20 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import ModelError, NumericError
-from .model import (
-    DesignMatrices,
-    MixtureFamily,
-    ObservationTable,
-    ParameterVector,
-)
+from .model import DesignMatrices, MixtureFamily, ObservationTable, ParameterVector
 
 
-# trust-exact's limits (its gtol bounds the gradient's 2-norm), and the
-# gradient infinity norm below which a fit counts as converged
+# The trust region stops at a gradient 2-norm below _GRADIENT_TOL, and a fit
+# counts as converged below an infinity norm of _CONVERGED_NORM.  Radius rules
+# and messages are scipy's trust-exact's; the ratio test allows for rounding
 _MAX_ITERATIONS, _GRADIENT_TOL, _CONVERGED_NORM = 500, 1e-5, 1e-4
+_RADIUS, _MAX_RADIUS, _ETA, _ROUNDING = 1.0, 1000.0, 0.15, 10.0 * np.finfo(float).eps
+_SUBPROBLEM_ITERATIONS, _SUBPROBLEM_TOL = 50, 1e-12
+_STATUS_MESSAGES = ("Optimization terminated successfully.",
+                    "Maximum number of iterations has been exceeded.",
+                    "A bad approximation caused failure to predict improvement.")
 
 
 @dataclass(frozen=True)
@@ -107,38 +107,6 @@ def check_designs_for_fit(
         )
 
 
-class _Negated:
-    """The negated log density, gradient and Hessian for a minimiser.
-
-    The two most recent points are cached, so a rejected trial point
-    never forces a second pass at the accepted one; ``passes`` counts the
-    evaluations.  Invalid regions report +inf (and zero derivatives,
-    unused since the minimiser rejects the point).
-    """
-
-    def __init__(self, log_density_derivs):
-        self._fn = log_density_derivs
-        self._recent = []
-        self.passes = 0
-
-    def __call__(self, x):
-        key = x.tobytes()
-        for seen, result in self._recent:
-            if seen == key:
-                return result
-        self.passes += 1
-        try:
-            value, grad, hess = self._fn(x)
-        except NumericError:
-            value = np.inf
-        if np.isfinite(value):
-            result = (-value, -np.asarray(grad, dtype=float), -np.asarray(hess, dtype=float))
-        else:
-            result = (np.inf, np.zeros(x.size), np.zeros((x.size, x.size)))
-        self._recent = [(key, result)] + self._recent[:1]
-        return result
-
-
 class Optimum(NamedTuple):
     """Outcome of :func:`maximize_log_density`; ``hessian`` is the log
     density's Hessian at ``x`` and ``passes`` the evaluations made."""
@@ -154,37 +122,88 @@ class Optimum(NamedTuple):
     passes: int
 
 
+def _trust_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
+    """Maximiser s of grad·s + ½ sᵀ hess s over ‖s‖ ≤ radius, and whether it
+    lies on the boundary (Moré & Sorensen 1983).  With -hess = V diag(lam) Vᵀ
+    and a = Vᵀ grad, s = V a / (lam + mu) for the least mu ≥ max(0, -lam[0])
+    that keeps ‖s‖ ≤ radius.  Newton steps on 1/‖s‖ - 1/radius run on the
+    shift d = lam[0] + mu, which keeps its digits near the hard case, where
+    grad misses the lowest eigenvector and s moves along it instead."""
+    lam, vec = np.linalg.eigh(-hess)
+    a = vec.T @ grad
+    gaps = lam - lam[0]
+    # a lower bound on d at which ‖s‖ ≥ radius, unless d = lam[0] (mu = 0) or 0
+    d = max(lam[0], float(np.max(np.abs(a) / radius - gaps)))
+    for _ in range(_SUBPROBLEM_ITERATIONS):
+        shifted = gaps + d
+        shifted[shifted <= 0.0] = np.inf  # only where a is 0
+        c = a / shifted
+        norm = float(np.linalg.norm(c))
+        if norm <= radius and d == lam[0]:
+            return vec @ c, False
+        if norm <= radius and d == 0.0:
+            c[0] = np.sqrt(radius**2 - norm**2)
+            return vec @ c, True
+        if abs(norm - radius) <= _SUBPROBLEM_TOL * radius:
+            break
+        d += (norm / radius - 1.0) / np.sum((c / norm) ** 2 / shifted)
+    return vec @ c, True
+
+
 def maximize_log_density(log_density_derivs, x0: np.ndarray) -> Optimum:
     """Maximise a log density from ``x0`` by trust-region Newton steps.
 
-    ``log_density_derivs(x)`` returns (value, gradient, Hessian).  The
-    result's gradient_norm is the infinity norm of the gradient at the
-    returned point; ``converged`` compares it with ``_CONVERGED_NORM``.
+    ``log_density_derivs(x)`` returns (value, gradient, Hessian); every
+    point is evaluated once, and a point where that raises NumericError
+    or is not finite is a rejected step.  The result's gradient_norm is
+    the infinity norm of the gradient at the returned point;
+    ``converged`` compares it with ``_CONVERGED_NORM``.
     """
-    objective = _Negated(log_density_derivs)
-    x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(objective(x0)[0]):
+
+    def evaluate(x):
+        try:
+            with np.errstate(all="ignore"):
+                point = tuple(np.asarray(v, dtype=float) for v in log_density_derivs(x))
+        except NumericError:
+            return None
+        return point if all(np.all(np.isfinite(v)) for v in point) else None
+
+    x = np.asarray(x0, dtype=float)
+    point = evaluate(x)
+    if point is None:
         raise NumericError("objective is not finite at the starting point")
-    with np.errstate(all="ignore"):
-        res = scipy.optimize.minimize(
-            lambda x: objective(x)[:2],
-            x0,
-            jac=True,
-            hess=lambda x: objective(x)[2],
-            method="trust-exact",
-            options={"gtol": _GRADIENT_TOL, "maxiter": _MAX_ITERATIONS},
-        )
-    gnorm = float(np.max(np.abs(res.jac)))
+    iterations, radius, status = 0, _RADIUS, 0
+    while np.linalg.norm(point[1]) >= _GRADIENT_TOL:
+        if iterations >= _MAX_ITERATIONS:
+            status = 1
+            break
+        value, grad, hess = point
+        step, on_boundary = _trust_step(grad, hess, radius)
+        predicted = grad @ step + 0.5 * step @ hess @ step
+        if not predicted > 0.0:
+            status = 2
+            break
+        trial = evaluate(x + step)
+        noise = _ROUNDING * max(1.0, abs(value))  # Conn, Gould & Toint 2000, 17.4.2
+        rho = -np.inf if trial is None else (trial[0] - value + noise) / (predicted + noise)
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and on_boundary:
+            radius = min(2.0 * radius, _MAX_RADIUS)
+        if rho > _ETA:
+            x, point = x + step, trial
+        iterations += 1
+    gnorm = float(np.max(np.abs(point[1])))
     return Optimum(
-        x=res.x,
-        value=-float(res.fun),
+        x=x,
+        value=float(point[0]),
         converged=bool(gnorm < _CONVERGED_NORM),
-        iterations=int(res.nit),
+        iterations=iterations,
         gradient_norm=gnorm,
-        success=bool(res.success),
-        message=str(res.message),
-        hessian=-objective(res.x)[2],
-        passes=objective.passes,
+        success=status == 0,
+        message=_STATUS_MESSAGES[status],
+        hessian=point[2],
+        passes=iterations + 1,  # the start and one trial point per iteration
     )
 
 

@@ -39,6 +39,13 @@ def _parse_cell(text: str, column: str, line: int) -> float:
         raise DataError(f"line {line}: cannot parse {column}={text!r} as a number") from None
 
 
+def _parse_label(text: str, column: str, line: int) -> int:
+    value = _parse_cell(text, column, line)
+    if not (value.is_integer() and abs(value) < 2.0**63):
+        raise DataError(f"line {line}: {column} label {text!r} is missing or not a 64-bit integer")
+    return int(value)
+
+
 @dataclass
 class Dataset:
     """A count table plus named covariates, as stored on disk."""
@@ -136,8 +143,8 @@ def read_dataset(path) -> Dataset:
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataError(f"line {r}: expected {len(header)} fields, got {len(row)}")
-        site[r - 2] = int(_parse_cell(row[0], "site", r))
-        year[r - 2] = int(_parse_cell(row[1], "year", r))
+        site[r - 2] = _parse_label(row[0], "site", r)
+        year[r - 2] = _parse_label(row[1], "year", r)
         for s, (_, i) in enumerate(count_cols):
             counts[r - 2, s] = _parse_cell(row[i], header[i], r)
         for name, i in row_cols.items():

@@ -33,6 +33,7 @@ from .model import (
     MixtureFamily,
     ObservationTable,
     ParameterVector,
+    lambda_from_predictor,
 )
 
 
@@ -164,7 +165,8 @@ class LambdaFittedSummary:
 def lambda_fitted(
     samples: PosteriorSamples, designs: DesignMatrices
 ) -> list[LambdaFittedSummary]:
-    """Per-row posterior summaries of lambda = exp(X beta).
+    """Per-row posterior summaries of lambda = exp(X beta); NumericError
+    names the draw and the row where exp() overflows.
 
     Quantiles use linear interpolation between order statistics and the
     standard deviation uses the n-1 denominator, matching the usual
@@ -173,7 +175,7 @@ def lambda_fitted(
     if samples.p_lambda != designs.p_lambda:
         raise ModelError("samples and designs disagree on the abundance design width")
     eta = samples.beta_draws() @ np.asarray(designs.abundance_design).T
-    lam = np.exp(eta)
+    lam = lambda_from_predictor(eta, units=("draw", "row"))
     q = np.quantile(lam, [0.025, 0.5, 0.975], axis=0)
     mean = lam.mean(axis=0)
     sd = lam.std(axis=0, ddof=1) if samples.n_draws > 1 else np.zeros(designs.n_rows)

@@ -234,14 +234,13 @@ def stacked_parameter_names(
     return tuple(names)
 
 
-def lambda_from_predictor(eta: np.ndarray, unit: str = "row") -> np.ndarray:
-    """Abundance means exp(eta); NumericError names the first ``unit`` whose
-    log-link predictor overflows exp()."""
+def lambda_from_predictor(eta: np.ndarray, units: tuple[str, ...] = ("row",)) -> np.ndarray:
+    """Abundance means exp(eta); NumericError names, by one of ``units`` per
+    axis, the largest log-link predictor when it overflows exp()."""
     if np.any(eta > LOG_LAMBDA_MAX):
-        bad = int(np.argmax(eta))
-        raise NumericError(
-            f"abundance linear predictor {eta[bad]:.6g} at {unit} {bad} overflows exp()"
-        )
+        bad = np.unravel_index(np.argmax(eta), eta.shape)
+        where = ", ".join(f"{unit} {int(i)}" for unit, i in zip(units, bad))
+        raise NumericError(f"abundance linear predictor {eta[bad]:.6g} at {where} overflows exp()")
     return np.exp(eta)
 
 

@@ -28,12 +28,11 @@ from nmixfit.laplace import posterior_n
 from nmixfit.likelihood import (
     RowLikelihoodInput,
     _batch_series,
-    _bruteforce_table,
-    row_loglik_bruteforce,
     row_loglik_detail,
 )
 from nmixfit.mle import fit_ml, summarize_fit
 
+from bruteforce import bruteforce_table, row_loglik_bruteforce
 from conftest import TRUE_STACKED
 
 
@@ -138,10 +137,10 @@ def test_criterion_3_performance_and_overflow():
         return min(times)
 
     t_rec = best_of(lambda: _batch_series(counts, mask, lam, p, None, moments=False))
-    t_brute = best_of(lambda: _bruteforce_table(counts, mask, lam, p, None, n_max))
+    t_brute = best_of(lambda: bruteforce_table(counts, mask, lam, p, None, n_max))
     speedup = t_brute / t_rec
 
-    ll_brute = _bruteforce_table(counts, mask, lam, p, None, n_max)
+    ll_brute = bruteforce_table(counts, mask, lam, p, None, n_max)
     err = np.max(np.abs(ll_rec - ll_brute) / np.maximum(1.0, np.abs(ll_rec)))
     assert err < 1e-10
     assert speedup >= 3.0

@@ -58,6 +58,28 @@ class TestRunMechanics:
         parallel = run_bias_experiment(runs=3, seed=42, workers=2, base=SMALL)
         assert parallel == records
 
+    def test_pool_has_no_more_workers_than_runs(self, records, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        per_run = 2 * 8
+        assert run_bias_experiment(runs=2, seed=42, workers=8, base=SMALL) == records[: 2 * per_run]
+        assert run_bias_experiment(runs=1, seed=42, workers=8, base=SMALL) == records[:per_run]
+        assert pools == [2]
+
 
 class TestSurveyStart:
     def _starts(self, monkeypatch, fail_averaged):

@@ -85,6 +85,31 @@ class TestMaximize:
                 np.array([0.5]),
             )
 
+    def test_hard_case_start_leaves_along_the_curvature(self):
+        # at (0, 0) the gradient (2, 0) is orthogonal to the direction (0, 1)
+        # of positive curvature, so only a step along it finds the modes
+        def f(x):
+            value = -((x[0] - 1.0) ** 2) + 0.5 * x[1] ** 2 - x[1] ** 4
+            grad = np.array([-2.0 * (x[0] - 1.0), x[1] - 4.0 * x[1] ** 3])
+            return value, grad, np.diag([-2.0, 1.0 - 12.0 * x[1] ** 2])
+
+        opt = maximize_log_density(f, np.zeros(2))
+        assert opt.converged
+        assert opt.success
+        np.testing.assert_allclose(np.abs(opt.x), [1.0, 0.5], atol=1e-5)
+
+    def test_gain_below_the_value_rounding_is_accepted(self):
+        # from x = 2 + 3e-5 the Newton step gains 4.5e-10, under the spacing of
+        # doubles near 1e7 (1.9e-9), so the computed gain is only rounding
+        def f(x):
+            d = x - 2.0
+            return 1e7 - 0.5 * d @ d, -d, -np.eye(1)
+
+        opt = maximize_log_density(f, np.array([2.0 + 3e-5]))
+        assert opt.success
+        assert opt.iterations == 1
+        assert opt.x[0] == 2.0
+
     def test_stopping_status_is_reported(self, monkeypatch):
         m = np.array([[3.0, 0.7], [0.7, 1.2]])
 
@@ -211,3 +236,52 @@ class TestDefaultStart:
         designs = DesignMatrices(np.ones((1, 1)), np.ones((1, 2, 1)))
         start = default_start(table, designs, MixtureFamily.POISSON)
         assert start.log_theta is None
+
+
+class TestTrustStep:
+    """Each step maximises g·s + ½ sᵀHs over ‖s‖ ≤ radius exactly, which
+    Nocedal & Wright (2006, Thm 4.1) characterise: (-H + mu I) s = g with
+    mu ≥ 0, mu (radius - ‖s‖) = 0 and -H + mu I positive semi-definite."""
+
+    def _check(self, g, neg_h, radius):
+        s, on_boundary = fitcore._trust_step(g, -neg_h, radius)
+        n, norm = g.size, np.linalg.norm(s)
+        # mu from the first condition along s; 0 for an interior step
+        mu = s @ (g - neg_h @ s) / norm**2 if on_boundary else 0.0
+        scale = np.linalg.norm(neg_h, 2)
+        shifted = neg_h + mu * np.eye(n)
+        assert np.linalg.norm(shifted @ s - g) <= 1e-9 * np.linalg.norm(g)
+        assert mu >= -1e-9 * scale
+        assert mu * abs(radius - norm) <= 1e-9 * mu * radius
+        assert np.linalg.eigvalsh(shifted)[0] >= -1e-9 * scale
+        return on_boundary
+
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_random_subproblems_meet_the_optimality_conditions(self, definite):
+        rng = np.random.default_rng(7 if definite else 8)
+        boundary = []
+        for k in range(200):
+            n = int(rng.integers(2, 10))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = rng.uniform(0.1, 10.0, n)
+            if not definite:
+                lam[: n // 2] *= -1.0
+            neg_h = (q * lam) @ q.T
+            neg_h = 0.5 * (neg_h + neg_h.T)
+            g = rng.standard_normal(n)
+            if not definite and k % 3 == 0:
+                # (nearly) the hard case: g misses the lowest eigenvector
+                low = q[:, np.argmin(lam)]
+                g -= (g @ low) * low
+            radius = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
+            boundary.append(self._check(g, neg_h, radius))
+        # definite problems give both kinds of step, indefinite ones only boundary steps
+        assert all(boundary) != definite
+        assert any(boundary)
+
+    def test_exact_hard_case_steps_along_the_lowest_eigenvector(self):
+        # -H = diag(2, -1), g = (2, 0): s = (2/3, ±sqrt(5)/3) at mu = 1
+        g, neg_h = np.array([2.0, 0.0]), np.diag([2.0, -1.0])
+        assert self._check(g, neg_h, 1.0)
+        s, _ = fitcore._trust_step(g, -neg_h, 1.0)
+        np.testing.assert_allclose(np.abs(s), [2.0 / 3.0, np.sqrt(5.0) / 3.0], rtol=1e-12)

@@ -2,12 +2,15 @@
 the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmixfit
 from nmixfit import (
     DataError,
     Dataset,
@@ -319,6 +322,19 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "row, column", [(",1,3,4", "site"), ("2,1.7,3,4", "year"), ("1e300,1,3,4", "site")]
+    )
+    def test_missing_or_fractional_label_exits_2(self, tmp_path, capsys, row, column):
+        path = tmp_path / "labels.csv"
+        path.write_text("site,year,y1,y2\n1,1,2,3\n" + row + "\n")
+        code = main(
+            ["fit", "--dataset", str(path), "--family", "poisson", "--engine", "ml",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert f"line 3: {column} label" in capsys.readouterr().err
+
     def test_rank_deficient_design_exits_3(self, tmp_path):
         self._simulate(tmp_path)
         code = main(
@@ -347,6 +363,20 @@ class TestCli:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip()
+
+    def test_cli_import_leaves_out_scipy_stats_and_optimize(self):
+        """A fresh CLI process loads neither slow scipy subpackage, and the
+        tests' brute-force oracle is not part of the package."""
+        code = (
+            "import sys, nmixfit, nmixfit.cli\n"
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])\n"
+            "print(hasattr(nmixfit, 'row_loglik_bruteforce'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(nmixfit.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.split() == ["[]", "False"]
 
 
 class TestPosteriorRowDraws:

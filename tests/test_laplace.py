@@ -213,6 +213,19 @@ class TestLambdaFitted:
         with pytest.raises(ModelError):
             lambda_fitted(posterior_draws, designs)
 
+    def test_overflowing_draw_is_named_by_draw_and_row(self):
+        # eta = 700 + 10 x overflows exp() only at draw 1 and row 2 (x = 1)
+        draws = np.array([[0.0, 0.0, 0.0], [700.0, 10.0, 0.0], [1.0, -1.0, 0.0]])
+        samples = PosteriorSamples(
+            draws, ("lambda:(Intercept)", "lambda:x", "p:(Intercept)"),
+            MixtureFamily.POISSON, 2, 1,
+        )
+        designs = DesignMatrices(
+            np.array([[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]]), np.ones((3, 1, 1))
+        )
+        with pytest.raises(NumericError, match="710 at draw 1, row 2 overflows"):
+            lambda_fitted(samples, designs)
+
 
 class TestPosteriorN:
     def test_sums_to_one_with_support_from_max_count(self):

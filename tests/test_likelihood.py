@@ -26,7 +26,6 @@ from nmixfit import (
     RowLikelihoodInput,
     SimConfig,
     fit_ml,
-    row_loglik_bruteforce,
     row_loglik_detail,
     simulate,
     table_loglik,
@@ -37,6 +36,7 @@ from nmixfit import likelihood
 from nmixfit.likelihood import _batch_series, log_count_density
 from nmixfit.model import P_CLAMP, detection_probs, lambda_values
 
+from bruteforce import row_loglik_bruteforce
 from derivatives import (
     finite_diff_gradient,
     finite_diff_hessian,
