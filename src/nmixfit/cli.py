@@ -41,6 +41,17 @@ from .mle import fit_ml, format_fit_summary, summarize_fit
 from .model import MixtureFamily, lambda_from_predictor, p_from_predictor
 from .simulate import SimConfig, simulate
 
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--output-dir", default=None, help="directory for output files")
@@ -93,14 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
         "lambda-fitted", help="posterior summaries of each row's abundance mean"
     )
     _fit_flags(p)
-    p.add_argument("--samples", type=int, default=None, help="posterior draws (default 4000)")
+    p.add_argument("--samples", type=_positive_int, default=None, help="posterior draws (default 4000)")
     _common_flags(p)
 
     p = sub.add_parser(
         "posterior-n", help="posterior distribution of one row's latent abundance"
     )
     _fit_flags(p)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--row", type=int, default=None, help="1-based row index (default 1)")
     p.add_argument(
         "--n-grid-max", type=int, default=None,
@@ -109,12 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("bias-experiment", help="Monte Carlo bias sweep over a4")
-    p.add_argument("--runs", type=int, default=None, help=f"replicates (default {runs})")
+    p.add_argument("--runs", type=_positive_int, default=None, help=f"replicates (default {runs})")
     p.add_argument("--sites", type=int, default=None)
     p.add_argument("--surveys", type=int, default=None)
     p.add_argument("--years", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker processes")
+    p.add_argument("--threads", type=_positive_int, default=None, help="worker processes")
     _common_flags(p)
 
     return parser
@@ -152,6 +163,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             value = action.type(value) if action.type else value
         except ValueError:
             raise DataError(f"config key {key!r}: cannot parse {value!r}") from None
+        except argparse.ArgumentTypeError as exc:
+            raise DataError(f"config key {key!r}: {exc}") from None
         if action.choices is not None and value not in action.choices:
             raise DataError(
                 f"config key {key!r}: {value!r} is not one of {', '.join(action.choices)}"
@@ -283,8 +296,6 @@ def _posterior_samples(args, table, designs, family):
         raise ModelError("posterior summaries need --engine laplace")
     fit, elapsed = _run_engine(args, table, designs, family)
     _default(args, "samples", 4000)
-    if args.samples < 1:
-        raise ModelError("--samples must be positive")
     samples = sample_posterior(fit, args.samples, args.seed)
     return fit, samples, elapsed
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ModelError, NumericError
 from .model import DesignMatrices, MixtureFamily, ObservationTable, ParameterVector
@@ -66,14 +65,13 @@ class FitResult:
 
 
 def _column_rank_report(matrix: np.ndarray, names: tuple[str, ...]) -> list[str]:
-    """Names of columns beyond the numerical rank, empty if full rank."""
-    _, r, pivot = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return list(names)
-    tol = max(matrix.shape) * np.finfo(float).eps * diag[0]
-    rank = int(np.sum(diag > tol))
-    return [names[i] for i in pivot[rank:]]
+    """Names of the columns that add nothing to the columns before them,
+    empty if full rank.  In an unpivoted QR, |R_ii| is the norm of the part
+    of column i outside the span of the columns before it, and columns past
+    the row count have no R_ii."""
+    diag = np.abs(np.diag(np.linalg.qr(matrix, mode="r")))
+    tol = max(matrix.shape) * np.finfo(float).eps * np.max(np.linalg.norm(matrix, axis=0))
+    return [name for i, name in enumerate(names) if i >= diag.size or diag[i] <= tol]
 
 
 def check_designs_for_fit(

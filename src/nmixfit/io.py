@@ -300,23 +300,4 @@ def write_truth_csv(path, sim_output) -> None:
 
 def sim_to_datasets(sim_output) -> tuple[Dataset, Dataset]:
     """Datasets (mean-covariate counts, survey-covariate counts) for writing."""
-    k = sim_output.config.n_years
-    s = sim_output.config.n_sites
-    row_cov = {
-        "x1": np.tile(sim_output.x1, k),
-        "x2": np.tile(sim_output.x2, k),
-        "x3": np.repeat(sim_output.x3, s),
-        "x4.m": sim_output.x4_mean.T.reshape(k * s),
-    }
-    survey_cov = {"x4": sim_output.x4.transpose(2, 0, 1).reshape(k * s, -1)}
-    mean_ds = Dataset(
-        table=sim_output.table_mean,
-        row_covariates=dict(row_cov),
-        survey_covariates=dict(survey_cov),
-    )
-    survey_ds = Dataset(
-        table=sim_output.table_survey,
-        row_covariates=dict(row_cov),
-        survey_covariates=dict(survey_cov),
-    )
-    return mean_ds, survey_ds
+    return sim_output.dataset_mean, sim_output.dataset_survey

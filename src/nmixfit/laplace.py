@@ -210,7 +210,8 @@ def posterior_n(
 
     Returns the pmf aligned with ``np.arange(max(y), top + 1)``, where
     ``top`` is ``n_grid_max`` if given, else the highest end of a draw's
-    range; entries outside the union are zero.  Raises NumericError when
+    range; entries outside the union are zero.  Raises ModelError naming
+    a malformed input (NaN included), and NumericError when
     a draw gives the counts zero likelihood (p = 1 with unequal counts),
     when a range runs past ``n_grid_max`` (naming it), or when the kernel
     fails on a draw, naming the draw and the term budget.
@@ -229,27 +230,30 @@ def posterior_n(
     y = np.atleast_1d(np.asarray(y_row, dtype=float))
     lam = np.atleast_1d(np.asarray(lambda_draws, dtype=float))
     p = np.atleast_2d(np.asarray(p_draws, dtype=float))
+    # the checks are written so that NaN fails them
+    if y.ndim != 1 or y.size < 1 or not np.all((y >= 0) & (y == np.floor(y)) & np.isfinite(y)):
+        raise ModelError(f"y_row must hold at least one non-negative integer count, got {y.tolist()}")
     if p.shape != (lam.size, y.size):
         raise ModelError(f"p_draws must have shape ({lam.size}, {y.size}), got {p.shape}")
-    if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
+    if not np.all((lam > 0) & np.isfinite(lam)):
         raise ModelError("lambda draws must be positive and finite")
     # p = 1 is admitted: perfect detection pins N at the observed count
-    if np.any(p <= 0) or np.any(p > 1):
+    if not np.all((p > 0) & (p <= 1)):
         raise ModelError("detection draws must lie in (0, 1]")
     theta = None
     if theta_draws is not None:
         theta = np.atleast_1d(np.asarray(theta_draws, dtype=float))
-        if theta.shape != lam.shape or np.any(theta <= 0):
-            raise ModelError("theta draws must be positive with one entry per draw")
+        if theta.shape != lam.shape or not np.all((theta > 0) & np.isfinite(theta)):
+            raise ModelError("theta draws must be positive and finite, with one entry per draw")
     ystar = int(np.max(y))
     if n_grid_max is not None and n_grid_max < ystar:
         raise ModelError(f"n_grid_max={n_grid_max} is below the largest count {ystar}")
 
-    counts, mask = np.broadcast_to(y, p.shape), np.ones(p.shape, dtype=bool)
+    counts = np.broadcast_to(y, p.shape)
     # log(1 - p) is -inf at p = 1; the kernel's ratios are then exactly 0
     with np.errstate(divide="ignore"):
         try:
-            log_l, n_min, n_max, _ = _batch_series(counts, mask, lam, p, theta, moments=False)
+            log_l, n_min, n_max, _ = _batch_series(counts, lam, p, theta, moments=False)
         except NumericError as exc:
             if exc.row is None:
                 raise
@@ -266,7 +270,7 @@ def posterior_n(
                 f"posterior draw {int(np.argmax(n_max))} has mass up to N={hi}, past "
                 f"n_grid_max={n_grid_max}; raise n_grid_max or leave it unset"
             )
-        lead = _leading_log_term(np.full(lam.size, float(lo)), counts, mask, lam, p, theta)
+        lead = _leading_log_term(np.full(lam.size, float(lo)), counts, lam, p, theta)
         grid = np.arange(lo + 1.0, hi + 1.0)[None, :]
         ratio, _ = _ratio_parts(grid, counts, 1.0 - p, lam, theta)
         log_g = np.cumsum(np.column_stack([lead, np.log(ratio)]), axis=1)

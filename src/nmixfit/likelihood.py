@@ -4,8 +4,9 @@ Each table row contributes an infinite series over the latent abundance N:
 
     L = sum_{N >= y*} g(N),  g(N) = D(N) * prod_j Binomial(y_j; N, p_j),  y* = max_j y_j
 
-with D either Poisson or negative binomial.  The series is evaluated
-through consecutive term ratios, cheap rational expressions,
+with D either Poisson or negative binomial, and a survey not carried out
+given y_j = 0 and p_j = 0, whose binomial factor is 1.  The series is
+evaluated through consecutive term ratios, cheap rational expressions,
 
     r(N) = g(N)/g(N-1) = d(N) * prod_j [N / (N - y_j)] * (1 - p_j),  d = D(N)/D(N-1)
 
@@ -55,6 +56,7 @@ from .model import (
 )
 
 _BLOCK_MAX = 4096
+_P_FLOOR = np.nextafter(0.0, 1.0)
 
 # The mass discarded on both sides of a row's summed range is below
 # _REL_FLOOR of its sum: each geometric tail bound is compared against
@@ -132,13 +134,13 @@ class RowLikelihoodDetail:
 
 
 def _log_binom_pmf(y, n, p):
-    # xlog1py makes 0 * log(0) vanish, so p = 1 gives a point mass; p > 0
-    # always, so y * log(p) needs no such guard
+    # xlog1py makes 0 * log(0) vanish, so p = 1 gives a point mass; flooring p
+    # at the least positive double does the same for a missing cell's y * log(p)
     return (
         gammaln(n + 1.0)
         - gammaln(y + 1.0)
         - gammaln(n - y + 1.0)
-        + y * np.log(p)
+        + y * np.log(np.maximum(p, _P_FLOOR))
         + xlog1py(n - y, -p)
     )
 
@@ -156,15 +158,12 @@ def log_count_density(n, lam, theta=None):
     )
 
 
-def _leading_log_term(start, counts, mask, lam, p, theta):
-    """log g(s): mixing pmf at s times every observed binomial factor."""
+def _leading_log_term(start, counts, lam, p, theta):
+    """log g(s): mixing pmf at s times every binomial factor; a missing
+    cell's (y = 0, p = 0) is exactly 1."""
     lead = log_count_density(start, lam, theta)
     for j in range(counts.shape[1]):
-        m = mask[:, j]
-        if np.any(m):
-            lead = lead + np.where(
-                m, _log_binom_pmf(counts[:, j], start, np.where(m, p[:, j], 0.5)), 0.0
-            )
+        lead = lead + _log_binom_pmf(counts[:, j], start, p[:, j])
     return lead
 
 
@@ -467,26 +466,25 @@ class PosteriorMoments(NamedTuple):
     mean_dtrigamma: np.ndarray  # E[psi'(N + theta)] - trigamma(theta)
 
 
-def _batch_series(counts, mask, lam, p, theta, moments):
+def _batch_series(counts, lam, p, theta, moments):
     """Row log-likelihoods, the summed range and, if ``moments``, posterior moments.
 
-    ``counts``/``mask``/``p`` have shape (n_rows, n_surveys) and ``lam``
-    shape (n_rows,); missing cells are masked False and their counts are
-    ignored.  ``theta`` is None (Poisson), a scalar or an array with one
-    value per row.  Moments are centred at the start s (k = N - s), so the
-    variances do not cancel, and use psi(s + k + theta) = psi(s + theta) + h_k
-    and psi'(s + k + theta) = psi'(s + theta) - h'_k.  Returns (ll, n_min,
-    n_max, stats) with stats None or a :class:`PosteriorMoments`.
+    ``counts``/``p`` have shape (n_rows, n_surveys) and ``lam`` shape
+    (n_rows,); a missing survey is a cell with count 0 and p = 0, whose
+    binomial factor is 1.  ``theta`` is None (Poisson), a scalar or an
+    array with one value per row.  Moments are centred at the start s
+    (k = N - s), so the variances do not cancel, and use psi(s + k + theta)
+    = psi(s + theta) + h_k and psi'(s + k + theta) = psi'(s + theta) - h'_k.
+    Returns (ll, n_min, n_max, stats) with stats None or a
+    :class:`PosteriorMoments`.
     """
     n_rows = counts.shape[0]
-    ystar = np.max(np.where(mask, counts, -np.inf), axis=1)
-    log_keep = np.sum(np.log1p(-p, where=mask, out=np.zeros_like(p)), axis=1)
-    lead = _leading_log_term(ystar, counts, mask, lam, p, theta)
-    y0 = counts if mask.all() else np.where(mask, counts, 0.0)
-    keep = 1.0 - p if mask.all() else np.where(mask, 1.0 - p, 1.0)
-    start, mode, sd = _series_start(ystar, y0, log_keep, lam, theta, lead)
+    ystar = np.max(counts, axis=1)
+    log_keep = np.sum(np.log1p(-p), axis=1)
+    lead = _leading_log_term(ystar, counts, lam, p, theta)
+    start, mode, sd = _series_start(ystar, counts, log_keep, lam, theta, lead)
     moved = start > ystar
-    inputs = (y0, keep, lam, theta)
+    inputs = (counts, 1.0 - p, lam, theta)
     floor = _TAIL_SAFETY * _REL_FLOOR
     sums = _sum_upward(
         np.arange(n_rows), start, *inputs, floor, moments, _stop_reach(start, mode, sd)
@@ -520,7 +518,7 @@ def _batch_series(counts, mask, lam, p, theta, moments):
     shifted = np.flatnonzero(start > ystar)
     if shifted.size:
         lead[shifted] = _leading_log_term(
-            start[shifted], *_take(shifted, counts, mask, lam, p, theta)
+            start[shifted], *_take(shifted, counts, lam, p, theta)
         )
     ll = lead + np.log(part_sum)
     stats = None
@@ -558,10 +556,8 @@ def row_loglik_detail(row: RowLikelihoodInput) -> RowLikelihoodDetail:
     NumericError
         If the row needs more than 10,000 terms past its start.
     """
-    counts = row.y[None, :]
-    mask = np.ones_like(counts, dtype=bool)
     ll, n_min, n_max, _ = _batch_series(
-        counts, mask, np.array([row.lam]), row.p[None, :], row.theta, moments=False
+        row.y[None, :], np.array([row.lam]), row.p[None, :], row.theta, moments=False
     )
     return RowLikelihoodDetail(
         loglik=float(ll[0]),
@@ -571,12 +567,9 @@ def row_loglik_detail(row: RowLikelihoodInput) -> RowLikelihoodDetail:
     )
 
 
-def _check_model_dims(
-    params: ParameterVector,
-    table: ObservationTable,
-    designs: DesignMatrices,
-    family: MixtureFamily,
-) -> None:
+def _kernel_inputs(params, table, designs, family):
+    """The kernel's (counts, lam, p, theta) for a table, after checking that
+    the parts agree: a missing cell has count 0 and p = 0."""
     if designs.n_rows != table.n_rows:
         raise ModelError(
             f"designs cover {designs.n_rows} rows but the table has {table.n_rows}"
@@ -589,6 +582,10 @@ def _check_model_dims(
         raise ModelError("negative binomial family requires log_theta")
     if not family.has_dispersion and params.log_theta is not None:
         raise ModelError("Poisson family must not carry log_theta")
+    lam = lambda_values(params, designs)
+    p = np.where(table.mask, detection_probs(params, designs), 0.0)
+    theta = params.theta if family.has_dispersion else None
+    return table.filled_counts(), lam, p, theta
 
 
 def table_loglik(
@@ -608,11 +605,7 @@ def table_row_logliks(
     family: MixtureFamily,
 ) -> np.ndarray:
     """Per-row log-likelihood contributions, in table order."""
-    _check_model_dims(params, table, designs, family)
-    lam = lambda_values(params, designs)
-    p = detection_probs(params, designs)
-    theta = params.theta if family.has_dispersion else None
-    return _batch_series(table.filled_counts(), table.mask, lam, p, theta, moments=False)[0]
+    return _batch_series(*_kernel_inputs(params, table, designs, family), moments=False)[0]
 
 
 def table_loglik_hessian(
@@ -639,12 +632,8 @@ def table_loglik_hessian(
     psi'(N_i + theta), so a few posterior moments from the series pass
     give the Hessian.  The value equals :func:`table_loglik` exactly.
     """
-    _check_model_dims(params, table, designs, family)
-    lam = lambda_values(params, designs)
-    p = detection_probs(params, designs)
-    theta = params.theta if family.has_dispersion else None
-    counts, mask = table.filled_counts(), table.mask
-    ll, _, _, mom = _batch_series(counts, mask, lam, p, theta, moments=True)
+    counts, lam, p, theta = _kernel_inputs(params, table, designs, family)
+    ll, _, _, mom = _batch_series(counts, lam, p, theta, moments=True)
     x, w, m = designs.abundance_design, designs.detection_design, mom.mean_n
 
     if theta is None:
@@ -653,8 +642,9 @@ def table_loglik_hessian(
     else:
         c_lam = theta / (theta + lam)
         d2_lam = -c_lam * lam * (theta + m) / (theta + lam)
-    # clip() has zero slope where it binds, so clamped cells drop out
-    free = mask & (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
+    # clip() has zero slope where it binds, so clamped cells drop out, as do
+    # missing ones (p = 0)
+    free = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
     p_free = np.where(free, p, 0.0)
     d_eta_p = np.where(free, counts - m[:, None] * p, 0.0)
     score = [x.T @ (c_lam * (m - lam)), np.tensordot(d_eta_p, w, axes=([0, 1], [0, 1]))]

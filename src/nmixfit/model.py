@@ -99,7 +99,7 @@ class ObservationTable:
         return ~np.isnan(self.counts)
 
     def filled_counts(self) -> np.ndarray:
-        """Counts with missing cells replaced by 0 (they are masked out downstream)."""
+        """Counts with missing cells replaced by 0, which the likelihood pairs with p = 0."""
         return np.where(self.mask, self.counts, 0.0)
 
     def row_max(self) -> np.ndarray:

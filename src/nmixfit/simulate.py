@@ -15,7 +15,8 @@ where x4 is either the survey-specific value or its per-(site, year)
 mean.  Counts are generated under both detection models from the same
 latent N, so a fit can be run against data whose detection covariate
 varies within a (site, year) while the model only sees the mean, or
-against the correctly specified pairing.
+against the correctly specified pairing.  Both come out as ``io.Dataset``s
+with designs from ``io.build_designs``, as a fit of the written CSV gets them.
 
 Draw order is fixed and documented: the covariate stream draws x1, x2,
 x4; the abundance stream draws N; the count stream draws the mean-model
@@ -31,6 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ModelError
+from .io import Dataset, build_designs
 from .model import DesignMatrices, MixtureFamily, ObservationTable
 
 
@@ -61,28 +63,32 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimOutput:
-    """Simulated tables, designs, covariates, and the latent truth.
+    """Simulated datasets, their designs, and the latent truth.
 
     Rows are ordered year-major and site-minor: row = year * n_sites + site.
-    ``table_mean``/``designs_mean`` pair counts generated from the
-    averaged detection covariate with the matching design;
-    ``table_survey``/``designs_survey`` use the survey-specific
-    covariate.  Fitting ``designs_mean`` against ``table_survey``
-    misstates detection whenever x4 varies between surveys.
+    Both datasets carry row covariates x1, x2, x3, x4.m (the per-(site,
+    year) mean of x4) and survey covariate x4; ``dataset_mean`` holds counts
+    generated from x4.m, ``dataset_survey`` from x4, and ``designs_mean`` and
+    ``designs_survey`` model detection by (x1, x4.m) and (x1, x4).  Fitting
+    ``designs_mean`` against ``table_survey`` misstates detection whenever
+    x4 varies between surveys.
     """
 
     config: SimConfig
-    table_mean: ObservationTable
-    table_survey: ObservationTable
+    dataset_mean: Dataset
+    dataset_survey: Dataset
     designs_mean: DesignMatrices
     designs_survey: DesignMatrices
     true_lambda: np.ndarray
     true_n: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-    x4: np.ndarray
-    x4_mean: np.ndarray
+
+    @property
+    def table_mean(self) -> ObservationTable:
+        return self.dataset_mean.table
+
+    @property
+    def table_survey(self) -> ObservationTable:
+        return self.dataset_survey.table
 
 
 def _centered_uniform(rng, size):
@@ -91,7 +97,7 @@ def _centered_uniform(rng, size):
 
 
 def simulate(config: SimConfig = SimConfig()) -> SimOutput:
-    """Generate one dataset; fully determined by ``config.seed``."""
+    """Generate one pair of datasets; fully determined by ``config.seed``."""
     s, j, k = config.n_sites, config.n_surveys, config.n_years
     rng_cov, rng_n, rng_y = (
         np.random.default_rng(ss) for ss in np.random.SeedSequence(config.seed).spawn(3)
@@ -123,56 +129,33 @@ def simulate(config: SimConfig = SimConfig()) -> SimOutput:
     counts_mean = rng_y.binomial(n_latent[:, None, :], p_mean, size=(s, j, k))
     counts_survey = rng_y.binomial(n_latent[:, None, :], p_survey, size=(s, j, k))
 
-    # flatten (site, survey, year) -> rows of (year, site) with survey columns
+    # (site, survey, year) -> rows of (year, site) with survey columns
     def to_rows(arr):
         return arr.transpose(2, 0, 1).reshape(k * s, j)
 
     site = np.tile(np.arange(1, s + 1), k)
     year = np.repeat(np.arange(1, k + 1), s)
-    table_mean = ObservationTable(counts=to_rows(counts_mean).astype(float), site=site, year=year)
-    table_survey = ObservationTable(
-        counts=to_rows(counts_survey).astype(float), site=site, year=year
-    )
 
-    ones = np.ones(k * s)
-    abundance = np.column_stack(
-        [ones, np.tile(x1, k), np.tile(x2, k), np.repeat(x3, s)]
-    )
-    a_names = ("(Intercept)", "x1", "x2", "x3")
+    def dataset(counts):
+        return Dataset(
+            table=ObservationTable(counts=to_rows(counts).astype(float), site=site, year=year),
+            row_covariates={
+                "x1": np.tile(x1, k),
+                "x2": np.tile(x2, k),
+                "x3": np.repeat(x3, s),
+                "x4.m": x4_mean.T.reshape(k * s),
+            },
+            survey_covariates={"x4": to_rows(x4)},
+        )
 
-    def detection_design(x4_cells):
-        design = np.empty((k * s, j, 3))
-        design[:, :, 0] = 1.0
-        design[:, :, 1] = np.tile(x1, k)[:, None]
-        design[:, :, 2] = x4_cells
-        return design
-
-    x4_rows = to_rows(x4)
-    x4_mean_rows = x4_mean.T.reshape(k * s)[:, None] * np.ones((1, j))
-    designs_survey = DesignMatrices(
-        abundance_design=abundance,
-        detection_design=detection_design(x4_rows),
-        abundance_names=a_names,
-        detection_names=("(Intercept)", "x1.p", "x4"),
-    )
-    designs_mean = DesignMatrices(
-        abundance_design=abundance,
-        detection_design=detection_design(x4_mean_rows),
-        abundance_names=a_names,
-        detection_names=("(Intercept)", "x1.p", "x4.m"),
-    )
-
+    dataset_mean, dataset_survey = dataset(counts_mean), dataset(counts_survey)
+    abundance = ("x1", "x2", "x3")
     return SimOutput(
         config=config,
-        table_mean=table_mean,
-        table_survey=table_survey,
-        designs_mean=designs_mean,
-        designs_survey=designs_survey,
+        dataset_mean=dataset_mean,
+        dataset_survey=dataset_survey,
+        designs_mean=build_designs(dataset_mean, abundance, ("x1", "x4.m"))[1],
+        designs_survey=build_designs(dataset_survey, abundance, ("x1", "x4"))[1],
         true_lambda=lam.T.reshape(k * s),
         true_n=n_latent.T.reshape(k * s).astype(float),
-        x1=x1,
-        x2=x2,
-        x3=x3,
-        x4=x4,
-        x4_mean=x4_mean,
     )

@@ -126,7 +126,7 @@ def test_criterion_3_performance_and_overflow():
 
     # one untimed pass supplies the per-row truncation points, so both
     # contenders sum exactly the same number of terms
-    ll_rec, _, n_max, _ = _batch_series(counts, mask, lam, p, None, moments=False)
+    ll_rec, _, n_max, _ = _batch_series(counts, lam, p, None, moments=False)
 
     def best_of(fn, reps=3):
         times = []
@@ -136,7 +136,7 @@ def test_criterion_3_performance_and_overflow():
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    t_rec = best_of(lambda: _batch_series(counts, mask, lam, p, None, moments=False))
+    t_rec = best_of(lambda: _batch_series(counts, lam, p, None, moments=False))
     t_brute = best_of(lambda: bruteforce_table(counts, mask, lam, p, None, n_max))
     speedup = t_brute / t_rec
 

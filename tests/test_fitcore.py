@@ -206,6 +206,10 @@ class TestDesignChecks:
         with pytest.raises(ModelError, match="w"):
             check_designs_for_fit(self._table(8), designs, MixtureFamily.POISSON)
 
+    def test_columns_past_the_row_count_are_named(self):
+        matrix = np.random.default_rng(4).normal(size=(2, 4))
+        assert fitcore._column_rank_report(matrix, ("a", "b", "c", "d")) == ["c", "d"]
+
     def test_more_parameters_than_rows(self):
         designs = DesignMatrices(
             np.column_stack([np.ones(2), [0.1, 0.2]]),

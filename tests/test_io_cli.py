@@ -357,6 +357,27 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "bias_experiment.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("bias-experiment", "runs", "0"),
+            ("bias-experiment", "threads", "0"),
+            ("bias-experiment", "threads", "-3"),
+            ("lambda-fitted", "samples", "0"),
+            ("posterior-n", "samples", "-1"),
+        ],
+    )
+    def test_count_flag_below_one_exits_2(self, tmp_path, capsys, command, flag, value):
+        """Rejected while parsing, before any fit or worker process starts."""
+        out = ["--output-dir", str(tmp_path)]
+        assert main([command, f"--{flag}", value] + out) == 2
+        assert f"argument --{flag}: must be a positive integer" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        assert main([command, "--config", str(cfg)] + out) == 2
+        assert f"config key '{flag}': must be a positive integer" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     def test_console_script_entry_point(self, tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "nmixfit.cli", "--version"],
@@ -365,11 +386,11 @@ class TestCli:
         assert out.stdout.strip()
 
     def test_cli_import_leaves_out_scipy_stats_and_optimize(self):
-        """A fresh CLI process loads neither slow scipy subpackage, and the
-        tests' brute-force oracle is not part of the package."""
+        """A fresh CLI process loads none of the slow scipy subpackages, and
+        the tests' brute-force oracle is not part of the package."""
         code = (
             "import sys, nmixfit, nmixfit.cli\n"
-            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])\n"
+            "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])\n"
             "print(hasattr(nmixfit, 'row_loglik_bruteforce'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(nmixfit.__file__).parents[1]))
@@ -419,3 +440,19 @@ class TestSimExport:
         np.testing.assert_array_equal(
             survey_ds.table.counts, sim.table_survey.counts
         )
+
+    def test_cli_fit_of_the_simulated_csv_equals_the_library_fit(self, tmp_path):
+        """simulate's designs are the ones a fit of its mean CSV builds: the
+        CLI fit equals the library fit to the bit, under the same names."""
+        sim = simulate(SimConfig(n_sites=30, n_years=3, seed=4))
+        assert main(["simulate", "--sites", "30", "--years", "3", "--seed", "4",
+                     "--output-dir", str(tmp_path)]) == 0
+        assert main(["fit", "--dataset", str(tmp_path / "sim_counts_mean.csv"),
+                     "--engine", "ml", "--family", "nb",
+                     "--lambda-covariates", "x1,x2,x3", "--p-covariates", "x1,x4.m",
+                     "--output-dir", str(tmp_path)]) == 0
+        blob = json.loads((tmp_path / "fit.json").read_text())
+        fit = fit_ml(sim.table_mean, sim.designs_mean, MixtureFamily.NEGBIN)
+        assert blob["estimates"] == fit.estimates.to_array().tolist()
+        assert blob["loglik"] == fit.loglik
+        assert tuple(blob["parameter_names"]) == fit.parameter_names

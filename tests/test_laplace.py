@@ -307,6 +307,27 @@ class TestPosteriorN:
             posterior_n(y, np.array([5e4]), np.full((1, 3), 0.001), theta_draws=np.array([2.0]))
         assert "row" not in str(info.value)
 
+    def test_fractional_count_is_rejected(self):
+        with pytest.raises(ModelError, match=r"y_row .*\[2\.5, 1\.0\]"):
+            posterior_n(np.array([2.5, 1.0]), np.array([5.0]), np.full((1, 2), 0.5))
+
+    def test_empty_counts_are_rejected(self):
+        with pytest.raises(ModelError, match="y_row must hold at least one"):
+            posterior_n(np.array([]), np.array([5.0]), np.empty((1, 0)))
+
+    def test_nan_detection_draw_is_rejected(self):
+        p = np.array([[0.5, 0.4], [np.nan, 0.4]])
+        with pytest.raises(ModelError, match="detection draws"):
+            posterior_n(np.array([2.0, 1.0]), np.array([5.0, 6.0]), p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_infinite_theta_draw_is_rejected(self, bad):
+        with pytest.raises(ModelError, match="theta draws must be positive and finite"):
+            posterior_n(
+                np.array([2.0, 1.0]), np.array([5.0, 6.0]), np.full((2, 2), 0.5),
+                theta_draws=np.array([2.0, bad]),
+            )
+
     def test_matches_a_scipy_average_over_draws(self):
         """Per-draw theta, and a draw (lam 400, p 0.01) whose series starts
         far above max(y): the pmf is the average of each draw's normalised

@@ -33,8 +33,8 @@ from nmixfit import (
     table_row_logliks,
 )
 from nmixfit import likelihood
-from nmixfit.likelihood import _batch_series, log_count_density
-from nmixfit.model import P_CLAMP, detection_probs, lambda_values
+from nmixfit.likelihood import _batch_series, _kernel_inputs, log_count_density
+from nmixfit.model import P_CLAMP
 
 from bruteforce import row_loglik_bruteforce
 from derivatives import (
@@ -546,15 +546,15 @@ class TestPerRowTheta:
         counts = rng.binomial(rng.poisson(lam)[:, None], 0.4, size=(60, 3)).astype(float)
         counts[-1] = [200.0, 180.0, 210.0]
         p = np.concatenate([rng.uniform(0.3, 0.6, (59, 3)), np.full((1, 3), 0.02)])
-        mask = np.ones(counts.shape, dtype=bool)
-        mask[3, 1] = mask[17, 0] = False
+        # missing cells: count 0 and p = 0
+        counts[3, 1] = counts[17, 0] = p[3, 1] = p[17, 0] = 0.0
         theta = rng.uniform(0.5, 8.0, 60)
 
-        ll, n_min, n_max, mom = _batch_series(counts, mask, lam, p, theta, moments=True)
+        ll, n_min, n_max, mom = _batch_series(counts, lam, p, theta, moments=True)
         assert n_min[-1] > 210 and n_max[-2] - n_min[-2] > 2 * 64
         for i in range(60):
             ll_i, n_min_i, n_max_i, mom_i = _batch_series(
-                counts, mask, lam, p, theta[i], moments=True
+                counts, lam, p, theta[i], moments=True
             )
             assert ll[i] == ll_i[i]
             assert (n_min[i], n_max[i]) == (n_min_i[i], n_max_i[i])
@@ -566,28 +566,28 @@ def _kernel_regime(lam, p, rows, seed):
     kernel regimes draw them."""
     rng = np.random.default_rng(seed)
     counts = rng.binomial(rng.poisson(lam, rows)[:, None], p, (rows, 3)).astype(float)
-    return counts, np.ones(counts.shape, dtype=bool), np.full(rows, lam), np.full((rows, 3), p), None
+    return counts, np.full(rows, lam), np.full((rows, 3), p), None
 
 
 def _mixed_rows(theta="none", missing=False, clamped=False):
-    """40 rows of three surveys, lambda 2-60, as (counts, mask, lam, p, theta)."""
+    """40 rows of three surveys, lambda 2-60, as (counts, lam, p, theta)."""
     rng = np.random.default_rng(31)
     lam = rng.uniform(2.0, 60.0, 40)
     counts = rng.binomial(rng.poisson(lam)[:, None], 0.45, (40, 3)).astype(float)
     p = rng.uniform(0.3, 0.7, (40, 3))
-    mask = np.ones(counts.shape, dtype=bool)
     if missing:
-        mask[3, 1] = mask[11, 0] = mask[11, 2] = False
+        for cell in ((3, 1), (11, 0), (11, 2)):
+            counts[cell] = p[cell] = 0.0
     if clamped:
         p[5, 0], p[9, 2] = P_CLAMP, 1.0 - P_CLAMP
     th = {"none": None, "scalar": 2.5, "per-row": rng.uniform(0.5, 6.0, 40)}[theta]
-    return counts, mask, lam, p, th
+    return counts, lam, p, th
 
 
 def _moved_row(name):
     y, lam, p, theta = _MOVED_ROWS[name]
     counts = np.array([y], dtype=float)
-    return counts, np.ones(counts.shape, dtype=bool), np.array([lam]), np.full(counts.shape, p), theta
+    return counts, np.array([lam]), np.full(counts.shape, p), theta
 
 
 _LAYOUT_CASES = {
@@ -622,7 +622,7 @@ class TestBlockLayout:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
-def _grid_points_per_row(monkeypatch, counts, mask, lam, p, theta):
+def _grid_points_per_row(monkeypatch, counts, lam, p, theta):
     """Grid points the kernel evaluates per row, and terms it sums per row."""
     points = []
     ratio_parts = likelihood._ratio_parts
@@ -632,17 +632,12 @@ def _grid_points_per_row(monkeypatch, counts, mask, lam, p, theta):
         return ratio_parts(n_grid, *args, **kwargs)
 
     monkeypatch.setattr(likelihood, "_ratio_parts", counted)
-    _, n_min, n_max, _ = _batch_series(counts, mask, lam, p, theta, moments=True)
+    _, n_min, n_max, _ = _batch_series(counts, lam, p, theta, moments=True)
     return sum(points) / lam.size, np.mean(n_max - n_min + 1)
 
 
 def _ml_table(sim, fit):
-    designs = sim.designs_mean
-    return (
-        sim.table_mean.filled_counts(), sim.table_mean.mask,
-        lambda_values(fit.estimates, designs), detection_probs(fit.estimates, designs),
-        fit.estimates.theta,
-    )
+    return _kernel_inputs(fit.estimates, sim.table_mean, sim.designs_mean, MixtureFamily.NEGBIN)
 
 
 class TestBlockSizing:
@@ -655,8 +650,7 @@ class TestBlockSizing:
         n_true = rng.poisson(np.full(100_000, 50.0))
         counts = rng.binomial(n_true[:, None], np.full((100_000, 3), 0.5))[:20_000].astype(float)
         points, terms = _grid_points_per_row(
-            monkeypatch, counts, np.ones(counts.shape, dtype=bool),
-            np.full(20_000, 50.0), np.full(counts.shape, 0.5), None,
+            monkeypatch, counts, np.full(20_000, 50.0), np.full(counts.shape, 0.5), None,
         )
         assert points <= 1.25 * terms
 

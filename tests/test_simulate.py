@@ -32,8 +32,15 @@ class TestStructure:
 
     def test_design_names(self, sim):
         assert sim.designs_mean.abundance_names == ("(Intercept)", "x1", "x2", "x3")
-        assert sim.designs_mean.detection_names == ("(Intercept)", "x1.p", "x4.m")
-        assert sim.designs_survey.detection_names == ("(Intercept)", "x1.p", "x4")
+        assert sim.designs_mean.detection_names == ("(Intercept)", "x1", "x4.m")
+        assert sim.designs_survey.detection_names == ("(Intercept)", "x1", "x4")
+
+    def test_datasets_carry_the_tables_and_covariates(self, sim):
+        assert sim.dataset_mean.table is sim.table_mean
+        assert sim.dataset_survey.table is sim.table_survey
+        for ds in (sim.dataset_mean, sim.dataset_survey):
+            assert list(ds.row_covariates) == ["x1", "x2", "x3", "x4.m"]
+            assert list(ds.survey_covariates) == ["x4"]
 
     def test_designs_share_the_abundance_side(self, sim):
         np.testing.assert_array_equal(
@@ -48,9 +55,10 @@ class TestStructure:
 
 class TestCovariates:
     def test_site_covariates_are_centered_and_bounded(self, sim):
-        for x in (sim.x1, sim.x2):
-            assert x.shape == (10,)
-            assert abs(x.mean()) < 1e-12
+        for name in ("x1", "x2"):
+            x = sim.dataset_mean.row_covariates[name]
+            assert x.shape == (40,)
+            assert abs(x[:10].mean()) < 1e-12
             assert np.all(np.abs(x) < 1.0)
 
     def test_site_covariates_repeat_across_years(self, sim):
@@ -58,17 +66,24 @@ class TestCovariates:
         np.testing.assert_array_equal(x1_col[:10], x1_col[10:20])
 
     def test_year_covariate_spans_the_half_unit_interval(self, sim):
-        assert sim.x3.shape == (4,)
-        assert sim.x3.min() == pytest.approx(-0.5)
-        assert sim.x3.max() == pytest.approx(0.5)
-        assert abs(sim.x3.mean()) < 1e-12
+        x3 = sim.dataset_mean.row_covariates["x3"]
+        # one value per year, shared by the year's 10 sites
+        grid = x3[::10]
+        np.testing.assert_array_equal(x3, np.repeat(grid, 10))
+        assert grid.shape == (4,)
+        assert grid.min() == pytest.approx(-0.5)
+        assert grid.max() == pytest.approx(0.5)
+        assert abs(grid.mean()) < 1e-12
 
     def test_single_year_covariate_is_zero(self):
         one = simulate(SimConfig(n_sites=5, n_years=1, seed=3))
-        assert one.x3.tolist() == [0.0]
+        assert one.dataset_mean.row_covariates["x3"].tolist() == [0.0] * 5
 
     def test_averaged_detection_covariate(self, sim):
-        np.testing.assert_allclose(sim.x4_mean, sim.x4.mean(axis=1), atol=1e-15)
+        ds = sim.dataset_mean
+        np.testing.assert_allclose(
+            ds.row_covariates["x4.m"], ds.survey_covariates["x4"].mean(axis=1), atol=1e-15
+        )
         # the averaged design repeats the mean across surveys within a row
         col = sim.designs_mean.detection_design[:, :, 2]
         assert np.all(col == col[:, [0]])
