@@ -9,7 +9,6 @@ Every invocation is deterministic given --seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import os
 import sys
@@ -27,11 +26,15 @@ from .io import (
     parse_config,
     read_dataset,
     sim_to_datasets,
+    write_csv,
     write_dataset,
+    write_records,
     write_truth_csv,
 )
 from .laplace import (
+    LambdaFittedSummary,
     PriorSpec,
+    check_n_grid_max,
     fit_laplace,
     lambda_fitted,
     posterior_n,
@@ -56,6 +59,15 @@ def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--output-dir", default=None, help="directory for output files")
     parser.add_argument("--config", default=None, help="key = value config file")
+
+
+def _sim_flags(parser):
+    """The simulation design flags shared by simulate and bias-experiment."""
+    for flag in ("--sites", "--surveys", "--years"):
+        parser.add_argument(flag, type=_positive_int, default=None)
+    parser.add_argument(
+        "--theta", type=float, default=None, help=f"dispersion (default {SimConfig().theta:g})"
+    )
 
 
 def _fit_flags(parser):
@@ -87,13 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset with known truth")
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--surveys", type=int, default=None)
-    p.add_argument("--years", type=int, default=None)
+    _sim_flags(p)
     p.add_argument("--beta", default=None, help="b0,b1,b2,b3 (default %g,%g,%g,%g)" % sim.beta)
     p.add_argument("--alpha", default=None, help="a0,a1,a4 (default %g,%g,%g)" % sim.alpha)
     p.add_argument("--family", choices=["poisson", "nb"], default=None)
-    p.add_argument("--theta", type=float, default=None, help=f"dispersion (default {sim.theta:g})")
     _common_flags(p)
 
     p = sub.add_parser("fit", help="fit a model to a dataset CSV")
@@ -121,10 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bias-experiment", help="Monte Carlo bias sweep over a4")
     p.add_argument("--runs", type=_positive_int, default=None, help=f"replicates (default {runs})")
-    p.add_argument("--sites", type=int, default=None)
-    p.add_argument("--surveys", type=int, default=None)
-    p.add_argument("--years", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
+    _sim_flags(p)
     p.add_argument("--threads", type=_positive_int, default=None, help="worker processes")
     _common_flags(p)
 
@@ -305,13 +311,7 @@ def _cmd_lambda_fitted(args) -> int:
     fit, samples, elapsed = _posterior_samples(args, table, designs, family)
     rows = lambda_fitted(samples, designs)
     path = _out_path(args, "lambda_fitted.csv")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "mean", "sd", "q025", "median", "q975"])
-        for r in rows:
-            writer.writerow(
-                [r.index] + ["%.17g" % v for v in (r.mean, r.sd, r.q025, r.median, r.q975)]
-            )
+    write_records(path, rows, LambdaFittedSummary)
     medians = np.array([r.median for r in rows])
     print(
         f"lambda summaries for {len(rows)} rows written to {path}\n"
@@ -342,6 +342,7 @@ def _cmd_posterior_n(args) -> int:
     _default(args, "row", 1)
     if not 1 <= args.row <= table.n_rows:
         raise ModelError(f"--row must lie in 1..{table.n_rows}")
+    check_n_grid_max(args.n_grid_max, int(table.row_max()[args.row - 1]))
     fit, samples, elapsed = _posterior_samples(args, table, designs, family)
     y_row, lam_draws, p_draws, theta_draws = _row_draws(samples, table, designs, args.row - 1)
     probs = posterior_n(
@@ -349,11 +350,7 @@ def _cmd_posterior_n(args) -> int:
     )
     grid = np.arange(int(y_row.max()), int(y_row.max()) + probs.size)
     path = _out_path(args, "posterior_n.csv")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "probability"])
-        for n, prob in zip(grid, probs):
-            writer.writerow([int(n), "%.17g" % prob])
+    write_csv(path, ["n", "probability"], zip(grid.tolist(), probs.tolist()))
     mean_n = float(np.sum(grid * probs))
     mode_n = int(grid[np.argmax(probs)])
     print(

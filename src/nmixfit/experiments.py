@@ -17,11 +17,12 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import NmixError
+from .io import write_records
 from .laplace import fit_laplace
 from .simulate import SimConfig, simulate
 
@@ -114,44 +115,25 @@ def run_bias_experiment(
 
 
 def write_bias_csv(records: list[BiasRecord], path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["run", "a4_true", "model", "parameter", "truth", "estimate", "bias", "converged"]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    r.run,
-                    "%.17g" % r.a4_true,
-                    r.model,
-                    r.parameter,
-                    "%.17g" % r.truth,
-                    "%.17g" % r.estimate,
-                    "%.17g" % r.bias,
-                    str(r.converged).lower(),
-                ]
-            )
+    write_records(path, records, BiasRecord)
+
+
+# a parser per field type; a failed fit's estimate and bias are empty cells
+_READ_CELL = {
+    "int": int,
+    "float": lambda text: float(text or "nan"),
+    "str": str,
+    "bool": lambda text: text == "true",
+}
 
 
 def read_bias_csv(path) -> list[BiasRecord]:
     """Load records previously written by write_bias_csv."""
-    records = []
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            records.append(
-                BiasRecord(
-                    run=int(row["run"]),
-                    a4_true=float(row["a4_true"]),
-                    model=row["model"],
-                    parameter=row["parameter"],
-                    truth=float(row["truth"]),
-                    estimate=float(row["estimate"]),
-                    bias=float(row["bias"]),
-                    converged=row["converged"] == "true",
-                )
-            )
-    return records
+        return [
+            BiasRecord(**{f.name: _READ_CELL[f.type](row[f.name]) for f in fields(BiasRecord)})
+            for row in csv.DictReader(handle)
+        ]
 
 
 def median_abs_bias(

@@ -89,15 +89,13 @@ def check_designs_for_fit(
         raise ModelError(
             f"{n_params} parameters but only {table.n_rows} rows; the fit is under-determined"
         )
-    a_names = designs.abundance_names or tuple(f"x{i}" for i in range(designs.p_lambda))
-    bad = _column_rank_report(np.asarray(designs.abundance_design), a_names)
+    bad = _column_rank_report(np.asarray(designs.abundance_design), designs.abundance_names)
     if bad:
         raise ModelError(
             "abundance design is rank deficient; collinear columns: " + ", ".join(bad)
         )
-    d_names = designs.detection_names or tuple(f"x{i}" for i in range(designs.p_detect))
     stacked = np.asarray(designs.detection_design)[table.mask]
-    bad = _column_rank_report(stacked, d_names)
+    bad = _column_rank_report(stacked, designs.detection_names)
     if bad:
         raise ModelError(
             "detection design is rank deficient over the observed cells; "

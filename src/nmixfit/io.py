@@ -3,16 +3,21 @@
 Dataset CSV layout: columns ``site`` and ``year`` (integers), count
 columns ``y1..yJ`` (empty cell = survey not carried out), then covariate
 columns.  A covariate present as ``name_1..name_J`` (one column per
-survey) is survey-level; any other column is row-level.  Floats are
-written with 17 significant digits so a round trip is exact.
+survey) is survey-level; any other column is row-level.
+
+Every CSV the package writes goes through :func:`write_csv`, which
+formats each cell by one rule: booleans as ``true``/``false``, integers
+and labels as text, floats with 17 significant digits so a round trip
+is exact, and NaN as an empty cell, the token for a missing value.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -23,10 +28,27 @@ from .model import DesignMatrices, ObservationTable
 _MISSING_TOKENS = {"", "na", "nan"}
 
 
-def _format_value(value: float) -> str:
-    if np.isnan(value):
-        return ""
-    return "%.17g" % value
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "" if math.isnan(value) else "%.17g" % value
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each row of values, one cell rule for all."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+
+
+def write_records(path, records, record_type) -> None:
+    """One row per dataclass record: its fields, read by name (``astuple``
+    deep-copies every value), under a header of their names."""
+    names = [f.name for f in fields(record_type)]
+    write_csv(path, names, ([getattr(record, name) for name in names] for record in records))
 
 
 def _parse_cell(text: str, column: str, line: int) -> float:
@@ -79,16 +101,11 @@ def write_dataset(dataset: Dataset, path) -> None:
         + list(dataset.row_covariates)
         + [f"{name}_{s + 1}" for name in dataset.survey_covariates for s in range(j)]
     )
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(table.n_rows):
-            row = [str(int(table.site[i])), str(int(table.year[i]))]
-            row += [_format_value(v) for v in table.counts[i]]
-            row += [_format_value(vals[i]) for vals in dataset.row_covariates.values()]
-            for vals in dataset.survey_covariates.values():
-                row += [_format_value(v) for v in vals[i]]
-            writer.writerow(row)
+    values = np.column_stack(
+        [table.counts, *dataset.row_covariates.values(), *dataset.survey_covariates.values()]
+    )
+    rows = zip(table.site.tolist(), table.year.tolist(), values)
+    write_csv(path, header, ([site, year, *cells.tolist()] for site, year, cells in rows))
 
 
 def read_dataset(path) -> Dataset:
@@ -266,16 +283,7 @@ def fit_to_json(fit: FitResult, summary_rows=None, extra: dict | None = None) ->
         "covariance": None if fit.covariance is None else fit.covariance.tolist(),
     }
     if summary_rows is not None:
-        payload["summary"] = [
-            {
-                "name": r.name,
-                "estimate": r.estimate,
-                "se": r.se,
-                "z": r.z,
-                "p_value": r.p_value,
-            }
-            for r in summary_rows
-        ]
+        payload["summary"] = [asdict(r) for r in summary_rows]
     if extra:
         payload.update(extra)
     return json.dumps(payload, indent=2)
@@ -284,18 +292,8 @@ def fit_to_json(fit: FitResult, summary_rows=None, extra: dict | None = None) ->
 def write_truth_csv(path, sim_output) -> None:
     """True per-row abundance means and latent abundances from a simulation."""
     table = sim_output.table_mean
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["site", "year", "lambda", "n"])
-        for i in range(table.n_rows):
-            writer.writerow(
-                [
-                    str(int(table.site[i])),
-                    str(int(table.year[i])),
-                    _format_value(sim_output.true_lambda[i]),
-                    _format_value(sim_output.true_n[i]),
-                ]
-            )
+    columns = (table.site, table.year, sim_output.true_lambda, sim_output.true_n)
+    write_csv(path, ["site", "year", "lambda", "n"], zip(*(c.tolist() for c in columns)))
 
 
 def sim_to_datasets(sim_output) -> tuple[Dataset, Dataset]:

@@ -192,6 +192,12 @@ def lambda_fitted(
     ]
 
 
+def check_n_grid_max(n_grid_max: int | None, ystar: int) -> None:
+    """ModelError when a ceiling on N lies below the largest count ``ystar``."""
+    if n_grid_max is not None and n_grid_max < ystar:
+        raise ModelError(f"n_grid_max={n_grid_max} is below the largest count {ystar}")
+
+
 def posterior_n(
     y_row: np.ndarray,
     lambda_draws: np.ndarray,
@@ -246,8 +252,7 @@ def posterior_n(
         if theta.shape != lam.shape or not np.all((theta > 0) & np.isfinite(theta)):
             raise ModelError("theta draws must be positive and finite, with one entry per draw")
     ystar = int(np.max(y))
-    if n_grid_max is not None and n_grid_max < ystar:
-        raise ModelError(f"n_grid_max={n_grid_max} is below the largest count {ystar}")
+    check_n_grid_max(n_grid_max, ystar)
 
     counts = np.broadcast_to(y, p.shape)
     # log(1 - p) is -inf at p = 1; the kernel's ratios are then exactly 0

@@ -51,6 +51,7 @@ from .model import (
     MixtureFamily,
     ObservationTable,
     ParameterVector,
+    _frozen_array,
     detection_probs,
     lambda_values,
 )
@@ -112,12 +113,8 @@ class RowLikelihoodInput:
             raise ModelError("lam must be a positive finite number")
         if self.theta is not None and not (np.isfinite(self.theta) and self.theta > 0.0):
             raise ModelError("theta must be positive and finite, or None")
-        arr_y = y.copy()
-        arr_y.setflags(write=False)
-        arr_p = p.copy()
-        arr_p.setflags(write=False)
-        object.__setattr__(self, "y", arr_y)
-        object.__setattr__(self, "p", arr_p)
+        object.__setattr__(self, "y", _frozen_array(y))
+        object.__setattr__(self, "p", _frozen_array(p))
         object.__setattr__(self, "lam", float(self.lam))
         if self.theta is not None:
             object.__setattr__(self, "theta", float(self.theta))

@@ -37,7 +37,9 @@ class MixtureFamily(str, Enum):
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
+    """A read-only copy, so the caller's array stays writeable and the
+    model type is unaffected by later writes to it."""
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -114,7 +116,7 @@ class DesignMatrices:
     ``abundance_design`` has shape (n_rows, p_lambda) and feeds the log
     link; ``detection_design`` has shape (n_rows, n_surveys, p_detect)
     and feeds the logit link.  Intercepts are explicit columns of ones,
-    never implied.
+    never implied.  Column names not given default to ``x0, x1, ...``.
     """
 
     abundance_design: np.ndarray
@@ -135,18 +137,14 @@ class DesignMatrices:
             )
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(d)):
             raise ModelError("design matrices must be finite everywhere")
-        for names, width, label in (
-            (self.abundance_names, a.shape[1], "abundance"),
-            (self.detection_names, d.shape[2], "detection"),
-        ):
-            if names is not None and len(names) != width:
+        for label, width in (("abundance", a.shape[1]), ("detection", d.shape[2])):
+            names = getattr(self, f"{label}_names")
+            names = tuple(f"x{i}" for i in range(width)) if names is None else tuple(names)
+            if len(names) != width:
                 raise ModelError(f"{label} names must match the design width {width}")
+            object.__setattr__(self, f"{label}_names", names)
         object.__setattr__(self, "abundance_design", _frozen_array(a))
         object.__setattr__(self, "detection_design", _frozen_array(d))
-        if self.abundance_names is not None:
-            object.__setattr__(self, "abundance_names", tuple(self.abundance_names))
-        if self.detection_names is not None:
-            object.__setattr__(self, "detection_names", tuple(self.detection_names))
 
     @property
     def n_rows(self) -> int:
@@ -222,13 +220,8 @@ def stacked_parameter_names(
     designs: DesignMatrices, family: MixtureFamily
 ) -> tuple[str, ...]:
     """Names for the stacked (beta, alpha, log_theta) vector, for reports."""
-    a_names = designs.abundance_names or tuple(
-        f"x{i}" for i in range(designs.p_lambda)
-    )
-    d_names = designs.detection_names or tuple(
-        f"x{i}" for i in range(designs.p_detect)
-    )
-    names = [f"lambda:{n}" for n in a_names] + [f"p:{n}" for n in d_names]
+    names = [f"lambda:{n}" for n in designs.abundance_names]
+    names += [f"p:{n}" for n in designs.detection_names]
     if family.has_dispersion:
         names.append("log_theta")
     return tuple(names)

@@ -184,6 +184,26 @@ class TestCsvRoundTrip:
         assert head == "run,a4_true,model,parameter,truth,estimate,bias,converged"
 
 
+    def test_failed_fit_and_full_precision_round_trip(self, tmp_path):
+        """NaN is an empty cell, booleans are true/false, and a float keeps
+        all 17 significant digits."""
+        records = [
+            BiasRecord(0, 1.0 / 3.0, "averaged", "alpha4", 1.0 / 3.0, math.nan, math.nan, False),
+            BiasRecord(0, 1.0 / 3.0, "survey", "alpha4", 1.0 / 3.0, 0.5, 0.5 - 1.0 / 3.0, True),
+        ]
+        path = tmp_path / "bias.csv"
+        write_bias_csv(records, path)
+        assert path.read_text().splitlines()[1:] == [
+            "0,0.33333333333333331,averaged,alpha4,0.33333333333333331,,,false",
+            "0,0.33333333333333331,survey,alpha4,0.33333333333333331,0.5,0.16666666666666669,true",
+        ]
+        failed, fitted = read_bias_csv(path)
+        assert math.isnan(failed.estimate) and math.isnan(failed.bias)
+        assert failed.converged is False
+        assert (failed.run, failed.a4_true, failed.truth) == (0, 1.0 / 3.0, 1.0 / 3.0)
+        assert fitted == records[1]
+
+
 class TestRecoveryDirection:
     def test_detection_bias_grows_with_averaging(self, records):
         # even on this tiny grid the averaged model should not beat the

@@ -31,6 +31,7 @@ from nmixfit import (
     simulate,
     write_dataset,
 )
+from nmixfit import cli
 from nmixfit.cli import _row_draws, main
 from nmixfit.io import fit_to_json, sim_to_datasets
 
@@ -251,6 +252,23 @@ class TestCli:
         probs = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_posterior_n_ceiling_below_the_counts_exits_3_before_any_fit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self._simulate(tmp_path)
+        fits = []
+        monkeypatch.setattr(cli, "fit_laplace", lambda *args, **kwargs: fits.append(args))
+        dataset = read_dataset(tmp_path / "sim_counts_mean.csv")
+        ystar = int(dataset.table.row_max()[1])
+        code = main(
+            ["posterior-n", "--dataset", str(tmp_path / "sim_counts_mean.csv"),
+             "--engine", "laplace", "--row", "2", "--n-grid-max", "-1",
+             "--samples", "10", "--output-dir", str(tmp_path)]
+        )
+        assert code == 3
+        assert f"n_grid_max=-1 is below the largest count {ystar}" in capsys.readouterr().err
+        assert fits == []
+
     def test_bias_experiment_smoke(self, tmp_path, capsys):
         code = main(
             ["bias-experiment", "--runs", "2", "--sites", "8", "--years", "2",
@@ -365,6 +383,12 @@ class TestCli:
             ("bias-experiment", "threads", "-3"),
             ("lambda-fitted", "samples", "0"),
             ("posterior-n", "samples", "-1"),
+            ("simulate", "sites", "0"),
+            ("simulate", "surveys", "0"),
+            ("simulate", "years", "-2"),
+            ("bias-experiment", "sites", "0"),
+            ("bias-experiment", "surveys", "-1"),
+            ("bias-experiment", "years", "0"),
         ],
     )
     def test_count_flag_below_one_exits_2(self, tmp_path, capsys, command, flag, value):

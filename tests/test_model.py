@@ -10,6 +10,7 @@ from nmixfit import (
     NumericError,
     ObservationTable,
     ParameterVector,
+    RowLikelihoodInput,
     detection_probs,
     lambda_values,
 )
@@ -193,3 +194,35 @@ def test_stacked_names_cover_all_blocks():
         "log_theta",
     )
     assert stacked_parameter_names(designs, MixtureFamily.POISSON)[-1] == "p:(Intercept)"
+
+
+def test_default_names_are_set_by_the_designs():
+    designs = DesignMatrices(np.ones((3, 2)), np.ones((3, 2, 1)))
+    assert designs.abundance_names == ("x0", "x1")
+    assert designs.detection_names == ("x0",)
+    assert stacked_parameter_names(designs, MixtureFamily.POISSON) == (
+        "lambda:x0",
+        "lambda:x1",
+        "p:x0",
+    )
+
+
+@pytest.mark.parametrize(
+    "build, attr",
+    [
+        (lambda a: ObservationTable(a), "counts"),
+        (lambda a: DesignMatrices(a, np.ones((1, 2, 1))), "abundance_design"),
+        (lambda a: ParameterVector(beta=a[0], alpha=[0.0]), "beta"),
+        (lambda a: RowLikelihoodInput(y=a[0], p=[0.5, 0.5], lam=3.0), "y"),
+    ],
+    ids=["ObservationTable", "DesignMatrices", "ParameterVector", "RowLikelihoodInput"],
+)
+def test_model_types_copy_the_callers_array(build, attr):
+    """The caller's array stays writeable, and writing to it afterwards
+    leaves the model type as it was built."""
+    given = np.array([[1.0, 2.0]])
+    built = build(given)
+    assert given.flags.writeable
+    given[0, 0] = 7.0
+    assert np.ravel(getattr(built, attr)).tolist() == [1.0, 2.0]
+    assert not getattr(built, attr).flags.writeable
