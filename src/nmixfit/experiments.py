@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import NmixError
+from .errors import DataError, NmixError
 from .io import write_records
 from .laplace import fit_laplace
 from .simulate import SimConfig, simulate
@@ -37,7 +37,7 @@ _PARAM_LABELS = (
     "log_theta",
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BiasRecord:
     run: int
     a4_true: float
@@ -123,17 +123,31 @@ _READ_CELL = {
     "int": int,
     "float": lambda text: float(text or "nan"),
     "str": str,
-    "bool": lambda text: text == "true",
+    "bool": {"true": True, "false": False}.__getitem__,
 }
 
 
 def read_bias_csv(path) -> list[BiasRecord]:
-    """Load records previously written by write_bias_csv."""
+    """Load records previously written by write_bias_csv; DataError names
+    the file, and the line and column of a cell that does not parse."""
     with open(path, newline="") as handle:
-        return [
-            BiasRecord(**{f.name: _READ_CELL[f.type](row[f.name]) for f in fields(BiasRecord)})
-            for row in csv.DictReader(handle)
-        ]
+        reader = csv.DictReader(handle)
+        missing = [f.name for f in fields(BiasRecord) if f.name not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"bias CSV {path} lacks the column(s) {', '.join(missing)}")
+        records = []
+        for row in reader:
+            cells = {}
+            for f in fields(BiasRecord):
+                try:
+                    cells[f.name] = _READ_CELL[f.type](row[f.name])
+                except (KeyError, TypeError, ValueError):
+                    raise DataError(
+                        f"bias CSV {path}, line {reader.line_num}: cannot parse "
+                        f"{f.name}={row[f.name]!r} as {f.type}"
+                    ) from None
+            records.append(BiasRecord(**cells))
+    return records
 
 
 def median_abs_bias(

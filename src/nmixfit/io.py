@@ -61,11 +61,24 @@ def _parse_cell(text: str, column: str, line: int) -> float:
         raise DataError(f"line {line}: cannot parse {column}={text!r} as a number") from None
 
 
-def _parse_label(text: str, column: str, line: int) -> int:
-    value = _parse_cell(text, column, line)
-    if not (value.is_integer() and abs(value) < 2.0**63):
-        raise DataError(f"line {line}: {column} label {text!r} is missing or not a 64-bit integer")
-    return int(value)
+def _parse_column(cells, column: str, lines) -> np.ndarray:
+    """One column's numbers in one float() pass; only a column where that
+    raises goes cell by cell, which maps missing tokens and names a bad cell."""
+    try:
+        return np.array([float(c) for c in cells])
+    except ValueError:
+        return np.array([_parse_cell(c, column, line) for c, line in zip(cells, lines)])
+
+
+def _parse_labels(cells, column: str, lines) -> np.ndarray:
+    values = _parse_column(cells, column, lines)
+    bad = ~((values == np.floor(values)) & (np.abs(values) < 2.0**63))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(
+            f"line {lines[i]}: {column} label {cells[i]!r} is missing or not a 64-bit integer"
+        )
+    return values.astype(int)
 
 
 @dataclass
@@ -112,12 +125,13 @@ def read_dataset(path) -> Dataset:
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
-            rows = [row for row in reader if row]
+            # blank lines are skipped; each kept row carries its physical line
+            numbered = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    if len(rows) < 2:
+    if len(numbered) < 2:
         raise DataError(f"dataset {path} has no data rows")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in numbered[0][1]]
     if header[:2] != ["site", "year"]:
         raise DataError("dataset must start with 'site' and 'year' columns")
     if len(set(header)) != len(header):
@@ -151,27 +165,25 @@ def read_dataset(path) -> Dataset:
         taken |= set(cols.values())
     row_cols = {header[i]: i for i in range(len(header)) if i not in taken}
 
-    n = len(rows) - 1
-    site = np.empty(n, dtype=int)
-    year = np.empty(n, dtype=int)
-    counts = np.empty((n, n_surveys))
-    row_cov = {name: np.empty(n) for name in row_cols}
-    survey_cov = {name: np.empty((n, n_surveys)) for name in survey_cols}
-    for r, row in enumerate(rows[1:], start=2):
+    lines, rows = zip(*numbered[1:])
+    for line, row in numbered[1:]:
         if len(row) != len(header):
-            raise DataError(f"line {r}: expected {len(header)} fields, got {len(row)}")
-        site[r - 2] = _parse_label(row[0], "site", r)
-        year[r - 2] = _parse_label(row[1], "year", r)
-        for s, (_, i) in enumerate(count_cols):
-            counts[r - 2, s] = _parse_cell(row[i], header[i], r)
-        for name, i in row_cols.items():
-            value = _parse_cell(row[i], name, r)
-            if np.isnan(value):
-                raise DataError(f"line {r}: row covariate {name!r} is missing")
-            row_cov[name][r - 2] = value
-        for name, cols in survey_cols.items():
-            for s in range(n_surveys):
-                survey_cov[name][r - 2, s] = _parse_cell(row[cols[s + 1]], name, r)
+            raise DataError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+    columns = list(zip(*rows))
+    site = _parse_labels(columns[0], "site", lines)
+    year = _parse_labels(columns[1], "year", lines)
+    counts = np.column_stack([_parse_column(columns[i], header[i], lines) for _, i in count_cols])
+    row_cov = {name: _parse_column(columns[i], name, lines) for name, i in row_cols.items()}
+    for name, values in row_cov.items():
+        if np.isnan(values).any():
+            line = lines[int(np.argmax(np.isnan(values)))]
+            raise DataError(f"line {line}: row covariate {name!r} is missing")
+    survey_cov = {
+        name: np.column_stack(
+            [_parse_column(columns[cols[s + 1]], name, lines) for s in range(n_surveys)]
+        )
+        for name, cols in survey_cols.items()
+    }
 
     try:
         table = ObservationTable(counts=counts, site=site, year=year)

@@ -168,17 +168,26 @@ def lambda_fitted(
     """Per-row posterior summaries of lambda = exp(X beta); NumericError
     names the draw and the row where exp() overflows.
 
-    Quantiles use linear interpolation between order statistics and the
-    standard deviation uses the n-1 denominator, matching the usual
-    sample definitions.
+    lambda is laid out rows x draws, so each row's draws are contiguous.
+    The mean and the sd (n-1 denominator) are summed along each row's
+    draws.  The quantiles are numpy's "linear" method (Hyndman & Fan's
+    type 7), read from the order statistics of one sort per row.
     """
     if samples.p_lambda != designs.p_lambda:
         raise ModelError("samples and designs disagree on the abundance design width")
-    eta = samples.beta_draws() @ np.asarray(designs.abundance_design).T
-    lam = lambda_from_predictor(eta, units=("draw", "row"))
-    q = np.quantile(lam, [0.025, 0.5, 0.975], axis=0)
-    mean = lam.mean(axis=0)
-    sd = lam.std(axis=0, ddof=1) if samples.n_draws > 1 else np.zeros(designs.n_rows)
+    eta = np.asarray(designs.abundance_design) @ samples.beta_draws().T
+    lam = lambda_from_predictor(eta.T, units=("draw", "row")).T
+    del eta
+    n = samples.n_draws
+    mean = lam.mean(axis=1)
+    sd = lam.std(axis=1, ddof=1) if n > 1 else np.zeros(designs.n_rows)
+    lam.sort(axis=1)
+    # numpy's "linear" arithmetic on the order statistics a <= b around (n-1)q
+    virtual = (n - 1) * np.array([0.025, 0.5, 0.975])
+    below = np.floor(virtual).astype(np.intp)
+    gamma = virtual - below
+    a, b = lam[:, below], lam[:, np.minimum(below + 1, n - 1)]
+    q = np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma).T
     return [
         LambdaFittedSummary(
             index=i + 1,

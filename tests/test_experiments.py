@@ -2,11 +2,12 @@
 summary statistic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from nmixfit import NumericError, SimConfig, experiments
+from nmixfit import DataError, NumericError, SimConfig, experiments
 from nmixfit.experiments import (
     BiasRecord,
     median_abs_bias,
@@ -202,6 +203,42 @@ class TestCsvRoundTrip:
         assert failed.converged is False
         assert (failed.run, failed.a4_true, failed.truth) == (0, 1.0 / 3.0, 1.0 / 3.0)
         assert fitted == records[1]
+
+
+class TestCsvFaults:
+    """A bias CSV that is not write_bias_csv's output raises DataError
+    naming the file."""
+
+    HEADER = "run,a4_true,model,parameter,truth,estimate,bias,converged\n"
+
+    def _read(self, tmp_path, text):
+        path = tmp_path / "bias.csv"
+        path.write_text(text)
+        return path, pytest.raises(DataError, match=re.escape(f"bias CSV {path}"))
+
+    def test_missing_column(self, tmp_path):
+        path, raises = self._read(
+            tmp_path, "run,a4_true,model,parameter,truth,estimate,bias\n0,1,averaged,alpha4,1,,\n"
+        )
+        with raises as info:
+            read_bias_csv(path)
+        assert str(info.value).endswith("lacks the column(s) converged")
+
+    def test_unparsable_cell_names_line_and_column(self, tmp_path):
+        path, raises = self._read(
+            tmp_path,
+            self.HEADER + "0,1,averaged,alpha4,1,,,false\n1,one,averaged,alpha4,1,,,false\n",
+        )
+        with raises as info:
+            read_bias_csv(path)
+        assert str(info.value).endswith("line 3: cannot parse a4_true='one' as float")
+
+    @pytest.mark.parametrize("token", ["True", "1", ""])
+    def test_boolean_other_than_true_or_false(self, tmp_path, token):
+        path, raises = self._read(tmp_path, self.HEADER + f"0,1,averaged,alpha4,1,,,{token}\n")
+        with raises as info:
+            read_bias_csv(path)
+        assert str(info.value).endswith(f"line 2: cannot parse converged={token!r} as bool")
 
 
 class TestRecoveryDirection:

@@ -31,7 +31,7 @@ from nmixfit import (
     simulate,
     write_dataset,
 )
-from nmixfit import cli
+from nmixfit import cli, io
 from nmixfit.cli import _row_draws, main
 from nmixfit.io import fit_to_json, sim_to_datasets
 
@@ -96,6 +96,93 @@ class TestDatasetRoundTrip:
         path.write_text("site,year,elev\n1,1,0.5\n")
         with pytest.raises(DataError):
             read_dataset(path)
+
+
+class TestDatasetParsing:
+    """read_dataset parses a column in one pass and goes cell by cell only
+    in a column that needs it; messages name the physical line."""
+
+    MESSY = (
+        "site,year,y1,y2,y3,elev,date_1,date_2,date_3\n"
+        "1,1, 4 ,NA,2,1.5e-3, 1.0 ,nan,\n"
+        "2,1,,3,nan,-2.25,NaN,-4E2,0.5\n"
+        "3, 2 ,0,na,7,  -0.0 ,,  2 ,3\n"
+    )
+
+    def test_messy_cells_give_the_per_cell_values(self, tmp_path):
+        path = tmp_path / "messy.csv"
+        path.write_text(self.MESSY)
+        ds = read_dataset(path)
+        cells = [line.split(",") for line in self.MESSY.splitlines()[1:]]
+
+        def per_cell(*columns):
+            return np.array(
+                [[io._parse_cell(row[j], "c", 0) for j in columns] for row in cells]
+            )
+
+        assert ds.table.site.tolist() == [1, 2, 3]
+        assert ds.table.year.tolist() == [1, 1, 2]
+        assert ds.table.counts.tobytes() == per_cell(2, 3, 4).tobytes()
+        assert ds.row_covariates["elev"].tobytes() == per_cell(5)[:, 0].tobytes()
+        assert ds.survey_covariates["date"].tobytes() == per_cell(6, 7, 8).tobytes()
+        assert np.signbit(ds.row_covariates["elev"][2])
+
+    def test_bad_token_names_its_line_and_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("site,year,y1,y2\n1,1,2,3\n2,1,4,5\n3,1,6,7\n4,1,8,x9\n")
+        with pytest.raises(DataError, match=r"^line 5: cannot parse y2='x9' as a number$"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,1,x", r"^line 4: cannot parse y1='x'"),
+            ("2,1,3,4", r"^line 4: expected 3 fields, got 4$"),
+        ],
+    )
+    def test_lines_after_a_blank_line_keep_their_number(self, tmp_path, row, message):
+        path = tmp_path / "blank.csv"
+        path.write_text("site,year,y1\n1,1,2\n\n" + row + "\n")
+        with pytest.raises(DataError, match=message):
+            read_dataset(path)
+
+    def test_labels_and_row_covariates_name_the_first_bad_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("site,year,y1,elev\n1,1,2,0.5\n\n2,1.5,3,0.5\n3,2.5,4,\n")
+        with pytest.raises(DataError, match=r"^line 4: year label '1.5' is missing"):
+            read_dataset(path)
+        path.write_text("site,year,y1,elev\n1,1,2,0.5\n\n2,1,3,0.5\n3,2,4,NA\n")
+        with pytest.raises(DataError, match=r"^line 5: row covariate 'elev' is missing$"):
+            read_dataset(path)
+
+    def _count_cell_calls(self, monkeypatch, path):
+        """_parse_cell calls per column name (a count of work, not a timing)."""
+        calls = {}
+        per_cell = io._parse_cell
+
+        def counting(text, column, line):
+            calls[column] = calls.get(column, 0) + 1
+            return per_cell(text, column, line)
+
+        monkeypatch.setattr(io, "_parse_cell", counting)
+        return read_dataset(path), calls
+
+    def test_per_cell_rule_runs_only_in_a_column_that_needs_it(
+        self, tmp_path, monkeypatch, example_sim
+    ):
+        path = tmp_path / "clean.csv"
+        write_dataset(example_sim.dataset_mean, path)
+        ds, calls = self._count_cell_calls(monkeypatch, path)
+        assert ds.table.n_rows == 648
+        assert calls == {}
+        lines = path.read_text().splitlines()
+        head, fields = lines[0].split(","), lines[100].split(",")
+        fields[head.index("y2")] = "NA"
+        lines[100] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        ds, calls = self._count_cell_calls(monkeypatch, path)
+        assert calls == {"y2": 648}
+        assert np.isnan(ds.table.counts[99, 1])
 
 
 class TestBuildDesigns:

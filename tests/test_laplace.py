@@ -227,6 +227,44 @@ class TestLambdaFitted:
             lambda_fitted(samples, designs)
 
 
+class TestLambdaFittedExactness:
+    """The rows x draws layout gives numpy's draws x rows summaries: the
+    quantiles bit for bit, the mean and sd to rounding."""
+
+    LEVELS = [0.025, 0.5, 0.975]
+
+    @staticmethod
+    def _quantiles(rows):
+        return np.array([[r.q025, r.median, r.q975] for r in rows]).T
+
+    def test_matches_numpy_on_every_row(self, posterior_draws, example_sim):
+        designs = example_sim.designs_mean
+        rows = lambda_fitted(posterior_draws, designs)
+        # draws x rows, from the product lambda_fitted forms
+        lam = np.exp(designs.abundance_design @ posterior_draws.beta_draws().T).T
+        want = np.quantile(lam, self.LEVELS, axis=0)
+        np.testing.assert_array_equal(self._quantiles(rows), want)
+        mean = np.array([r.mean for r in rows])
+        sd = np.array([r.sd for r in rows])
+        np.testing.assert_allclose(mean, lam.mean(axis=0), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(sd, lam.std(axis=0, ddof=1), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n_draws", [1, 2])
+    def test_one_and_two_draws(self, laplace_fit, example_sim, n_draws):
+        designs = example_sim.designs_mean
+        samples = sample_posterior(laplace_fit, n_draws, seed=3)
+        rows = lambda_fitted(samples, designs)
+        lam = np.exp(designs.abundance_design @ samples.beta_draws().T).T
+        got = self._quantiles(rows)
+        np.testing.assert_array_equal(got, np.quantile(lam, self.LEVELS, axis=0))
+        if n_draws == 1:
+            np.testing.assert_array_equal(got, np.repeat(lam, 3, axis=0))
+            assert all(r.sd == 0.0 for r in rows)
+        else:
+            sd = np.array([r.sd for r in rows])
+            np.testing.assert_allclose(sd, lam.std(axis=0, ddof=1), rtol=1e-13, atol=0)
+
+
 class TestPosteriorN:
     def test_sums_to_one_with_support_from_max_count(self):
         y = np.array([3.0, 7.0, 5.0])
