@@ -70,10 +70,11 @@ def _sim_flags(parser):
     )
 
 
-def _fit_flags(parser):
+def _fit_flags(parser, engines=("ml", "laplace")):
+    """The flags of the fitting subcommands; the posterior ones imply laplace."""
     parser.add_argument("--dataset", default=None, help="dataset CSV path")
     parser.add_argument("--family", choices=["poisson", "nb"], default=None)
-    parser.add_argument("--engine", choices=["ml", "laplace"], default=None)
+    parser.add_argument("--engine", choices=engines, default=None)
     parser.add_argument(
         "--lambda-covariates",
         default=None,
@@ -112,16 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lambda-fitted", help="posterior summaries of each row's abundance mean"
     )
-    _fit_flags(p)
+    _fit_flags(p, engines=("laplace",))
     p.add_argument("--samples", type=_positive_int, default=None, help="posterior draws (default 4000)")
     _common_flags(p)
 
     p = sub.add_parser(
         "posterior-n", help="posterior distribution of one row's latent abundance"
     )
-    _fit_flags(p)
+    _fit_flags(p, engines=("laplace",))
     p.add_argument("--samples", type=_positive_int, default=None)
-    p.add_argument("--row", type=int, default=None, help="1-based row index (default 1)")
+    p.add_argument("--row", type=_positive_int, default=None, help="1-based row index (default 1)")
     p.add_argument(
         "--n-grid-max", type=int, default=None,
         help="optional ceiling on N: the pmf is zero-padded to it; mass past it is an error",
@@ -247,8 +248,6 @@ def _cmd_simulate(args) -> int:
 def _prepare_fit(args):
     if args.dataset is None:
         raise DataError("--dataset is required (flag or config)")
-    if args.engine is None:
-        raise DataError("--engine is required: ml or laplace")
     _default(args, "family", "nb")
     dataset = read_dataset(args.dataset)
     table, designs, notes = build_designs(
@@ -271,6 +270,8 @@ def _run_engine(args, table, designs, family):
 
 
 def _cmd_fit(args) -> int:
+    if args.engine is None:
+        raise DataError("--engine is required: ml or laplace")
     table, designs, family = _prepare_fit(args)
     fit, elapsed = _run_engine(args, table, designs, family)
     summary = summarize_fit(fit) if fit.covariance is not None else None
@@ -298,8 +299,6 @@ def _cmd_fit(args) -> int:
 
 
 def _posterior_samples(args, table, designs, family):
-    if args.engine != "laplace":
-        raise ModelError("posterior summaries need --engine laplace")
     fit, elapsed = _run_engine(args, table, designs, family)
     _default(args, "samples", 4000)
     samples = sample_posterior(fit, args.samples, args.seed)
@@ -340,8 +339,8 @@ def _row_draws(samples, table, designs, idx):
 def _cmd_posterior_n(args) -> int:
     table, designs, family = _prepare_fit(args)
     _default(args, "row", 1)
-    if not 1 <= args.row <= table.n_rows:
-        raise ModelError(f"--row must lie in 1..{table.n_rows}")
+    if args.row > table.n_rows:
+        raise DataError(f"--row must lie in 1..{table.n_rows}")
     check_n_grid_max(args.n_grid_max, int(table.row_max()[args.row - 1]))
     fit, samples, elapsed = _posterior_samples(args, table, designs, family)
     y_row, lam_draws, p_draws, theta_draws = _row_draws(samples, table, designs, args.row - 1)
@@ -378,6 +377,8 @@ def _cmd_bias_experiment(args) -> int:
     return 0
 
 
+_EXIT_CODES = ((DataError, 2), (ModelError, 3), (NumericError, 4))
+
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "fit": _cmd_fit,
@@ -398,18 +399,9 @@ def main(argv=None) -> int:
         _default(args, "seed", 0)
         _default(args, "output_dir", ".")
         return _COMMANDS[args.command](args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except NmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

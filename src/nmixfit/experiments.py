@@ -130,7 +130,11 @@ _READ_CELL = {
 def read_bias_csv(path) -> list[BiasRecord]:
     """Load records previously written by write_bias_csv; DataError names
     the file, and the line and column of a cell that does not parse."""
-    with open(path, newline="") as handle:
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read bias CSV {path}: {exc}") from exc
+    with handle:
         reader = csv.DictReader(handle)
         missing = [f.name for f in fields(BiasRecord) if f.name not in (reader.fieldnames or ())]
         if missing:
@@ -151,19 +155,17 @@ def read_bias_csv(path) -> list[BiasRecord]:
 
 
 def median_abs_bias(
-    records: list[BiasRecord],
-    model: str,
-    parameters: tuple[str, ...] = ("alpha0", "alpha1", "alpha4"),
-    a4_window: tuple[float, float] = (0.0, math.inf),
+    records: list[BiasRecord], model: str, a4_window: tuple[float, float] = (0.0, math.inf)
 ) -> float:
-    """Median |bias| over the detection parameters of converged runs whose
-    |a4| lies in the half-open window [low, high); the default takes all."""
+    """Median |bias| over the detection parameters (alpha0, alpha1, alpha4)
+    of converged runs whose |a4| lies in the half-open window [low, high);
+    the default takes all."""
     low, high = a4_window
     values = [
         abs(r.bias)
         for r in records
         if r.model == model
-        and r.parameter in parameters
+        and r.parameter in ("alpha0", "alpha1", "alpha4")
         and r.converged
         and np.isfinite(r.bias)
         and low <= abs(r.a4_true) < high

@@ -19,7 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ModelError, NumericError
-from .model import DesignMatrices, MixtureFamily, ObservationTable, ParameterVector
+from .model import (
+    DesignMatrices, MixtureFamily, ObservationTable, ParameterVector, check_table_designs,
+)
 
 
 # The trust region stops at a gradient 2-norm below _GRADIENT_TOL, and a fit
@@ -77,13 +79,8 @@ def _column_rank_report(matrix: np.ndarray, names: tuple[str, ...]) -> list[str]
 def check_designs_for_fit(
     table: ObservationTable, designs: DesignMatrices, family: MixtureFamily
 ) -> None:
-    """Reject under-determined or rank-deficient fitting problems."""
-    if designs.n_rows != table.n_rows or designs.n_surveys != table.n_surveys:
-        raise ModelError(
-            "designs and table disagree on shape: "
-            f"designs ({designs.n_rows} rows, {designs.n_surveys} surveys) vs "
-            f"table ({table.n_rows} rows, {table.n_surveys} surveys)"
-        )
+    """Reject mismatched, under-determined or rank-deficient fitting problems."""
+    check_table_designs(table, designs)
     n_params = designs.p_lambda + designs.p_detect + (1 if family.has_dispersion else 0)
     if table.n_rows < n_params:
         raise ModelError(

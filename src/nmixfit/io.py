@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, ModelError
 from .fitcore import FitResult
-from .model import DesignMatrices, ObservationTable
+from .model import DesignMatrices, ObservationTable, ParameterVector, _frozen_array
 
 _MISSING_TOKENS = {"", "na", "nan"}
 
@@ -81,9 +81,10 @@ def _parse_labels(cells, column: str, lines) -> np.ndarray:
     return values.astype(int)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """A count table plus named covariates, as stored on disk."""
+    """A count table plus named covariates, as stored on disk.  Like the
+    model types, it keeps its own dicts and read-only copies of the arrays."""
 
     table: ObservationTable
     row_covariates: dict[str, np.ndarray] = field(default_factory=dict)
@@ -91,18 +92,18 @@ class Dataset:
 
     def __post_init__(self):
         n, j = self.table.n_rows, self.table.n_surveys
-        for name, values in self.row_covariates.items():
-            arr = np.asarray(values, dtype=float)
+        row = {name: _frozen_array(values) for name, values in self.row_covariates.items()}
+        survey = {name: _frozen_array(values) for name, values in self.survey_covariates.items()}
+        for name, arr in row.items():
             if arr.shape != (n,):
                 raise DataError(f"row covariate {name!r} must have shape ({n},)")
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"row covariate {name!r} contains missing values")
-            self.row_covariates[name] = arr
-        for name, values in self.survey_covariates.items():
-            arr = np.asarray(values, dtype=float)
+        for name, arr in survey.items():
             if arr.shape != (n, j):
                 raise DataError(f"survey covariate {name!r} must have shape ({n}, {j})")
-            self.survey_covariates[name] = arr
+        object.__setattr__(self, "row_covariates", row)
+        object.__setattr__(self, "survey_covariates", survey)
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -280,25 +281,21 @@ def parse_config(path) -> dict[str, str]:
     return result
 
 
+def _json_value(value):
+    """json.dumps' hook: the estimates and any numpy array or scalar as lists
+    or numbers."""
+    return (value.to_array() if isinstance(value, ParameterVector) else value).tolist()
+
+
 def fit_to_json(fit: FitResult, summary_rows=None, extra: dict | None = None) -> str:
-    """Serialise a fit (and optional Wald summary) to a JSON document."""
-    payload = {
-        "family": fit.family.value,
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-        "gradient_norm": fit.gradient_norm,
-        "optimizer_message": fit.optimizer_message,
-        "kernel_passes": fit.kernel_passes,
-        "loglik": fit.loglik,
-        "parameter_names": list(fit.parameter_names),
-        "estimates": fit.estimates.to_array().tolist(),
-        "covariance": None if fit.covariance is None else fit.covariance.tolist(),
-    }
+    """Serialise a fit to a JSON document: every ``FitResult`` field under its
+    own name, then the optional Wald summary, then ``extra``."""
+    payload = {f.name: getattr(fit, f.name) for f in fields(fit)}
     if summary_rows is not None:
         payload["summary"] = [asdict(r) for r in summary_rows]
     if extra:
         payload.update(extra)
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, default=_json_value)
 
 
 def write_truth_csv(path, sim_output) -> None:

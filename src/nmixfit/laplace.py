@@ -33,6 +33,7 @@ from .model import (
     MixtureFamily,
     ObservationTable,
     ParameterVector,
+    _frozen_array,
     lambda_from_predictor,
 )
 
@@ -102,11 +103,9 @@ class PosteriorSamples:
     p_detect: int
 
     def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
+        draws = _frozen_array(self.draws)
         if draws.ndim != 2 or draws.shape[0] < 1:
             raise ModelError("draws must be a 2-d array with at least one row")
-        draws = draws.copy()
-        draws.setflags(write=False)
         object.__setattr__(self, "draws", draws)
 
     @property

@@ -52,6 +52,7 @@ from .model import (
     ObservationTable,
     ParameterVector,
     _frozen_array,
+    check_table_designs,
     detection_probs,
     lambda_values,
 )
@@ -130,18 +131,6 @@ class RowLikelihoodDetail:
     n_min: int
 
 
-def _log_binom_pmf(y, n, p):
-    # xlog1py makes 0 * log(0) vanish, so p = 1 gives a point mass; flooring p
-    # at the least positive double does the same for a missing cell's y * log(p)
-    return (
-        gammaln(n + 1.0)
-        - gammaln(y + 1.0)
-        - gammaln(n - y + 1.0)
-        + y * np.log(np.maximum(p, _P_FLOOR))
-        + xlog1py(n - y, -p)
-    )
-
-
 def log_count_density(n, lam, theta=None):
     """Log pmf of the mixing distribution, vectorised over ``n``: Poisson
     when ``theta`` is None, else negative binomial in size/mean form
@@ -157,10 +146,17 @@ def log_count_density(n, lam, theta=None):
 
 def _leading_log_term(start, counts, lam, p, theta):
     """log g(s): mixing pmf at s times every binomial factor; a missing
-    cell's (y = 0, p = 0) is exactly 1."""
+    cell's (y = 0, p = 0) is exactly 1.  log s! is taken once per row."""
     lead = log_count_density(start, lam, theta)
+    log_fact = gammaln(start + 1.0)
     for j in range(counts.shape[1]):
-        lead = lead + _log_binom_pmf(counts[:, j], start, p[:, j])
+        y, pj = counts[:, j], p[:, j]
+        # xlog1py makes 0 * log(0) vanish, so p = 1 gives a point mass; flooring p
+        # at the least positive double does the same for a missing cell's y * log(p)
+        lead = lead + (
+            log_fact - gammaln(y + 1.0) - gammaln(start - y + 1.0)
+            + y * np.log(np.maximum(pj, _P_FLOOR)) + xlog1py(start - y, -pj)
+        )
     return lead
 
 
@@ -567,14 +563,7 @@ def row_loglik_detail(row: RowLikelihoodInput) -> RowLikelihoodDetail:
 def _kernel_inputs(params, table, designs, family):
     """The kernel's (counts, lam, p, theta) for a table, after checking that
     the parts agree: a missing cell has count 0 and p = 0."""
-    if designs.n_rows != table.n_rows:
-        raise ModelError(
-            f"designs cover {designs.n_rows} rows but the table has {table.n_rows}"
-        )
-    if designs.n_surveys != table.n_surveys:
-        raise ModelError(
-            f"designs cover {designs.n_surveys} surveys but the table has {table.n_surveys}"
-        )
+    check_table_designs(table, designs)
     if family.has_dispersion and params.log_theta is None:
         raise ModelError("negative binomial family requires log_theta")
     if not family.has_dispersion and params.log_theta is not None:

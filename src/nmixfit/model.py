@@ -163,6 +163,15 @@ class DesignMatrices:
         return self.detection_design.shape[2]
 
 
+def check_table_designs(table: ObservationTable, designs: DesignMatrices) -> None:
+    """ModelError unless the designs cover the table's rows and surveys."""
+    if (designs.n_rows, designs.n_surveys) != (table.n_rows, table.n_surveys):
+        raise ModelError(
+            f"designs cover {designs.n_rows} rows and {designs.n_surveys} surveys "
+            f"but the table has {table.n_rows} rows and {table.n_surveys} surveys"
+        )
+
+
 @dataclass(frozen=True)
 class ParameterVector:
     """Stacked model parameters: beta (abundance), alpha (detection), log_theta.

@@ -233,6 +233,11 @@ class TestCsvFaults:
             read_bias_csv(path)
         assert str(info.value).endswith("line 3: cannot parse a4_true='one' as float")
 
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataError, match=re.escape(f"cannot read bias CSV {path}: ")):
+            read_bias_csv(path)
+
     @pytest.mark.parametrize("token", ["True", "1", ""])
     def test_boolean_other_than_true_or_false(self, tmp_path, token):
         path, raises = self._read(tmp_path, self.HEADER + f"0,1,averaged,alpha4,1,,,{token}\n")

@@ -9,9 +9,11 @@ from nmixfit import (
     ModelError,
     NumericError,
     ObservationTable,
+    ParameterVector,
     fit_ml,
     fitcore,
     likelihood,
+    table_row_logliks,
 )
 from nmixfit.fitcore import (
     check_designs_for_fit,
@@ -205,6 +207,20 @@ class TestDesignChecks:
         )
         with pytest.raises(ModelError, match="w"):
             check_designs_for_fit(self._table(8), designs, MixtureFamily.POISSON)
+
+    @pytest.mark.parametrize("rows, surveys", [(7, 2), (8, 3)])
+    def test_table_design_mismatch_reads_the_same_from_fit_and_kernel(self, rows, surveys):
+        table = self._table(8)
+        designs = DesignMatrices(np.ones((rows, 1)), np.ones((rows, surveys, 1)))
+        params = ParameterVector(beta=[1.0], alpha=[0.0])
+        with pytest.raises(ModelError) as from_fit:
+            fit_ml(table, designs, MixtureFamily.POISSON)
+        with pytest.raises(ModelError) as from_kernel:
+            table_row_logliks(params, table, designs, MixtureFamily.POISSON)
+        assert str(from_fit.value) == str(from_kernel.value) == (
+            f"designs cover {rows} rows and {surveys} surveys "
+            "but the table has 8 rows and 2 surveys"
+        )
 
     def test_columns_past_the_row_count_are_named(self):
         matrix = np.random.default_rng(4).normal(size=(2, 4))

@@ -1,6 +1,7 @@
 """Dataset CSV round-trips, design assembly from named covariates, and
 the command-line front end."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,10 @@ import nmixfit
 from nmixfit import (
     DataError,
     Dataset,
+    FitResult,
     MixtureFamily,
+    ModelError,
+    NmixError,
     NumericError,
     ObservationTable,
     ParameterVector,
@@ -29,6 +33,7 @@ from nmixfit import (
     parse_config,
     read_dataset,
     simulate,
+    summarize_fit,
     write_dataset,
 )
 from nmixfit import cli, io
@@ -225,7 +230,31 @@ class TestBuildDesigns:
         assert any("row" in note for note in notes)
 
 
+def test_dataset_keeps_read_only_copies():
+    """Like the model types, a Dataset copies the caller's dicts and
+    arrays: the caller's dict is left as given, and later writes to the
+    caller's array do not reach the Dataset."""
+    rows, surveys = {"elev": [0.5, 1.5]}, {"date": np.array([[1.0, 2.0], [3.0, 4.0]])}
+    date = surveys["date"]
+    ds = Dataset(ObservationTable(np.ones((2, 2))), rows, surveys)
+    assert rows == {"elev": [0.5, 1.5]}
+    assert surveys["date"] is date and date.flags.writeable
+    assert ds.row_covariates is not rows and ds.survey_covariates is not surveys
+    date[0, 0] = 9.0
+    assert ds.survey_covariates["date"].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    for values in (ds.row_covariates["elev"], ds.survey_covariates["date"]):
+        assert not values.flags.writeable
+
+
 class TestFitSerialization:
+    def test_keys_are_every_fit_field_then_summary_then_extra(self, small_sim):
+        fit = fit_ml(small_sim.table_mean, small_sim.designs_mean, MixtureFamily.NEGBIN)
+        blob = json.loads(fit_to_json(fit, summarize_fit(fit), {"engine": "ml", "n_rows": 60}))
+        names = [f.name for f in dataclasses.fields(FitResult)]
+        assert list(blob) == names + ["summary", "engine", "n_rows"]
+        assert blob["optimizer_success"] is True
+        assert blob["covariance"] == fit.covariance.tolist()
+
     def test_fit_json_fields(self, small_sim):
         fit = fit_ml(small_sim.table_mean, small_sim.designs_mean, MixtureFamily.NEGBIN)
         blob = json.loads(fit_to_json(fit))
@@ -356,6 +385,44 @@ class TestCli:
         assert f"n_grid_max=-1 is below the largest count {ystar}" in capsys.readouterr().err
         assert fits == []
 
+    @pytest.mark.parametrize("command", ["lambda-fitted", "posterior-n"])
+    def test_posterior_commands_imply_laplace(self, tmp_path, capsys, command):
+        """No --engine needed; --engine ml is a usage fault, from a flag or
+        a config file, rejected before any fit."""
+        self._simulate(tmp_path)
+        data = ["--dataset", str(tmp_path / "sim_counts_mean.csv"), "--samples", "20"]
+        out = tmp_path / "out"
+        assert main([command, *data, "--output-dir", str(out)]) == 0
+        assert main([command, *data, "--engine", "ml", "--output-dir", str(out / "ml")]) == 2
+        assert "argument --engine: invalid choice: 'ml'" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("engine = ml\n")
+        code = main([command, *data, "--config", str(cfg), "--output-dir", str(out / "ml")])
+        assert code == 2
+        assert "config key 'engine': 'ml' is not one of laplace" in capsys.readouterr().err
+        assert not (out / "ml").exists()
+
+    def test_posterior_n_row_past_the_table_exits_2(self, tmp_path, capsys):
+        self._simulate(tmp_path)
+        code = main(
+            ["posterior-n", "--dataset", str(tmp_path / "sim_counts_mean.csv"),
+             "--row", "25", "--samples", "10", "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "error: --row must lie in 1..24" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "error, code", [(DataError, 2), (ModelError, 3), (NumericError, 4), (NmixError, 1)]
+    )
+    def test_each_error_class_has_its_exit_code(self, tmp_path, capsys, monkeypatch, error, code):
+        def failing(args):
+            raise error("stub failure")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", failing)
+        assert main(["simulate", "--output-dir", str(tmp_path)]) == code
+        assert capsys.readouterr().err == "error: stub failure\n"
+
     def test_bias_experiment_smoke(self, tmp_path, capsys):
         code = main(
             ["bias-experiment", "--runs", "2", "--sites", "8", "--years", "2",
@@ -470,6 +537,7 @@ class TestCli:
             ("bias-experiment", "threads", "-3"),
             ("lambda-fitted", "samples", "0"),
             ("posterior-n", "samples", "-1"),
+            ("posterior-n", "row", "0"),
             ("simulate", "sites", "0"),
             ("simulate", "surveys", "0"),
             ("simulate", "years", "-2"),

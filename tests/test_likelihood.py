@@ -301,6 +301,24 @@ class TestCountDensity:
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
+def test_leading_term_takes_log_factorial_once_per_row(monkeypatch):
+    """One leading-term call on an n-row, 3-survey Poisson table evaluates
+    gammaln on 8n elements: log s! for the pmf and once for the binomial
+    factors, then log y! and log (s - y)! per survey."""
+    n = 40
+    counts = np.random.default_rng(5).poisson(3.0, size=(n, 3)).astype(float)
+    sizes = []
+    gammaln = likelihood.gammaln
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return gammaln(x)
+
+    monkeypatch.setattr(likelihood, "gammaln", counting)
+    likelihood._leading_log_term(counts.max(axis=1), counts, np.full(n, 4.0), np.full((n, 3), 0.4), None)
+    assert sum(sizes) == 8 * n
+
+
 class TestTableLevel:
     def _toy(self):
         counts = np.array([[1.0, 3.0], [0.0, np.nan], [5.0, 4.0]])
