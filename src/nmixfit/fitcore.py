@@ -25,8 +25,8 @@ from .model import (
 
 
 # The trust region stops at a gradient 2-norm below _GRADIENT_TOL, and a fit
-# counts as converged below an infinity norm of _CONVERGED_NORM.  Radius rules
-# and messages are scipy's trust-exact's; the ratio test allows for rounding
+# counts as converged below an infinity norm of _CONVERGED_NORM.  Radius rules are
+# trust-exact's (Nocedal & Wright, Alg. 4.1); the ratio test allows for rounding
 _MAX_ITERATIONS, _GRADIENT_TOL, _CONVERGED_NORM = 500, 1e-5, 1e-4
 _RADIUS, _MAX_RADIUS, _ETA, _ROUNDING = 1.0, 1000.0, 0.15, 10.0 * np.finfo(float).eps
 _SUBPROBLEM_ITERATIONS, _SUBPROBLEM_TOL = 50, 1e-12

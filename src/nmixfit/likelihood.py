@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import digamma, gammaln, xlog1py, zeta
 
+from ._special import digamma, gammaln, log_factorial, trigamma, xlog1py
 from .errors import ModelError, NumericError
 from .model import (
     P_CLAMP,
@@ -134,12 +134,13 @@ class RowLikelihoodDetail:
 def log_count_density(n, lam, theta=None):
     """Log pmf of the mixing distribution, vectorised over ``n``: Poisson
     when ``theta`` is None, else negative binomial in size/mean form
-    (success probability theta / (theta + lam))."""
+    (success probability theta / (theta + lam)).  ``n`` must hold
+    non-negative integers, because log n! is read from a table."""
     n = np.asarray(n, dtype=float)
     if theta is None:
-        return n * np.log(lam) - lam - gammaln(n + 1.0)
+        return n * np.log(lam) - lam - log_factorial(n)
     return (
-        gammaln(n + theta) - gammaln(theta) - gammaln(n + 1.0)
+        gammaln(n + theta) - gammaln(theta) - log_factorial(n)
         + theta * np.log(theta / (theta + lam)) + n * np.log(lam / (theta + lam))
     )
 
@@ -147,17 +148,14 @@ def log_count_density(n, lam, theta=None):
 def _leading_log_term(start, counts, lam, p, theta):
     """log g(s): mixing pmf at s times every binomial factor; a missing
     cell's (y = 0, p = 0) is exactly 1.  log s! is taken once per row."""
-    lead = log_count_density(start, lam, theta)
-    log_fact = gammaln(start + 1.0)
-    for j in range(counts.shape[1]):
-        y, pj = counts[:, j], p[:, j]
-        # xlog1py makes 0 * log(0) vanish, so p = 1 gives a point mass; flooring p
-        # at the least positive double does the same for a missing cell's y * log(p)
-        lead = lead + (
-            log_fact - gammaln(y + 1.0) - gammaln(start - y + 1.0)
-            + y * np.log(np.maximum(pj, _P_FLOOR)) + xlog1py(start - y, -pj)
-        )
-    return lead
+    rest = start[:, None] - counts
+    # xlog1py makes 0 * log(0) vanish, so p = 1 gives a point mass; flooring p
+    # at the least positive double does the same for a missing cell's y * log(p)
+    cells = (
+        log_factorial(start)[:, None] - log_factorial(counts) - log_factorial(rest)
+        + counts * np.log(np.maximum(p, _P_FLOOR)) + xlog1py(rest, -p)
+    )
+    return log_count_density(start, lam, theta) + np.add.reduce(cells, axis=1)
 
 
 def _take(rows, *inputs):
@@ -448,8 +446,8 @@ def _left_tail_ok(rows, start, y0, keep, lam, theta, part_sum, floor):
 
 
 class PosteriorMoments(NamedTuple):
-    """Per-row moments of the latent N given the row's counts, with
-    psi = digamma(N + theta); for Poisson the psi fields are zero."""
+    """Per-row moments of the latent N given the row's counts, with psi and
+    psi' the digamma and trigamma of N + theta; for Poisson psi fields are 0."""
 
     mean_n: np.ndarray
     var_n: np.ndarray
@@ -466,8 +464,9 @@ def _batch_series(counts, lam, p, theta, moments):
     (n_rows,); a missing survey is a cell with count 0 and p = 0, whose
     binomial factor is 1.  ``theta`` is None (Poisson), a scalar or an
     array with one value per row.  Moments are centred at the start s
-    (k = N - s), so the variances do not cancel, and use psi(s + k + theta)
-    = psi(s + theta) + h_k and psi'(s + k + theta) = psi'(s + theta) - h'_k.
+    (k = N - s), so the variances do not cancel, and use the digamma and
+    trigamma recurrences psi(s + k + theta) = psi(s + theta) + h_k and
+    psi'(s + k + theta) = psi'(s + theta) - h'_k.
     Returns (ll, n_min, n_max, stats) with stats None or a
     :class:`PosteriorMoments`.
     """
@@ -524,7 +523,7 @@ def _batch_series(counts, lam, p, theta, moments):
             var_psi=h_sq - h * h,
             cov_n_psi=k_h - k * h,
             mean_dtrigamma=h_prime if theta is None else (
-                zeta(2.0, start + theta) - zeta(2.0, theta) - h_prime
+                trigamma(start + theta) - trigamma(theta) - h_prime
             ),
         )
     return ll, start.astype(int), n_max.astype(int), stats

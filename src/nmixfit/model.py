@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
+from ._special import expit
 from .errors import ModelError, NumericError
 
 # Detection probabilities are clamped to this open interval before any

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from ._special import expit
 from .errors import ModelError
 from .io import Dataset, build_designs
 from .model import DesignMatrices, MixtureFamily, ObservationTable

@@ -565,11 +565,12 @@ class TestCli:
         assert out.stdout.strip()
 
     def test_cli_import_leaves_out_scipy_stats_and_optimize(self):
-        """A fresh CLI process loads none of the slow scipy subpackages, and
-        the tests' brute-force oracle is not part of the package."""
+        """A fresh process that imports the package, its CLI and its
+        experiment driver loads no scipy module at all, and the tests'
+        brute-force oracle is not part of the package."""
         code = (
-            "import sys, nmixfit, nmixfit.cli\n"
-            "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])\n"
+            "import sys, nmixfit, nmixfit.cli, nmixfit.experiments\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
             "print(hasattr(nmixfit, 'row_loglik_bruteforce'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(nmixfit.__file__).parents[1]))

@@ -303,18 +303,18 @@ class TestCountDensity:
 
 def test_leading_term_takes_log_factorial_once_per_row(monkeypatch):
     """One leading-term call on an n-row, 3-survey Poisson table evaluates
-    gammaln on 8n elements: log s! for the pmf and once for the binomial
-    factors, then log y! and log (s - y)! per survey."""
+    log_factorial on 8n elements: log s! for the pmf and once for the
+    binomial factors, then log y! and log (s - y)! per survey."""
     n = 40
     counts = np.random.default_rng(5).poisson(3.0, size=(n, 3)).astype(float)
     sizes = []
-    gammaln = likelihood.gammaln
+    log_factorial = likelihood.log_factorial
 
     def counting(x):
         sizes.append(np.size(x))
-        return gammaln(x)
+        return log_factorial(x)
 
-    monkeypatch.setattr(likelihood, "gammaln", counting)
+    monkeypatch.setattr(likelihood, "log_factorial", counting)
     likelihood._leading_log_term(counts.max(axis=1), counts, np.full(n, 4.0), np.full((n, 3), 0.4), None)
     assert sum(sizes) == 8 * n
 
