@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -107,6 +106,9 @@ def run_bias_experiment(
     # a fork-started pool starts all its workers at once: no more than tasks
     workers = min(workers, runs)
     if workers > 1:
+        # imported here: the pool's modules cost a CLI process about 15 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_one, payloads))
     else:

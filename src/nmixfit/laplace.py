@@ -25,6 +25,8 @@ from .likelihood import (
     _batch_series,
     _leading_log_term,
     _ratio_parts,
+    _row_slabs,
+    _take,
     table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
 )
 from .mle import _fit
@@ -167,26 +169,38 @@ def lambda_fitted(
     """Per-row posterior summaries of lambda = exp(X beta); NumericError
     names the draw and the row where exp() overflows.
 
-    lambda is laid out rows x draws, so each row's draws are contiguous.
-    The mean and the sd (n-1 denominator) are summed along each row's
-    draws.  The quantiles are numpy's "linear" method (Hyndman & Fan's
-    type 7), read from the order statistics of one sort per row.
+    lambda is laid out rows x draws, so each row's draws are contiguous,
+    and is built, summarised and dropped one slab of rows at a time (see
+    :func:`likelihood._row_slabs`): a slab holds about 2**17 values, and
+    never fewer than one row's draws, whatever the number of rows.  The
+    mean and the sd (n-1 denominator) are summed along each row's draws.
+    The quantiles are numpy's "linear" method (Hyndman & Fan's type 7),
+    read from the order statistics of one sort per row.  Up to 8,192
+    draws, where a slab takes 16 rows or more, every row's summary is the
+    one a single rows x draws array gives, to the bit.  When several
+    predictors overflow, the error names the largest in the first slab
+    that holds one, by its row in the table.
     """
     if samples.p_lambda != designs.p_lambda:
         raise ModelError("samples and designs disagree on the abundance design width")
-    eta = np.asarray(designs.abundance_design) @ samples.beta_draws().T
-    lam = lambda_from_predictor(eta.T, units=("draw", "row")).T
-    del eta
+    x, beta = np.asarray(designs.abundance_design), samples.beta_draws()
     n = samples.n_draws
-    mean = lam.mean(axis=1)
-    sd = lam.std(axis=1, ddof=1) if n > 1 else np.zeros(designs.n_rows)
-    lam.sort(axis=1)
+    mean, sd, q = np.empty(designs.n_rows), np.zeros(designs.n_rows), np.empty((3, designs.n_rows))
     # numpy's "linear" arithmetic on the order statistics a <= b around (n-1)q
     virtual = (n - 1) * np.array([0.025, 0.5, 0.975])
     below = np.floor(virtual).astype(np.intp)
+    above = np.minimum(below + 1, n - 1)
     gamma = virtual - below
-    a, b = lam[:, below], lam[:, np.minimum(below + 1, n - 1)]
-    q = np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma).T
+    for rows in _row_slabs(designs.n_rows, n):
+        eta = x[rows] @ beta.T
+        lam = lambda_from_predictor(eta.T, units=("draw", "row"), origin=(0, rows.start)).T
+        del eta
+        mean[rows] = lam.mean(axis=1)
+        if n > 1:
+            sd[rows] = lam.std(axis=1, ddof=1)
+        lam.sort(axis=1)
+        a, b = lam[:, below], lam[:, above]
+        q[:, rows] = np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma).T
     return [
         LambdaFittedSummary(
             index=i + 1,
@@ -219,8 +233,11 @@ def posterior_n(
     kernel, so each draw's support is the range that the kernel's two
     geometric tail bounds select (under 1e-12 of its mass lies outside).
     On the union of the ranges each draw's pmf g(N) / L is rebuilt from
-    the kernel's leading term and term ratios; the pmfs are averaged and
-    renormalised.
+    the kernel's leading term and term ratios, one slab of draws at a
+    time (see :func:`likelihood._row_slabs`), so the working arrays hold
+    about 2**17 elements, or one draw's pmf where that is wider, however
+    many draws there are.  The pmfs are added in draw order, as one mean
+    over all the draws adds them, then averaged and renormalised.
 
     Returns the pmf aligned with ``np.arange(max(y), top + 1)``, where
     ``top`` is ``n_grid_max`` if given, else the highest end of a draw's
@@ -285,8 +302,23 @@ def posterior_n(
             )
         lead = _leading_log_term(np.full(lam.size, float(lo)), counts, lam, p, theta)
         grid = np.arange(lo + 1.0, hi + 1.0)[None, :]
-        ratio, _ = _ratio_parts(grid, counts, 1.0 - p, lam, theta)
-        log_g = np.cumsum(np.column_stack([lead, np.log(ratio)]), axis=1)
-    probs = np.exp(log_g - log_l[:, None]).mean(axis=0)
+        keep = 1.0 - p
+        slabs = _row_slabs(lam.size, grid.size + 1)
+        # row 0 holds the running total, so each slab's draws add to it in
+        # draw order, as one mean over all the draws would add them
+        pmfs = np.empty((max(r.stop - r.start for r in slabs) + 1, grid.size + 1))
+        total = np.zeros(grid.size + 1)
+        for rows in slabs:
+            k = rows.stop - rows.start
+            log_g = pmfs[1 : k + 1]
+            ratio, _ = _ratio_parts(grid, *_take(rows, counts, keep, lam, theta))
+            log_g[:, 0] = lead[rows]
+            np.log(ratio, out=log_g[:, 1:])
+            np.add.accumulate(log_g, axis=1, out=log_g)
+            log_g -= log_l[rows, None]
+            np.exp(log_g, out=log_g)
+            pmfs[0] = total
+            np.add.reduce(pmfs[: k + 1], axis=0, out=total)
+    probs = total / lam.size
     top = hi if n_grid_max is None else n_grid_max
     return np.pad(probs / probs.sum(), (lo - ystar, top - hi))

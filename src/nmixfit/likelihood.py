@@ -28,12 +28,14 @@ small is summed again from lower down.  There is one summation path, in
 vectorised blocks over the rows.  Each row's stopping point is estimated
 from its summand's mode and sd: the first block is as wide as the median
 estimate, and each later one as the widest estimate still open, at most
-doubling; the blocks reuse one set of buffers, and a row's sum does not
-depend on where they end (see :func:`_sum_upward`).  A sum that leaves
-double range or a row that exhausts its budget of 10,000 terms past its
-start raises ``NumericError`` naming the row.  The same pass can
-accumulate the posterior moments of N that the exact score and Hessian
-need (see :func:`table_loglik_hessian`).
+doubling.  Each block is worked one slab of rows at a time, in a few
+buffers of at most 2**17 elements reused for every slab and block, so
+the working memory does not grow with the rows; a row's sum does not
+depend on where the blocks or the slabs end (see :func:`_sum_upward`).
+A sum that leaves double range or a row that exhausts its budget of
+10,000 terms past its start raises ``NumericError`` naming the row.
+The same pass can accumulate the posterior moments of N that the exact
+score and Hessian need (see :func:`table_loglik_hessian`).
 """
 
 from __future__ import annotations
@@ -85,6 +87,35 @@ _NEWTON_TOL = 1e-3
 # past its mode; the margin covers the skew of posteriors near y*.
 _STOP_SDS = 8.0
 _STOP_MARGIN = 4.0
+
+# Elements in one rows x width working array (1 MiB of doubles): the
+# kernel's block buffers, lambda_fitted's draws and posterior_n's pmfs are
+# built one slab of rows at a time, so their size does not grow with rows.
+_SLAB = 1 << 17
+# BLAS products group rows in twos, fours or eights, and treat a trailing
+# partial group, and a lone row, by other code with other rounding.
+_SLAB_ALIGN = 16
+
+
+def _row_slabs(n_rows, width):
+    """Consecutive slices of ``range(n_rows)`` of at most _SLAB // width
+    rows each (one row at least).
+
+    When _SLAB_ALIGN or more rows fit, every slab starts at a multiple of
+    _SLAB_ALIGN and the last never holds one row alone, so a matrix product
+    taken slab by slab groups each row as one product over all the rows
+    does, and gives the same bits.  The last slab then has 17 rows where
+    only 16 fit, the one case where a slab can exceed _SLAB.
+    """
+    step = max(_SLAB // max(width, 1), 1)
+    if step >= _SLAB_ALIGN:
+        step -= step % _SLAB_ALIGN
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] == 1 and step >= _SLAB_ALIGN:
+        starts[-1] -= _SLAB_ALIGN
+        if starts[-1] == starts[-2]:
+            del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
 
 
 @dataclass(frozen=True)
@@ -327,8 +358,13 @@ def _sum_upward(active, start, y0, keep, lam, theta, floor, moments, reach):
     before it was allowed, and once every reach is passed the blocks just
     double.  Terms and partial sums are accumulated in sequence across
     blocks, so a row's sum and stopping point do not depend on where
-    the blocks end.  The rows x block arrays are views of buffers kept for
-    the whole call.
+    the blocks end.  A block is worked in slabs of rows from
+    :func:`_row_slabs`, so each rows x block array, a view of buffers kept
+    for the whole call, holds at most ``_SLAB`` elements whatever the
+    number of rows.  Each row's carry, partial sum and running h sums live
+    in full-length arrays, and the slabs split the rows where one matrix
+    product over them would group them, so the slabs change no bit of any
+    value, stopping point or moment.
 
     Returns full-length (part_sum, n_max, sums), meaningful on ``active``.
     With ``moments``, sums has rows sum t_k * (k, k^2, h_k, h_k^2, k h_k,
@@ -356,75 +392,81 @@ def _sum_upward(active, start, y0, keep, lam, theta, floor, moments, reach):
                 row=row,
             )
         width = min(width, _TERM_BUDGET - offset)
-        n_act = active.size
-        size = n_act * width
-        if size > flags.size:
-            space, flags = np.empty((5, size)), np.empty(size, dtype=bool)
-        grid, ratio, tmp, spare, cum = (buf[:size].reshape(n_act, width) for buf in space)
-        stop = flags[:size].reshape(n_act, width)
         steps = offset + np.arange(1, width + 1, dtype=float)
-        if n_act == n_rows:
-            st, ys, ks, lm, th, cr, sm = start, y0, keep, lam, theta, carry, part_sum
-        else:
-            st, ys, ks, lm, th, cr, sm = _take(active, start, y0, keep, lam, theta, carry, part_sum)
+        going = []
+        for slab in _row_slabs(active.size, width):
+            rows = active[slab]
+            n_act = rows.size
+            size = n_act * width
+            if size > flags.size:
+                space, flags = np.empty((5, size)), np.empty(size, dtype=bool)
+            grid, ratio, tmp, spare, cum = (buf[:size].reshape(n_act, width) for buf in space)
+            stop = flags[:size].reshape(n_act, width)
+            if n_act == n_rows:
+                st, ys, ks, lm, th, cr, sm = start, y0, keep, lam, theta, carry, part_sum
+            else:
+                st, ys, ks, lm, th, cr, sm = _take(
+                    rows, start, y0, keep, lam, theta, carry, part_sum
+                )
 
-        np.add(st[:, None], steps, out=grid)
-        ratio, bound = _ratio_parts(grid, ys, ks, lm, th, (ratio, tmp, spare))
-        lead_ratio = ratio[:, 0].copy()
-        ratio[:, 0] *= cr
-        running = grid
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply.accumulate(ratio, axis=1, out=cum)
-            ratio[:, 0] = lead_ratio
-            np.copyto(running, cum)
-            running[:, 0] += sm
-            np.add.accumulate(running, axis=1, out=running)
-            # stop at the first N where q < 1 and the tail bound t q / (1 - q)
-            # is at most floor * running, that is q (t + floor running) <= floor running
-            limit = np.multiply(running, floor, out=tmp)
-            lhs = np.add(cum, limit, out=spare if bound is ratio else ratio)
-            lhs *= bound
-            np.less_equal(lhs, limit, out=stop)
-        first = np.argmax(stop, axis=1)
-        stopped = stop[np.arange(n_act), first]
-
-        rows_done = active[stopped]
-        part_sum[rows_done] = running[stopped, first[stopped]]
-        n_max[rows_done] = start[rows_done] + offset + first[stopped] + 1.0
-
-        kept = ~stopped
-        rows_kept = active[kept]
-        part_sum[rows_kept] = running[kept, -1]
-        carry[rows_kept] = cum[kept, -1]
-        n_max[rows_kept] = start[rows_kept] + offset + width
-
-        if moments:
-            # the moment sums take no terms past a row's stop
-            last = np.where(stopped, first, width - 1)
-            np.greater(np.arange(width), last[:, None], out=stop)
-            np.copyto(cum, 0.0, where=stop)
+            np.add(st[:, None], steps, out=grid)
+            ratio, bound = _ratio_parts(grid, ys, ks, lm, th, (ratio, tmp, spare))
+            lead_ratio = ratio[:, 0].copy()
+            ratio[:, 0] *= cr
+            running = grid
             with np.errstate(over="ignore", invalid="ignore"):
-                sums[0, active] += cum @ steps
-                sums[1, active] += cum @ (steps * steps)
-                if with_h:
-                    h, h_sq = tmp, spare
-                    np.add((st + (th - 1.0))[:, None], steps, out=h)
-                    np.reciprocal(h, out=h)
-                    np.multiply(h, h, out=h_sq)
-                    h[:, 0] += carry_h[0, active]
-                    h_sq[:, 0] += carry_h[1, active]
-                    np.add.accumulate(h, axis=1, out=h)
-                    np.add.accumulate(h_sq, axis=1, out=h_sq)
-                    carry_h[0, rows_kept] = h[kept, -1]
-                    carry_h[1, rows_kept] = h_sq[kept, -1]
-                    h_sq *= cum
-                    sums[5, active] += np.add.reduce(h_sq, axis=1)
-                    np.multiply(h, cum, out=h_sq)
-                    sums[2, active] += np.add.reduce(h_sq, axis=1)
-                    sums[4, active] += h_sq @ steps
-                    h_sq *= h
-                    sums[3, active] += np.add.reduce(h_sq, axis=1)
-        active = rows_kept
+                np.multiply.accumulate(ratio, axis=1, out=cum)
+                ratio[:, 0] = lead_ratio
+                np.copyto(running, cum)
+                running[:, 0] += sm
+                np.add.accumulate(running, axis=1, out=running)
+                # stop at the first N where q < 1 and the tail bound t q / (1 - q)
+                # is at most floor * running, that is q (t + floor running) <= floor running
+                limit = np.multiply(running, floor, out=tmp)
+                lhs = np.add(cum, limit, out=spare if bound is ratio else ratio)
+                lhs *= bound
+                np.less_equal(lhs, limit, out=stop)
+            first = np.argmax(stop, axis=1)
+            stopped = stop[np.arange(n_act), first]
+
+            rows_done = rows[stopped]
+            part_sum[rows_done] = running[stopped, first[stopped]]
+            n_max[rows_done] = start[rows_done] + offset + first[stopped] + 1.0
+
+            kept = ~stopped
+            rows_kept = rows[kept]
+            part_sum[rows_kept] = running[kept, -1]
+            carry[rows_kept] = cum[kept, -1]
+            n_max[rows_kept] = start[rows_kept] + offset + width
+            going.append(rows_kept)
+
+            if moments:
+                # the moment sums take no terms past a row's stop
+                last = np.where(stopped, first, width - 1)
+                np.greater(np.arange(width), last[:, None], out=stop)
+                np.copyto(cum, 0.0, where=stop)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sums[0, rows] += cum @ steps
+                    sums[1, rows] += cum @ (steps * steps)
+                    if with_h:
+                        h, h_sq = tmp, spare
+                        np.add((st + (th - 1.0))[:, None], steps, out=h)
+                        np.reciprocal(h, out=h)
+                        np.multiply(h, h, out=h_sq)
+                        h[:, 0] += carry_h[0, rows]
+                        h_sq[:, 0] += carry_h[1, rows]
+                        np.add.accumulate(h, axis=1, out=h)
+                        np.add.accumulate(h_sq, axis=1, out=h_sq)
+                        carry_h[0, rows_kept] = h[kept, -1]
+                        carry_h[1, rows_kept] = h_sq[kept, -1]
+                        h_sq *= cum
+                        sums[5, rows] += np.add.reduce(h_sq, axis=1)
+                        np.multiply(h, cum, out=h_sq)
+                        sums[2, rows] += np.add.reduce(h_sq, axis=1)
+                        sums[4, rows] += h_sq @ steps
+                        h_sq *= h
+                        sums[3, rows] += np.add.reduce(h_sq, axis=1)
+        active = np.concatenate(going)
         offset += width
         allowed = min(2 * allowed, _BLOCK_MAX)
         left = np.max(reach[active], initial=0.0) - offset
@@ -644,7 +686,9 @@ def table_loglik_hessian(
     n_lam, n_coef = designs.p_lambda, designs.p_lambda + designs.p_detect
     hess = slope.T @ (mom.var_n[:, None] * slope)
     hess[:n_lam, :n_lam] += x.T @ (d2_lam[:, None] * x)
-    hess[n_lam:n_coef, n_lam:n_coef] -= np.einsum("ijk,ij,ijl->kl", w, m[:, None] * p_free * (1.0 - p), w)
+    w_cells = w.reshape(-1, designs.p_detect)
+    weight = (m[:, None] * p_free * (1.0 - p)).reshape(-1, 1)
+    hess[n_lam:n_coef, n_lam:n_coef] -= w_cells.T @ (weight * w_cells)
     if theta is not None:
         # psi(N + theta) enters only the log_theta component, with slope theta
         cross = slope.T @ (theta * mom.cov_n_psi)

@@ -236,12 +236,16 @@ def stacked_parameter_names(
     return tuple(names)
 
 
-def lambda_from_predictor(eta: np.ndarray, units: tuple[str, ...] = ("row",)) -> np.ndarray:
+def lambda_from_predictor(
+    eta: np.ndarray, units: tuple[str, ...] = ("row",), origin: tuple[int, ...] | None = None
+) -> np.ndarray:
     """Abundance means exp(eta); NumericError names, by one of ``units`` per
-    axis, the largest log-link predictor when it overflows exp()."""
+    axis, the largest log-link predictor when it overflows exp().  When
+    ``eta`` is a block cut from a larger array, ``origin`` is the index of
+    its first element there, and the error gives the larger array's index."""
     if np.any(eta > LOG_LAMBDA_MAX):
         bad = np.unravel_index(np.argmax(eta), eta.shape)
-        where = ", ".join(f"{unit} {int(i)}" for unit, i in zip(units, bad))
+        where = ", ".join(f"{unit} {int(i)}" for unit, i in zip(units, np.add(bad, origin or 0)))
         raise NumericError(f"abundance linear predictor {eta[bad]:.6g} at {where} overflows exp()")
     return np.exp(eta)
 

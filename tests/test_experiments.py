@@ -1,6 +1,7 @@
 """Bias experiment mechanics: record layout, determinism, and the
 summary statistic."""
 
+import concurrent.futures
 import math
 import re
 
@@ -75,7 +76,8 @@ class TestRunMechanics:
             def map(self, fn, payloads):
                 return map(fn, payloads)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        # run_bias_experiment imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         per_run = 2 * 8
         assert run_bias_experiment(runs=2, seed=42, workers=8, base=SMALL) == records[: 2 * per_run]
         assert run_bias_experiment(runs=1, seed=42, workers=8, base=SMALL) == records[:per_run]

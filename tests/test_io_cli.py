@@ -566,18 +566,20 @@ class TestCli:
 
     def test_cli_import_leaves_out_scipy_stats_and_optimize(self):
         """A fresh process that imports the package, its CLI and its
-        experiment driver loads no scipy module at all, and the tests'
-        brute-force oracle is not part of the package."""
+        experiment driver loads no scipy module at all, nor the process
+        pool's modules, and the tests' brute-force oracle is not part of
+        the package."""
         code = (
             "import sys, nmixfit, nmixfit.cli, nmixfit.experiments\n"
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n"
             "print(hasattr(nmixfit, 'row_loglik_bruteforce'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(nmixfit.__file__).parents[1]))
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
-        assert out.stdout.split() == ["[]", "False"]
+        assert out.stdout.split() == ["[]", "[]", "False"]
 
 
 class TestPosteriorRowDraws:

@@ -2,6 +2,8 @@
 sampling behaviour, fitted-abundance summaries, and the latent-N
 posterior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -26,6 +28,7 @@ from nmixfit import (
     sample_posterior,
     table_loglik,
 )
+from nmixfit import likelihood
 from nmixfit.model import stacked_parameter_names
 
 from derivatives import finite_diff_gradient
@@ -226,6 +229,22 @@ class TestLambdaFitted:
         with pytest.raises(NumericError, match="710 at draw 1, row 2 overflows"):
             lambda_fitted(samples, designs)
 
+    def test_overflow_in_a_later_slab_is_named_by_its_table_row(self):
+        """Rows come in slabs of 32 at 4,000 draws; the one overflow, at
+        draw 3,210 and row 150, lies in the fifth slab."""
+        rng = np.random.default_rng(4)
+        x = np.column_stack([np.ones(200), np.zeros(200)])
+        x[150, 1] = 1.0
+        draws = np.column_stack([rng.normal(0.0, 0.1, (4000, 2)), np.zeros(4000)])
+        draws[3210, 1] = 750.0
+        samples = PosteriorSamples(
+            draws, ("lambda:(Intercept)", "lambda:x", "p:(Intercept)"),
+            MixtureFamily.POISSON, 2, 1,
+        )
+        designs = DesignMatrices(x, np.ones((200, 1, 1)))
+        with pytest.raises(NumericError, match="at draw 3210, row 150 overflows"):
+            lambda_fitted(samples, designs)
+
 
 class TestLambdaFittedExactness:
     """The rows x draws layout gives numpy's draws x rows summaries: the
@@ -264,8 +283,66 @@ class TestLambdaFittedExactness:
             sd = np.array([r.sd for r in rows])
             np.testing.assert_allclose(sd, lam.std(axis=0, ddof=1), rtol=1e-13, atol=0)
 
+    def test_design_of_several_slabs(self):
+        """705 rows at 4,000 draws are summarised in 23 slabs, the last of
+        17 rows; the quantiles still match numpy's bit for bit."""
+        rng = np.random.default_rng(8)
+        x = np.column_stack([np.ones(705), rng.standard_normal((705, 2))])
+        draws = np.column_stack([rng.normal(1.0, 0.3, (4000, 3)), np.zeros(4000)])
+        samples = PosteriorSamples(
+            draws, ("lambda:(Intercept)", "lambda:a", "lambda:b", "p:(Intercept)"),
+            MixtureFamily.POISSON, 3, 1,
+        )
+        designs = DesignMatrices(x, np.ones((705, 1, 1)))
+        rows = lambda_fitted(samples, designs)
+        lam = np.exp(x @ samples.beta_draws().T).T
+        np.testing.assert_array_equal(self._quantiles(rows), np.quantile(lam, self.LEVELS, axis=0))
+        np.testing.assert_allclose([r.mean for r in rows], lam.mean(axis=0), rtol=1e-13, atol=0)
+        np.testing.assert_allclose([r.sd for r in rows], lam.std(axis=0, ddof=1), rtol=1e-13, atol=0)
+
+    def test_memory_stays_bounded(self, laplace_fit, example_sim):
+        """648 rows x 4,000 draws peak far below the 39.6 MiB of whole
+        rows x draws arrays; numpy reports its buffers to tracemalloc."""
+        samples = sample_posterior(laplace_fit, 4000, seed=5)
+        tracemalloc.start()
+        try:
+            lambda_fitted(samples, example_sim.designs_mean)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
 
 class TestPosteriorN:
+    @staticmethod
+    def _wide_draws():
+        """400 draws around lambda 5e4 and p 0.001, whose pmfs span about
+        60,000 values of N."""
+        rng = np.random.default_rng(0)
+        lam = 5e4 * np.exp(rng.normal(0.0, 0.05, 400))
+        return np.array([10.0, 12.0, 9.0]), lam, 0.001 * np.exp(rng.normal(0.0, 0.05, (400, 3)))
+
+    def test_wide_posterior_memory_stays_bounded(self):
+        """Rebuilt a slab of draws at a time, the pmfs need far less than
+        the 250 MiB of one draws x grid array."""
+        y, lam, p = self._wide_draws()
+        tracemalloc.start()
+        try:
+            probs = posterior_n(y, lam, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.size > 50_000
+        assert peak < 32 * 2**20
+
+    def test_slabs_add_the_draws_in_order(self, monkeypatch):
+        """40 of the wide draws, in slabs of two draws, give to the bit the
+        pmf of one mean over a draws x grid array."""
+        y, lam, p = self._wide_draws()
+        got = posterior_n(y, lam[:40], p[:40])
+        monkeypatch.setattr(likelihood, "_SLAB", 1 << 40)
+        np.testing.assert_array_equal(got, posterior_n(y, lam[:40], p[:40]))
+
     def test_sums_to_one_with_support_from_max_count(self):
         y = np.array([3.0, 7.0, 5.0])
         probs = posterior_n(

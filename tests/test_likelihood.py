@@ -8,6 +8,7 @@ tautology.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -638,6 +639,130 @@ class TestBlockLayout:
         np.testing.assert_allclose(ll_8, ll, rtol=1e-13, atol=0.0)
         for got, want in zip(mom_8, mom):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _nb_rows(rows, seed):
+    """NB rows of three surveys with a per-row theta, as (counts, lam, p, theta)."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(20.0, 80.0, rows)
+    counts = rng.binomial(rng.poisson(lam)[:, None], 0.5, (rows, 3)).astype(float)
+    return counts, lam, rng.uniform(0.3, 0.7, (rows, 3)), rng.uniform(0.5, 6.0, rows)
+
+
+def _kernel_table(counts, lam, p):
+    """An intercept-only Poisson table with one lambda and one p."""
+    n, j = counts.shape
+    return (
+        ParameterVector(beta=[math.log(lam)], alpha=[math.log(p / (1.0 - p))]),
+        ObservationTable(counts),
+        DesignMatrices(np.ones((n, 1)), np.ones((n, j, 1))),
+    )
+
+
+def _assert_same_series(got, want, rows=slice(None)):
+    """Rows ``rows`` of one _batch_series result equal another result to
+    the bit, moments included."""
+    for g, w in zip((*got[:3], *got[3]), (*want[:3], *want[3])):
+        np.testing.assert_array_equal(g[rows], w)
+
+
+def _slab_counts(monkeypatch):
+    """The number of slabs each of the kernel's blocks was cut into."""
+    counts = []
+    row_slabs = likelihood._row_slabs
+
+    def counted(n_rows, width):
+        slabs = row_slabs(n_rows, width)
+        counts.append(len(slabs))
+        return slabs
+
+    monkeypatch.setattr(likelihood, "_row_slabs", counted)
+    return counts
+
+
+class TestSlabs:
+    """Each block of the summation is worked in slabs of rows whose arrays
+    hold at most _SLAB elements; where the slabs end changes nothing."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 15, 16, 17, 31, 33, 48, 49, 705, 20_000])
+    @pytest.mark.parametrize("width", [1, 3, 53, 2049, 4096, 5000, 200_000])
+    def test_slabs_cover_the_rows_in_aligned_bounded_pieces(self, n_rows, width):
+        slabs = likelihood._row_slabs(n_rows, width)
+        assert [i for r in slabs for i in range(r.start, r.stop)] == list(range(n_rows))
+        fit = max(likelihood._SLAB // width, 1)
+        sizes = [r.stop - r.start for r in slabs]
+        if fit < likelihood._SLAB_ALIGN:
+            assert max(sizes) <= fit
+            return
+        assert all(r.start % likelihood._SLAB_ALIGN == 0 for r in slabs)
+        assert len(slabs) == 1 or sizes[-1] > 1
+        # a 17-row slab where only 16 rows fit is the one excess
+        assert max(sizes) * width <= likelihood._SLAB or (fit < 32 and sizes[-1] == 17)
+
+    def test_no_block_buffer_exceeds_a_slab(self, monkeypatch):
+        """The widest blocks (4096 terms) still fit 32 rows in a slab."""
+        assert likelihood._SLAB // likelihood._BLOCK_MAX >= 2 * likelihood._SLAB_ALIGN
+        sizes = []
+        ratio_parts = likelihood._ratio_parts
+
+        def recorded(n_grid, *args, **kwargs):
+            sizes.append(np.size(n_grid))
+            return ratio_parts(n_grid, *args, **kwargs)
+
+        monkeypatch.setattr(likelihood, "_ratio_parts", recorded)
+        _batch_series(*_kernel_regime(50.0, 0.5, 20_000, 8), moments=True)
+        assert len(sizes) > 5 and max(sizes) <= likelihood._SLAB
+
+    def test_values_equal_the_halves(self, monkeypatch):
+        """A table of several slabs gives each row's log-likelihood to the
+        bit as its half of the table alone does."""
+        counts = _kernel_regime(50.0, 0.5, 8000, 9)[0]
+        slabs = _slab_counts(monkeypatch)
+        whole = table_row_logliks(*_kernel_table(counts, 50.0, 0.5), MixtureFamily.POISSON)
+        assert slabs[0] > 2
+        halves = [
+            table_row_logliks(*_kernel_table(part, 50.0, 0.5), MixtureFamily.POISSON)
+            for part in (counts[:4000], counts[4000:])
+        ]
+        np.testing.assert_array_equal(whole, np.concatenate(halves))
+
+    def test_moments_equal_the_halves(self, monkeypatch):
+        """NB with a per-row theta.  The two halves are equal and each row
+        comes 16 times in a row, so both halves size their blocks as the
+        whole table does, and every block's rows fall into the same BLAS
+        row groups in the whole as in each half."""
+        half = tuple(np.repeat(a, 16, axis=0) for a in _nb_rows(100, 10))
+        whole = tuple(np.concatenate([a, a]) for a in half)
+        slabs = _slab_counts(monkeypatch)
+        got = _batch_series(*whole, moments=True)
+        assert slabs[0] > 1
+        want = _batch_series(*half, moments=True)
+        n = half[1].size
+        _assert_same_series(got, want, slice(0, n))
+        _assert_same_series(got, want, slice(n, None))
+
+    def test_moments_do_not_depend_on_the_slab_size(self, monkeypatch):
+        """Rows cut into slabs give the moments of one slab for the whole
+        table, to the bit, on rows that differ from each other.  6,001 rows
+        make the first block's last slab one of 17 rows."""
+        args = _nb_rows(6001, 11)
+        slabs = _slab_counts(monkeypatch)
+        got = _batch_series(*args, moments=True)
+        assert slabs[0] > 2
+        monkeypatch.setattr(likelihood, "_SLAB", 1 << 40)
+        _assert_same_series(got, _batch_series(*args, moments=True))
+
+    def test_memory_stays_bounded_on_a_large_table(self):
+        """20,000 typical rows peak far below the 47.5 MiB of five full
+        rows x width buffers; numpy reports its buffers to tracemalloc."""
+        params, table, designs = _kernel_table(_kernel_regime(50.0, 0.5, 20_000, 12)[0], 50.0, 0.5)
+        tracemalloc.start()
+        try:
+            table_row_logliks(params, table, designs, MixtureFamily.POISSON)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 def _grid_points_per_row(monkeypatch, counts, lam, p, theta):
