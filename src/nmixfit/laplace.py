@@ -23,7 +23,9 @@ from .fitcore import (
 )
 from .likelihood import (
     _batch_series,
+    _d_scale,
     _leading_log_term,
+    _phi,
     _ratio_parts,
     _row_slabs,
     _take,
@@ -276,6 +278,7 @@ def posterior_n(
         theta = np.atleast_1d(np.asarray(theta_draws, dtype=float))
         if theta.shape != lam.shape or not np.all((theta > 0) & np.isfinite(theta)):
             raise ModelError("theta draws must be positive and finite, with one entry per draw")
+    phi = _phi(theta, lam.size)
     ystar = int(np.max(y))
     check_n_grid_max(n_grid_max, ystar)
 
@@ -283,7 +286,7 @@ def posterior_n(
     # log(1 - p) is -inf at p = 1; the kernel's ratios are then exactly 0
     with np.errstate(divide="ignore"):
         try:
-            log_l, n_min, n_max, _ = _batch_series(counts, lam, p, theta, moments=False)
+            log_l, n_min, n_max, _ = _batch_series(counts, lam, p, phi, moments=False)
         except NumericError as exc:
             if exc.row is None:
                 raise
@@ -300,9 +303,10 @@ def posterior_n(
                 f"posterior draw {int(np.argmax(n_max))} has mass up to N={hi}, past "
                 f"n_grid_max={n_grid_max}; raise n_grid_max or leave it unset"
             )
-        lead = _leading_log_term(np.full(lam.size, float(lo)), counts, lam, p, theta)
+        lead = _leading_log_term(np.full(lam.size, float(lo)), counts, lam, p, phi)
         grid = np.arange(lo + 1.0, hi + 1.0)[None, :]
         keep = 1.0 - p
+        keep[:, 0] *= _d_scale(lam, phi)
         slabs = _row_slabs(lam.size, grid.size + 1)
         # row 0 holds the running total, so each slab's draws add to it in
         # draw order, as one mean over all the draws would add them
@@ -311,7 +315,7 @@ def posterior_n(
         for rows in slabs:
             k = rows.stop - rows.start
             log_g = pmfs[1 : k + 1]
-            ratio, _ = _ratio_parts(grid, *_take(rows, counts, keep, lam, theta))
+            ratio, _ = _ratio_parts(grid, *_take(rows, counts, keep, phi))
             log_g[:, 0] = lead[rows]
             np.log(ratio, out=log_g[:, 1:])
             np.add.accumulate(log_g, axis=1, out=log_g)

@@ -4,11 +4,13 @@ Each table row contributes an infinite series over the latent abundance N:
 
     L = sum_{N >= y*} g(N),  g(N) = D(N) * prod_j Binomial(y_j; N, p_j),  y* = max_j y_j
 
-with D either Poisson or negative binomial, and a survey not carried out
-given y_j = 0 and p_j = 0, whose binomial factor is 1.  The series is
-evaluated through consecutive term ratios, cheap rational expressions,
+with D negative binomial of mean lam and size theta = 1/phi, Poisson at
+phi = 0, and a survey not carried out given y_j = 0 and p_j = 0, whose
+binomial factor is 1.  Both families take one path, with phi per row.
+The series is evaluated through consecutive term ratios,
 
-    r(N) = g(N)/g(N-1) = d(N) * prod_j [N / (N - y_j)] * (1 - p_j),  d = D(N)/D(N-1)
+    r(N) = g(N)/g(N-1) = d(N) * prod_j [N / (N - y_j)] * (1 - p_j),
+    d(N) = D(N)/D(N-1) = lam (1 + (N - 1) phi) / (N (1 + lam phi)),
 
 so L = g(s) * (1 + r(s+1) + r(s+1) r(s+2) + ...), with only g(s) taken
 from log-pmfs and every term scaled to g(s).  Most rows start at s = y*;
@@ -124,7 +126,7 @@ class RowLikelihoodInput:
 
     Only surveys that actually happened belong here; a missing survey
     simply contributes no binomial factor.  ``theta`` is None for the
-    Poisson mixture and the negative binomial size otherwise.
+    Poisson mixture (phi = 0 in the kernel) and the NB size otherwise.
     """
 
     y: np.ndarray
@@ -162,21 +164,29 @@ class RowLikelihoodDetail:
     n_min: int
 
 
-def log_count_density(n, lam, theta=None):
-    """Log pmf of the mixing distribution, vectorised over ``n``: Poisson
-    when ``theta`` is None, else negative binomial in size/mean form
-    (success probability theta / (theta + lam)).  ``n`` must hold
+def _phi(theta, n_rows):
+    """phi = 1 / theta on each of ``n_rows`` rows, from a public theta: None
+    for the Poisson mixture (phi = 0), a scalar, or one value per row."""
+    return np.zeros(n_rows) if theta is None else np.ones(n_rows) / theta
+
+
+def log_count_density(n, lam, phi):
+    """Log pmf of the mixing distribution over the broadcast of ``n``,
+    ``lam`` and ``phi``: negative binomial of mean lam and size 1 / phi
+    where phi > 0, else its limit, the Poisson pmf.  ``n`` must hold
     non-negative integers, because log n! is read from a table."""
-    n = np.asarray(n, dtype=float)
-    if theta is None:
-        return n * np.log(lam) - lam - log_factorial(n)
-    return (
-        gammaln(n + theta) - gammaln(theta) - log_factorial(n)
-        + theta * np.log(theta / (theta + lam)) + n * np.log(lam / (theta + lam))
-    )
+    n, lam, phi = np.broadcast_arrays(np.asarray(n, dtype=float), lam, phi)
+    log_n_fact = log_factorial(n)
+    out = n * np.log(lam) - lam - log_n_fact
+    nb = phi > 0.0
+    if nb.any():
+        n, lam, theta, log_n_fact = n[nb], lam[nb], 1.0 / phi[nb], log_n_fact[nb]
+        out[nb] = (gammaln(n + theta) - gammaln(_once(theta)) - log_n_fact
+                   + theta * np.log(theta / (theta + lam)) + n * np.log(lam / (theta + lam)))
+    return out
 
 
-def _leading_log_term(start, counts, lam, p, theta):
+def _leading_log_term(start, counts, lam, p, phi):
     """log g(s): mixing pmf at s times every binomial factor; a missing
     cell's (y = 0, p = 0) is exactly 1.  log s! is taken once per row."""
     rest = start[:, None] - counts
@@ -186,103 +196,128 @@ def _leading_log_term(start, counts, lam, p, theta):
         log_factorial(start)[:, None] - log_factorial(counts) - log_factorial(rest)
         + counts * np.log(np.maximum(p, _P_FLOOR)) + xlog1py(rest, -p)
     )
-    return log_count_density(start, lam, theta) + np.add.reduce(cells, axis=1)
+    return log_count_density(start, lam, phi) + np.add.reduce(cells, axis=1)
+
+
+def _once(theta):
+    """``theta``, or its one value when every row shares it: a function of
+    theta alone then runs once, and gives each row the same bits."""
+    return theta[0] if np.all(theta == theta[0]) else theta
+
+
+def _d_scale(lam, phi):
+    """lam / (1 + lam phi), the part of d(N) free of N: lam itself at phi = 0,
+    else 1 / (phi + 1 / lam), as lam phi overflows for theta near 1e-304."""
+    return np.where(phi > 0.0, 1.0 / (phi + 1.0 / lam), lam)
 
 
 def _take(rows, *inputs):
-    """The per-row kernel inputs at ``rows``; a None or scalar theta passes through."""
-    return tuple(a if np.ndim(a) == 0 else a[rows] for a in inputs)
+    """The per-row kernel inputs, phi among them, at ``rows``."""
+    return tuple(a[rows] for a in inputs)
 
 
-def _ratio_parts(n_grid, y0, keep, lam, theta, work=None):
+def _ratio_parts(n_grid, y0, keep, phi, work=None):
     """Term ratio r(N) = d(N) prod_j [N/(N-y_j)](1-p_j) on ``n_grid``, and
     a bound q(N) on every later ratio.
 
     ``y0`` and ``keep`` hold each cell's count and 1 - p, with 0 and 1 in
-    missing cells, whose factor is then 1.  The bound is q = r for Poisson
-    and for NB with theta >= 1 (d decreases), else the survey factor times
-    d_inf = lam / (theta + lam), which d then rises toward.  ``work`` holds
-    three buffers shaped like the result, which are overwritten, or is None.
+    missing cells, whose factor is then 1; ``keep``'s first column also
+    holds d's factor free of N (see :func:`_d_scale`).  The rest of d is
+    (1 + (N - 1) phi) / N, whose numerator a call with no phi > 0 row skips.
+    q = r where phi <= 1 (d decreases), else the survey factor times
+    max(d, d_inf), d_inf = lam phi / (1 + lam phi), which d rises toward.
+    ``work``, three buffers shaped like the result or None, is overwritten.
     """
     if work is None:
         shape = np.broadcast_shapes(np.shape(n_grid), (y0.shape[0], 1))
         work = tuple(np.empty(shape) for _ in range(3))
-    ratio, tmp, bound = work
-    d_scale = lam if theta is None else lam / (theta + lam)
+    ratio, tmp, spare = work
     for j in range(y0.shape[1]):
         np.subtract(n_grid, y0[:, j, None], out=tmp)
-        if j == 0:
-            np.divide(n_grid, tmp, out=ratio)
-            ratio *= (keep[:, 0] * d_scale)[:, None]
-        else:
-            np.divide(n_grid, tmp, out=tmp)
-            tmp *= keep[:, j, None]
+        factor = np.divide(n_grid, tmp, out=tmp if j else ratio)
+        factor *= keep[:, j, None]
+        if j:
             ratio *= tmp
-    if theta is None:
-        ratio /= n_grid
+    ratio /= n_grid
+    if not phi.any():
         return ratio, ratio
-    th = theta if np.ndim(theta) == 0 else theta[:, None]
-    np.add(n_grid, th - 1.0, out=tmp)
-    tmp /= n_grid
-    if np.all(theta >= 1.0):
-        ratio *= tmp
-        return ratio, ratio
-    np.maximum(tmp, 1.0, out=bound)
-    bound *= ratio
-    ratio *= tmp
+    bound = ratio
+    if np.any(phi > 1.0):
+        # d_inf = d N phi / (1 + (N - 1) phi), taken only where phi > 1
+        bound = np.multiply(ratio, n_grid, out=spare)
+        bound *= np.where(phi > 1.0, phi, 0.0)[:, None]
+    # times 1 + (N - 1) phi, as r + (N - 1) r phi, which cannot overflow
+    np.subtract(n_grid, 1.0, out=tmp)
+    tmp *= ratio
+    tmp *= phi[:, None]
+    ratio += tmp
+    if bound is not ratio:
+        np.maximum(bound, ratio, out=bound)
     return ratio, bound
 
 
-def _log_ratio(n, y0, base, theta, slope=False):
+def _log_ratio(n, y0, base, phi, slope=False):
     """log r(N) at one N per row and, if ``slope``, its derivative in N.
 
     ``y0`` has missing cells set to 0; ``base`` is log r's part free of N.
     The survey factors (each >= 1) are multiplied before the one log, so
-    an overflowing product gives inf, which still says r >= 1.
+    an overflowing product gives inf, which still says r >= 1.  The
+    mixing factor (1 + (N - 1) phi) / N is taken as 1/N + (1 - 1/N) phi,
+    which cannot overflow and is 1/N to the bit at phi = 0.
     """
     col = n[:, None]
     frac = col / (col - y0)
-    dens = 1.0 / n if theta is None else (n + (theta - 1.0)) / n
-    f = base + np.log(np.multiply.reduce(frac, axis=1) * dens)
+    inv_n = 1.0 / n
+    f = base + np.log(np.multiply.reduce(frac, axis=1) * (inv_n + (1.0 - inv_n) * phi))
     if not slope:
         return f
     # d/dN log[N / (N - y)] = (1 - N / (N - y)) / N
     df = (frac.shape[1] - np.add.reduce(frac, axis=1)) / n
-    df += -1.0 / n if theta is None else 1.0 / (n + (theta - 1.0)) - 1.0 / n
+    df += phi / (1.0 + (n - 1.0) * phi) - inv_n
     return f, df
 
 
-def _series_start(ystar, y0, log_keep, lam, theta, lead):
+def _series_start(ystar, y0, base, phi, lead):
     """Each row's start s, and the summand's mode m and sd.
 
-    ``lead`` is log g(y*).  A row moves to s = floor(m - c sd) when that
-    is ``_MIN_SHIFT`` above y*, or above y* at all if lead < -_LEAD_LIMIT.
-    The first needs D = m - y* >= _MIN_SHIFT + c sd with sd >= sqrt(D / J)
-    (-d log r/dN <= (D + J y*) / (m D) at the mode, J surveys), so rows
-    with r < 1 at the root of D = _MIN_SHIFT + c sqrt(D / J) are screened
-    out.  Bracketed Newton steps in u = log(N - y*) start from the root of
-    log r's large-N form: N - y* = exp(base) for Poisson, exact for one
-    survey, and N = (sum_j y_j + theta - 1) / -base for NB.  Rows screened
-    out get m and sd from two plain Newton steps from the same root,
-    enough to size the summation's blocks (see :func:`_stop_reach`).
+    ``base`` is log r's part free of N and ``lead`` is log g(y*).  A row
+    moves to s = floor(m - c sd) when that is ``_MIN_SHIFT`` above y*, or
+    above y* at all if lead < -_LEAD_LIMIT.  The first needs D = m - y* >=
+    _MIN_SHIFT + c sd, with sd >= sqrt(D / J) (-d log r/dN <= (D + J y*) /
+    (m D) at the mode, J surveys), so rows with r < 1 at the root of
+    D = _MIN_SHIFT + c sqrt(D / J) are screened out.  Bracketed Newton
+    steps in u = log(N - y*) start from the root of log r's large-N form:
+    N - y* = exp(base) at phi = 0, exact for one survey, and
+    N = (sum_j y_j + theta - 1) / -(base + log phi) for phi > 0.  Rows
+    screened out get m and sd from two plain Newton steps from the same
+    root, the sd from the slope of log r where the first lands: enough to
+    size the summation's blocks (see :func:`_sum_upward`).
     """
     start = ystar.copy()
-    base = log_keep + np.log(lam if theta is None else lam / (theta + lam))
-    if theta is None:
-        guess = np.exp(base)
-    else:
-        guess = (np.add.reduce(y0, axis=1) + (theta - 1.0)) / -base - ystar
+    guess = np.exp(base)
+    if (nb := np.flatnonzero(phi)).size:
+        sum_y, theta = np.add.reduce(y0[nb], axis=1), 1.0 / phi[nb]
+        guess[nb] = (sum_y + (theta - 1.0)) / -(base[nb] + np.log(phi[nb])) - ystar[nb]
     c_j = _START_SDS / np.sqrt(y0.shape[1])
     reach = (0.5 * (c_j + np.sqrt(c_j**2 + 4.0 * _MIN_SHIFT))) ** 2
-    with np.errstate(invalid="ignore"):
-        far = _log_ratio(ystar + reach, y0, base, theta) >= 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = _log_ratio(ystar + reach, y0, base, phi) >= 0.0
         screened = ~(far | (lead < -_LEAD_LIMIT))
-    mode, sd = _rough_mode(ystar, y0, base, theta, guess, screened)
+    mode, sd = np.full((2, ystar.size), np.nan)
+    if (rows := np.flatnonzero(screened)).size:
+        ys, args = ystar[rows], _take(rows, y0, base, phi)
+        gap = np.maximum(guess[rows], 1.0)
+        with np.errstate(all="ignore"):
+            for _ in range(2):
+                f, df = _log_ratio(ys + gap, *args, slope=True)
+                gap = gap * np.exp(-f / (df * gap))
+            mode[rows] = ys + gap
+            sd[rows] = 1.0 / np.sqrt(-df)
     rows = np.flatnonzero(~screened)
     if not rows.size:
         return start, mode, sd
     ys = ystar[rows]
-    args = _take(rows, y0, base, theta)
+    args = _take(rows, y0, base, phi)
     # the root lies in (lo, hi); log r is decreasing on (y*, inf)
     lo = np.where(far[rows], np.log(reach), -np.inf)
     hi = np.where(far[rows], np.inf, np.log(reach))
@@ -310,55 +345,21 @@ def _series_start(ystar, y0, log_keep, lam, theta, lead):
     return start, mode, sd
 
 
-def _rough_mode(ystar, y0, base, theta, guess, rows):
-    """Mode and sd of the summand on ``rows`` (elsewhere NaN): two Newton
-    steps in log(N - y*) from the large-N root ``guess``, the sd from the
-    slope of log r where the first step lands."""
-    mode = np.full(ystar.shape, np.nan)
-    sd = np.full(ystar.shape, np.nan)
-    rows = np.flatnonzero(rows)
-    if rows.size:
-        ys = ystar[rows]
-        args = _take(rows, y0, base, theta)
-        gap = np.maximum(guess[rows], 1.0)
-        with np.errstate(all="ignore"):
-            for _ in range(2):
-                f, df = _log_ratio(ys + gap, *args, slope=True)
-                gap = gap * np.exp(-f / (df * gap))
-            mode[rows] = ys + gap
-            sd[rows] = 1.0 / np.sqrt(-df)
-    return mode, sd
-
-
-def _stop_reach(start, mode, sd):
-    """Each row's expected stopping offset past its start: ``_STOP_SDS``
-    sds and ``_STOP_MARGIN`` terms past its mode, or 0 where the mode
-    estimate failed."""
-    with np.errstate(invalid="ignore"):
-        reach = mode - start + (_STOP_SDS * sd + _STOP_MARGIN)
-    return np.where(reach > 0.0, reach, 0.0)
-
-
-def _block_for(reach):
-    """First block width: the median of the rows' expected stopping
-    offsets.  Half the rows should finish in it; the rest go on in blocks
-    sized to their own estimates (see :func:`_sum_upward`), which on a
-    table of mixed rows costs less than one block sized for the widest."""
-    return int(np.clip(np.ceil(np.median(reach)), 1, _BLOCK_MAX))
-
-
-def _sum_upward(active, start, y0, keep, lam, theta, floor, moments, reach):
+def _sum_upward(active, start, y0, keep, lam, phi, floor, moments, mode, sd):
     """Sum rows ``active`` upward from N = start, with t(start) = 1.
 
     A row stops once its right tail bound is at most ``floor`` times its
-    partial sum, or raises after ``_TERM_BUDGET`` terms.  ``reach`` holds
-    each row's expected stopping offset.  The first block is
-    :func:`_block_for` wide; each later one covers the largest reach
-    of the rows still going, but is at most twice the width the block
-    before it was allowed, and once every reach is passed the blocks just
-    double.  Terms and partial sums are accumulated in sequence across
-    blocks, so a row's sum and stopping point do not depend on where
-    the blocks end.  A block is worked in slabs of rows from
+    partial sum, or raises after ``_TERM_BUDGET`` terms.  A row's reach,
+    its expected stopping offset, is ``_STOP_SDS`` sds and ``_STOP_MARGIN``
+    terms past its ``mode``, or 0 where that estimate failed.  The first
+    block is as wide as the median reach: half the rows should finish in
+    it, which on a table of mixed rows costs less than one block sized for
+    the widest.  Each later block covers the largest reach of the rows
+    still going, but is at most twice the width the block before it was
+    allowed, and once every reach is passed the blocks just double.  Terms
+    and partial sums are accumulated in sequence across blocks, so a row's
+    sum and stopping point do not depend on where the blocks end.  A block
+    is worked in slabs of rows from
     :func:`_row_slabs`, so each rows x block array, a view of buffers kept
     for the whole call, holds at most ``_SLAB`` elements whatever the
     number of rows.  Each row's carry, partial sum and running h sums live
@@ -368,11 +369,15 @@ def _sum_upward(active, start, y0, keep, lam, theta, floor, moments, reach):
 
     Returns full-length (part_sum, n_max, sums), meaningful on ``active``.
     With ``moments``, sums has rows sum t_k * (k, k^2, h_k, h_k^2, k h_k,
-    h'_k), where k = N - start and, for NB, h_k and h'_k are the running
-    sums of 1 / (N - 1 + theta) and of its square (zero for Poisson).
+    h'_k), where k = N - start and h_k and h'_k are the running sums of
+    1 / (N - 1 + theta) and of its square.  At phi = 0, theta = 1 / phi is
+    inf and every h exactly 0, so a call with no phi > 0 row skips them.
     """
     n_rows = y0.shape[0]
-    with_h = moments and theta is not None
+    with_h = moments and phi.any()
+    with np.errstate(invalid="ignore"):
+        reach = mode - start + (_STOP_SDS * sd + _STOP_MARGIN)
+    reach = np.where(reach > 0.0, reach, 0.0)
     part_sum = np.ones(n_rows)
     carry = np.ones(n_rows)
     sums = np.zeros((6 if moments else 0, n_rows))
@@ -381,7 +386,7 @@ def _sum_upward(active, start, y0, keep, lam, theta, floor, moments, reach):
     space, flags = np.empty((5, 0)), np.empty(0, dtype=bool)
 
     offset = 0
-    allowed = width = _block_for(reach[active])
+    allowed = width = int(np.clip(np.ceil(np.median(reach[active])), 1, _BLOCK_MAX))
     while active.size:
         if offset >= _TERM_BUDGET:
             row = int(active[0])
@@ -403,14 +408,12 @@ def _sum_upward(active, start, y0, keep, lam, theta, floor, moments, reach):
             grid, ratio, tmp, spare, cum = (buf[:size].reshape(n_act, width) for buf in space)
             stop = flags[:size].reshape(n_act, width)
             if n_act == n_rows:
-                st, ys, ks, lm, th, cr, sm = start, y0, keep, lam, theta, carry, part_sum
+                st, ys, ks, ph, cr, sm = start, y0, keep, phi, carry, part_sum
             else:
-                st, ys, ks, lm, th, cr, sm = _take(
-                    rows, start, y0, keep, lam, theta, carry, part_sum
-                )
+                st, ys, ks, ph, cr, sm = _take(rows, start, y0, keep, phi, carry, part_sum)
 
             np.add(st[:, None], steps, out=grid)
-            ratio, bound = _ratio_parts(grid, ys, ks, lm, th, (ratio, tmp, spare))
+            ratio, bound = _ratio_parts(grid, ys, ks, ph, (ratio, tmp, spare))
             lead_ratio = ratio[:, 0].copy()
             ratio[:, 0] *= cr
             running = grid
@@ -445,12 +448,12 @@ def _sum_upward(active, start, y0, keep, lam, theta, floor, moments, reach):
                 last = np.where(stopped, first, width - 1)
                 np.greater(np.arange(width), last[:, None], out=stop)
                 np.copyto(cum, 0.0, where=stop)
-                with np.errstate(over="ignore", invalid="ignore"):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     sums[0, rows] += cum @ steps
                     sums[1, rows] += cum @ (steps * steps)
                     if with_h:
                         h, h_sq = tmp, spare
-                        np.add((st + (th - 1.0))[:, None], steps, out=h)
+                        np.add((st + (1.0 / ph - 1.0))[:, None], steps, out=h)
                         np.reciprocal(h, out=h)
                         np.multiply(h, h, out=h_sq)
                         h[:, 0] += carry_h[0, rows]
@@ -474,22 +477,9 @@ def _sum_upward(active, start, y0, keep, lam, theta, floor, moments, reach):
     return part_sum, n_max, sums
 
 
-def _left_tail_ok(rows, start, y0, keep, lam, theta, part_sum, floor):
-    """Whether the terms below each moved row's start are negligible.
-
-    r decreases on (y*, inf) for a moved row (for NB with theta < 1 the
-    rise of d loses to the survey factor of a count y* >= 1), so the
-    skipped terms sum to at most q / (1 - q) with q = 1 / r(s).
-    """
-    ratio, _ = _ratio_parts(start[rows, None], *_take(rows, y0, keep, lam, theta))
-    with np.errstate(divide="ignore"):
-        q = 1.0 / ratio[:, 0]
-        return (q < 1.0) & (q / (1.0 - q) <= floor * part_sum[rows])
-
-
 class PosteriorMoments(NamedTuple):
     """Per-row moments of the latent N given the row's counts, with psi and
-    psi' the digamma and trigamma of N + theta; for Poisson psi fields are 0."""
+    psi' the digamma and trigamma of N + theta; psi fields are 0 at phi = 0."""
 
     mean_n: np.ndarray
     var_n: np.ndarray
@@ -499,13 +489,12 @@ class PosteriorMoments(NamedTuple):
     mean_dtrigamma: np.ndarray  # E[psi'(N + theta)] - trigamma(theta)
 
 
-def _batch_series(counts, lam, p, theta, moments):
+def _batch_series(counts, lam, p, phi, moments):
     """Row log-likelihoods, the summed range and, if ``moments``, posterior moments.
 
-    ``counts``/``p`` have shape (n_rows, n_surveys) and ``lam`` shape
-    (n_rows,); a missing survey is a cell with count 0 and p = 0, whose
-    binomial factor is 1.  ``theta`` is None (Poisson), a scalar or an
-    array with one value per row.  Moments are centred at the start s
+    ``counts``/``p`` have shape (n_rows, n_surveys), and ``lam`` and ``phi``
+    shape (n_rows,); a missing survey is a cell with count 0 and p = 0,
+    whose binomial factor is 1.  Moments are centred at the start s
     (k = N - s), so the variances do not cancel, and use the digamma and
     trigamma recurrences psi(s + k + theta) = psi(s + theta) + h_k and
     psi'(s + k + theta) = psi'(s + theta) - h'_k.
@@ -514,27 +503,33 @@ def _batch_series(counts, lam, p, theta, moments):
     """
     n_rows = counts.shape[0]
     ystar = np.max(counts, axis=1)
-    log_keep = np.sum(np.log1p(-p), axis=1)
-    lead = _leading_log_term(ystar, counts, lam, p, theta)
-    start, mode, sd = _series_start(ystar, counts, log_keep, lam, theta, lead)
-    moved = start > ystar
-    inputs = (counts, 1.0 - p, lam, theta)
+    scale = _d_scale(lam, phi)
+    keep = 1.0 - p
+    keep[:, 0] *= scale
+    lead = _leading_log_term(ystar, counts, lam, p, phi)
+    base = np.sum(np.log1p(-p), axis=1) + np.log(scale)
+    start, mode, sd = _series_start(ystar, counts, base, phi, lead)
+    inputs = (counts, keep, lam, phi)
     floor = _TAIL_SAFETY * _REL_FLOOR
-    sums = _sum_upward(
-        np.arange(n_rows), start, *inputs, floor, moments, _stop_reach(start, mode, sd)
-    )
+    sums = _sum_upward(np.arange(n_rows), start, *inputs, floor, moments, mode, sd)
     part_sum = sums[0]
 
-    pending = np.flatnonzero(moved)
+    pending = np.flatnonzero(start > ystar)
     # c sd lower, then twice as far each time, so the retries end
     drop = np.ceil(_START_SDS * sd)
     while pending.size:
-        pending = pending[~_left_tail_ok(pending, start, *inputs, part_sum, floor)]
+        # r decreases on (y*, inf) for a moved row (for phi > 1 the rise of d loses to
+        # the survey factor of a count y* >= 1), so the terms below its start sum to
+        # at most q / (1 - q), q = 1 / r(s); rows where that is not negligible go on
+        ratio, _ = _ratio_parts(start[pending, None], *_take(pending, counts, keep, phi))
+        with np.errstate(divide="ignore"):
+            q = 1.0 / ratio[:, 0]
+            pending = pending[~((q < 1.0) & (q / (1.0 - q) <= floor * part_sum[pending]))]
         if not pending.size:
             break
         start[pending] = np.maximum(ystar[pending], start[pending] - drop[pending])
         drop[pending] *= 2.0
-        redo = _sum_upward(pending, start, *inputs, floor, moments, _stop_reach(start, mode, sd))
+        redo = _sum_upward(pending, start, *inputs, floor, moments, mode, sd)
         for whole, part in zip(sums, redo):
             whole[..., pending] = part[..., pending]
         pending = pending[start[pending] > ystar[pending]]
@@ -551,22 +546,24 @@ def _batch_series(counts, lam, p, theta, moments):
         )
     shifted = np.flatnonzero(start > ystar)
     if shifted.size:
-        lead[shifted] = _leading_log_term(
-            start[shifted], *_take(shifted, counts, lam, p, theta)
-        )
+        lead[shifted] = _leading_log_term(start[shifted], *_take(shifted, counts, lam, p, phi))
     ll = lead + np.log(part_sum)
     stats = None
     if moments:
         k, k_sq, h, h_sq, k_h, h_prime = raw / part_sum
+        # psi(s + theta) - psi(theta) and its trigamma twin, 0 at phi = 0
+        dpsi, dtrigamma = np.zeros((2, n_rows))
+        if (nb := np.flatnonzero(phi)).size:
+            s, theta = start[nb], 1.0 / phi[nb]
+            dpsi[nb] = digamma(s + theta) - digamma(_once(theta))
+            dtrigamma[nb] = trigamma(s + theta) - trigamma(_once(theta))
         stats = PosteriorMoments(
             mean_n=start + k,
             var_n=k_sq - k * k,
-            mean_dpsi=h if theta is None else digamma(start + theta) - digamma(theta) + h,
+            mean_dpsi=dpsi + h,
             var_psi=h_sq - h * h,
             cov_n_psi=k_h - k * h,
-            mean_dtrigamma=h_prime if theta is None else (
-                trigamma(start + theta) - trigamma(theta) - h_prime
-            ),
+            mean_dtrigamma=dtrigamma - h_prime,
         )
     return ll, start.astype(int), n_max.astype(int), stats
 
@@ -591,7 +588,7 @@ def row_loglik_detail(row: RowLikelihoodInput) -> RowLikelihoodDetail:
         If the row needs more than 10,000 terms past its start.
     """
     ll, n_min, n_max, _ = _batch_series(
-        row.y[None, :], np.array([row.lam]), row.p[None, :], row.theta, moments=False
+        row.y[None, :], np.array([row.lam]), row.p[None, :], _phi(row.theta, 1), moments=False
     )
     return RowLikelihoodDetail(
         loglik=float(ll[0]),
@@ -602,17 +599,16 @@ def row_loglik_detail(row: RowLikelihoodInput) -> RowLikelihoodDetail:
 
 
 def _kernel_inputs(params, table, designs, family):
-    """The kernel's (counts, lam, p, theta) for a table, after checking that
+    """The kernel's (counts, lam, p, phi) for a table, after checking that
     the parts agree: a missing cell has count 0 and p = 0."""
     check_table_designs(table, designs)
-    if family.has_dispersion and params.log_theta is None:
-        raise ModelError("negative binomial family requires log_theta")
-    if not family.has_dispersion and params.log_theta is not None:
-        raise ModelError("Poisson family must not carry log_theta")
+    carries = params.n_params > params.beta.size + params.alpha.size  # log_theta is set
+    if carries != family.has_dispersion:
+        raise ModelError("Poisson family must not carry log_theta" if carries
+                         else "negative binomial family requires log_theta")
     lam = lambda_values(params, designs)
     p = np.where(table.mask, detection_probs(params, designs), 0.0)
-    theta = params.theta if family.has_dispersion else None
-    return table.filled_counts(), lam, p, theta
+    return table.filled_counts(), lam, p, _phi(params.theta, table.n_rows)
 
 
 def table_loglik(
@@ -649,7 +645,7 @@ def table_loglik_hessian(
     (Louis 1982) the Hessian is E[d^2 l_c | y] + Var[s_i | y].  With
     m_i = E[N_i | y_i] the score's parts are:
 
-    * beta: X^T theta (m - lam) / (theta + lam), or X^T (m - lam) for Poisson;
+    * beta: X^T (m - lam) / (1 + lam phi), phi = 1 / theta, 0 for Poisson;
     * alpha: the sum over observed cells of (y_ij - m_i p_ij) W_ij, with
       no contribution from cells whose p is clamped at ``P_CLAMP``;
     * log_theta: theta sum_i [E psi(N_i + theta) - psi(theta)
@@ -659,16 +655,13 @@ def table_loglik_hessian(
     psi'(N_i + theta), so a few posterior moments from the series pass
     give the Hessian.  The value equals :func:`table_loglik` exactly.
     """
-    counts, lam, p, theta = _kernel_inputs(params, table, designs, family)
-    ll, _, _, mom = _batch_series(counts, lam, p, theta, moments=True)
+    counts, lam, p, phi = _kernel_inputs(params, table, designs, family)
+    ll, _, _, mom = _batch_series(counts, lam, p, phi, moments=True)
     x, w, m = designs.abundance_design, designs.detection_design, mom.mean_n
 
-    if theta is None:
-        c_lam = np.ones_like(lam)
-        d2_lam = -lam
-    else:
-        c_lam = theta / (theta + lam)
-        d2_lam = -c_lam * lam * (theta + m) / (theta + lam)
+    # 1 and -lam exactly at phi = 0
+    c_lam = 1.0 / (1.0 + lam * phi)
+    d2_lam = -c_lam * lam * (1.0 + m * phi) / (1.0 + lam * phi)
     # clip() has zero slope where it binds, so clamped cells drop out, as do
     # missing ones (p = 0)
     free = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
@@ -677,7 +670,8 @@ def table_loglik_hessian(
     score = [x.T @ (c_lam * (m - lam)), np.tensordot(d_eta_p, w, axes=([0, 1], [0, 1]))]
     # slope of each row's complete-data score in N
     slope = [c_lam[:, None] * x, -np.einsum("ij,ijk->ik", p_free, w)]
-    if theta is not None:
+    if family.has_dispersion:
+        theta = params.theta
         d_theta = mom.mean_dpsi + np.log(c_lam) + (lam - m) / (theta + lam)
         score.append(np.array([theta * np.sum(d_theta)]))
         slope.append(-c_lam[:, None])
@@ -689,7 +683,7 @@ def table_loglik_hessian(
     w_cells = w.reshape(-1, designs.p_detect)
     weight = (m[:, None] * p_free * (1.0 - p)).reshape(-1, 1)
     hess[n_lam:n_coef, n_lam:n_coef] -= w_cells.T @ (weight * w_cells)
-    if theta is not None:
+    if family.has_dispersion:
         # psi(N + theta) enters only the log_theta component, with slope theta
         cross = slope.T @ (theta * mom.cov_n_psi)
         cross[:n_lam] += x.T @ (theta * lam * (m - lam) / (theta + lam) ** 2)

@@ -12,10 +12,11 @@ from nmixfit import DataError, NumericError, SimConfig, experiments
 from nmixfit.experiments import (
     BiasRecord,
     median_abs_bias,
-    read_bias_csv,
     run_bias_experiment,
     write_bias_csv,
 )
+
+from biascsv import read_bias_csv
 
 SMALL = SimConfig(n_sites=10, n_surveys=3, n_years=2, seed=0)
 

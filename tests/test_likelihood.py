@@ -215,6 +215,21 @@ class TestExtremeInputs:
         want = nbinom.logpmf(2, 0.5, 0.5 / (0.5 + 50.0 * 0.001))
         assert _rel_err(detail.loglik, want) < 1e-10
 
+    @pytest.mark.parametrize("lam", [10.0, 1e5])
+    @pytest.mark.parametrize(
+        "y", [(3.0, 5.0, 2.0), (0.0, 0.0, 0.0), (40.0, 35.0, 50.0), (2e4, 2e4, 2e4)]
+    )
+    def test_theta_at_the_draw_floor(self, y, lam):
+        """theta = e^-700, the floor the CLI clips posterior draws of theta
+        to, makes phi = 1 / theta about 1e304: neither (N - 1) phi (past
+        double range for N above 1.8e4) nor lam phi (past it at lam = 1e5)
+        may overflow on the way to the oracle's value."""
+        row = _row(y, [0.5] * 3, lam, math.exp(-700.0))
+        detail = row_loglik_detail(row)
+        want = row_loglik_bruteforce(row, n_max=detail.n_max)
+        assert np.isfinite(detail.loglik)
+        assert _rel_err(detail.loglik, want) <= 1e-10
+
 
 # a term budget wide enough for every row of the extreme-regime tests
 _WIDE_BUDGET = 4_000_000
@@ -292,12 +307,12 @@ class TestCountDensity:
     def test_poisson_log_pmf(self):
         n = np.arange(40, dtype=float)
         np.testing.assert_allclose(
-            log_count_density(n, 6.5), poisson.logpmf(n, 6.5), rtol=1e-12
+            log_count_density(n, 6.5, 0.0), poisson.logpmf(n, 6.5), rtol=1e-12
         )
 
     def test_negative_binomial_log_pmf(self):
         n = np.arange(40, dtype=float)
-        got = log_count_density(n, 6.5, 2.3)
+        got = log_count_density(n, 6.5, 1.0 / 2.3)
         want = nbinom.logpmf(n, 2.3, 2.3 / (2.3 + 6.5))
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -316,7 +331,7 @@ def test_leading_term_takes_log_factorial_once_per_row(monkeypatch):
         return log_factorial(x)
 
     monkeypatch.setattr(likelihood, "log_factorial", counting)
-    likelihood._leading_log_term(counts.max(axis=1), counts, np.full(n, 4.0), np.full((n, 3), 0.4), None)
+    likelihood._leading_log_term(counts.max(axis=1), counts, np.full(n, 4.0), np.full((n, 3), 0.4), np.zeros(n))
     assert sum(sizes) == 8 * n
 
 
@@ -567,13 +582,44 @@ class TestPerRowTheta:
         p = np.concatenate([rng.uniform(0.3, 0.6, (59, 3)), np.full((1, 3), 0.02)])
         # missing cells: count 0 and p = 0
         counts[3, 1] = counts[17, 0] = p[3, 1] = p[17, 0] = 0.0
-        theta = rng.uniform(0.5, 8.0, 60)
+        phi = 1.0 / rng.uniform(0.5, 8.0, 60)
 
-        ll, n_min, n_max, mom = _batch_series(counts, lam, p, theta, moments=True)
+        ll, n_min, n_max, mom = _batch_series(counts, lam, p, phi, moments=True)
         assert n_min[-1] > 210 and n_max[-2] - n_min[-2] > 2 * 64
         for i in range(60):
             ll_i, n_min_i, n_max_i, mom_i = _batch_series(
-                counts, lam, p, theta[i], moments=True
+                counts, lam, p, np.full(60, phi[i]), moments=True
+            )
+            assert ll[i] == ll_i[i]
+            assert (n_min[i], n_max[i]) == (n_min_i[i], n_max_i[i])
+            assert tuple(f[i] for f in mom) == tuple(f[i] for f in mom_i)
+
+    def test_mixed_phi_matches_one_phi_call_per_row(self, monkeypatch):
+        """One batch mixes phi = 0 (Poisson) rows, rows with phi in (0, 1]
+        and rows with phi > 1 (theta < 1, whose ratio bound differs).  Each
+        row gives exactly what a call in which every row has that row's phi
+        gives it: small rows (two with a missing cell), a wide row, and one
+        moved row of each family.  The rows' phi sets their expected
+        stopping points, which size the blocks, and where blocks end moves
+        the moments by rounding (see TestBlockLayout); blocks one term wide
+        end at the same N in every call."""
+        monkeypatch.setattr(likelihood, "_BLOCK_MAX", 1)
+        rng = np.random.default_rng(22)
+        lam = np.concatenate([rng.uniform(2.0, 12.0, 27), [400.0, 1e4, 2000.0]])
+        counts = rng.binomial(rng.poisson(lam)[:, None], 0.4, size=(30, 3)).astype(float)
+        counts[-2:] = [[200.0, 180.0, 210.0], [100.0, 100.0, 100.0]]
+        p = np.concatenate([rng.uniform(0.3, 0.6, (28, 3)), np.full((2, 3), 0.5)])
+        counts[3, 1] = counts[17, 0] = p[3, 1] = p[17, 0] = 0.0
+        kind = np.arange(30) % 3
+        phi = np.select([kind == 1, kind == 2], [rng.uniform(0.05, 1.0, 30), rng.uniform(1.5, 20.0, 30)])
+        phi[-3:] = [0.5, 1.0 / 3.0, 0.0]
+
+        ll, n_min, n_max, mom = _batch_series(counts, lam, p, phi, moments=True)
+        assert n_max[-3] - n_min[-3] > 2 * 64
+        assert n_min[-2] > 210 and n_min[-1] > 100
+        for i in range(30):
+            ll_i, n_min_i, n_max_i, mom_i = _batch_series(
+                counts, lam, p, np.full(30, phi[i]), moments=True
             )
             assert ll[i] == ll_i[i]
             assert (n_min[i], n_max[i]) == (n_min_i[i], n_max_i[i])
@@ -581,15 +627,15 @@ class TestPerRowTheta:
 
 
 def _kernel_regime(lam, p, rows, seed):
-    """Intercept-only Poisson rows with three surveys, as the benchmark's
-    kernel regimes draw them."""
+    """Intercept-only Poisson rows (phi = 0) with three surveys, as the
+    benchmark's kernel regimes draw them."""
     rng = np.random.default_rng(seed)
     counts = rng.binomial(rng.poisson(lam, rows)[:, None], p, (rows, 3)).astype(float)
-    return counts, np.full(rows, lam), np.full((rows, 3), p), None
+    return counts, np.full(rows, lam), np.full((rows, 3), p), np.zeros(rows)
 
 
 def _mixed_rows(theta="none", missing=False, clamped=False):
-    """40 rows of three surveys, lambda 2-60, as (counts, lam, p, theta)."""
+    """40 rows of three surveys, lambda 2-60, as (counts, lam, p, phi)."""
     rng = np.random.default_rng(31)
     lam = rng.uniform(2.0, 60.0, 40)
     counts = rng.binomial(rng.poisson(lam)[:, None], 0.45, (40, 3)).astype(float)
@@ -600,13 +646,13 @@ def _mixed_rows(theta="none", missing=False, clamped=False):
     if clamped:
         p[5, 0], p[9, 2] = P_CLAMP, 1.0 - P_CLAMP
     th = {"none": None, "scalar": 2.5, "per-row": rng.uniform(0.5, 6.0, 40)}[theta]
-    return counts, lam, p, th
+    return counts, lam, p, likelihood._phi(th, 40)
 
 
 def _moved_row(name):
     y, lam, p, theta = _MOVED_ROWS[name]
     counts = np.array([y], dtype=float)
-    return counts, np.array([lam]), np.full(counts.shape, p), theta
+    return counts, np.array([lam]), np.full(counts.shape, p), likelihood._phi(theta, 1)
 
 
 _LAYOUT_CASES = {
@@ -642,11 +688,11 @@ class TestBlockLayout:
 
 
 def _nb_rows(rows, seed):
-    """NB rows of three surveys with a per-row theta, as (counts, lam, p, theta)."""
+    """NB rows of three surveys with a per-row theta, as (counts, lam, p, phi)."""
     rng = np.random.default_rng(seed)
     lam = rng.uniform(20.0, 80.0, rows)
     counts = rng.binomial(rng.poisson(lam)[:, None], 0.5, (rows, 3)).astype(float)
-    return counts, lam, rng.uniform(0.3, 0.7, (rows, 3)), rng.uniform(0.5, 6.0, rows)
+    return counts, lam, rng.uniform(0.3, 0.7, (rows, 3)), 1.0 / rng.uniform(0.5, 6.0, rows)
 
 
 def _kernel_table(counts, lam, p):
@@ -765,7 +811,7 @@ class TestSlabs:
         assert peak < 12 * 2**20
 
 
-def _grid_points_per_row(monkeypatch, counts, lam, p, theta):
+def _grid_points_per_row(monkeypatch, counts, lam, p, phi):
     """Grid points the kernel evaluates per row, and terms it sums per row."""
     points = []
     ratio_parts = likelihood._ratio_parts
@@ -775,7 +821,7 @@ def _grid_points_per_row(monkeypatch, counts, lam, p, theta):
         return ratio_parts(n_grid, *args, **kwargs)
 
     monkeypatch.setattr(likelihood, "_ratio_parts", counted)
-    _, n_min, n_max, _ = _batch_series(counts, lam, p, theta, moments=True)
+    _, n_min, n_max, _ = _batch_series(counts, lam, p, phi, moments=True)
     return sum(points) / lam.size, np.mean(n_max - n_min + 1)
 
 
@@ -793,7 +839,7 @@ class TestBlockSizing:
         n_true = rng.poisson(np.full(100_000, 50.0))
         counts = rng.binomial(n_true[:, None], np.full((100_000, 3), 0.5))[:20_000].astype(float)
         points, terms = _grid_points_per_row(
-            monkeypatch, counts, np.full(20_000, 50.0), np.full(counts.shape, 0.5), None,
+            monkeypatch, counts, np.full(20_000, 50.0), np.full(counts.shape, 0.5), np.zeros(20_000),
         )
         assert points <= 1.25 * terms
 
