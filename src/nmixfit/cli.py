@@ -34,7 +34,6 @@ from .io import (
 from .laplace import (
     LambdaFittedSummary,
     PriorSpec,
-    check_n_grid_max,
     fit_laplace,
     lambda_fitted,
     posterior_n,
@@ -122,11 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _fit_flags(p, engines=("laplace",))
     p.add_argument("--samples", type=_positive_int, default=None)
-    p.add_argument("--row", type=_positive_int, default=None, help="1-based row index (default 1)")
-    p.add_argument(
-        "--n-grid-max", type=int, default=None,
-        help="optional ceiling on N: the pmf is zero-padded to it; mass past it is an error",
-    )
+    p.add_argument("--row", type=_positive_int, default=None, help="1-based data row (default 1)")
     _common_flags(p)
 
     p = sub.add_parser("bias-experiment", help="Monte Carlo bias sweep over a4")
@@ -250,12 +245,12 @@ def _prepare_fit(args):
         raise DataError("--dataset is required (flag or config)")
     _default(args, "family", "nb")
     dataset = read_dataset(args.dataset)
-    table, designs, notes = build_designs(
+    table, designs, notes, kept = build_designs(
         dataset, _split_names(args.lambda_covariates), _split_names(args.p_covariates)
     )
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    return table, designs, MixtureFamily(args.family)
+    return table, designs, MixtureFamily(args.family), kept
 
 
 def _run_engine(args, table, designs, family):
@@ -272,7 +267,7 @@ def _run_engine(args, table, designs, family):
 def _cmd_fit(args) -> int:
     if args.engine is None:
         raise DataError("--engine is required: ml or laplace")
-    table, designs, family = _prepare_fit(args)
+    table, designs, family, _ = _prepare_fit(args)
     fit, elapsed = _run_engine(args, table, designs, family)
     summary = summarize_fit(fit) if fit.covariance is not None else None
     path = _out_path(args, "fit.json")
@@ -306,7 +301,7 @@ def _posterior_samples(args, table, designs, family):
 
 
 def _cmd_lambda_fitted(args) -> int:
-    table, designs, family = _prepare_fit(args)
+    table, designs, family, _ = _prepare_fit(args)
     fit, samples, elapsed = _posterior_samples(args, table, designs, family)
     rows = lambda_fitted(samples, designs)
     path = _out_path(args, "lambda_fitted.csv")
@@ -337,23 +332,24 @@ def _row_draws(samples, table, designs, idx):
 
 
 def _cmd_posterior_n(args) -> int:
-    table, designs, family = _prepare_fit(args)
+    table, designs, family, kept = _prepare_fit(args)
     _default(args, "row", 1)
-    if args.row > table.n_rows:
-        raise DataError(f"--row must lie in 1..{table.n_rows}")
-    check_n_grid_max(args.n_grid_max, int(table.row_max()[args.row - 1]))
+    if args.row > kept.size:
+        raise DataError(f"--row must lie in 1..{kept.size}, the data rows of {args.dataset}")
+    if not kept[args.row - 1]:
+        raise DataError(f"--row {args.row}: that data row was dropped, as it has no usable survey")
+    idx = int(np.count_nonzero(kept[: args.row - 1]))
     fit, samples, elapsed = _posterior_samples(args, table, designs, family)
-    y_row, lam_draws, p_draws, theta_draws = _row_draws(samples, table, designs, args.row - 1)
-    probs = posterior_n(
-        y_row, lam_draws, p_draws, theta_draws=theta_draws, n_grid_max=args.n_grid_max
-    )
+    y_row, lam_draws, p_draws, theta_draws = _row_draws(samples, table, designs, idx)
+    probs = posterior_n(y_row, lam_draws, p_draws, theta_draws=theta_draws)
     grid = np.arange(int(y_row.max()), int(y_row.max()) + probs.size)
     path = _out_path(args, "posterior_n.csv")
     write_csv(path, ["n", "probability"], zip(grid.tolist(), probs.tolist()))
     mean_n = float(np.sum(grid * probs))
     mode_n = int(grid[np.argmax(probs)])
     print(
-        f"posterior of N for row {args.row} written to {path}\n"
+        f"posterior of N for row {args.row} (site {table.site[idx]}, year {table.year[idx]}) "
+        f"written to {path}\n"
         f"counts {np.asarray(y_row, dtype=int).tolist()}, posterior mean {mean_n:.2f}, "
         f"mode {mode_n} (fit {elapsed:.2f} s)"
     )

@@ -58,7 +58,7 @@ def with_survey_detection_covariates(dataset: Dataset):
 
     Counts observed without their survey covariates are dropped, the
     same treatment the original analysis applied.  Returns (table,
-    designs, notes).
+    designs, notes, kept).
     """
     date = dataset.survey_covariates["date"]
     augmented = Dataset(
@@ -79,7 +79,7 @@ def with_averaged_detection_covariates(dataset: Dataset):
     Survey covariates are averaged per row over the surveys where they
     were recorded; rows with no recorded values fall back to the overall
     mean.  The square of the averaged date is taken after averaging.
-    Returns (table, designs, notes).
+    Returns (table, designs, notes, kept).
     """
     averaged = {}
     for name in _MALLARD_SURVEY_COVARIATES:

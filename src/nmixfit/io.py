@@ -81,6 +81,18 @@ def _parse_labels(cells, column: str, lines) -> np.ndarray:
     return values.astype(int)
 
 
+def _parse_covariate(cells, column: str, lines, level: str) -> np.ndarray:
+    """A covariate column; an infinite cell, or a missing one of a row
+    covariate, is a DataError naming its line."""
+    values = _parse_column(cells, column, lines)
+    bad = np.isinf(values) | (np.isnan(values) if level == "row" else False)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "missing" if np.isnan(values[i]) else "infinite"
+        raise DataError(f"line {lines[i]}: {level} covariate {column!r} is {what}")
+    return values
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A count table plus named covariates, as stored on disk.  Like the
@@ -98,10 +110,12 @@ class Dataset:
             if arr.shape != (n,):
                 raise DataError(f"row covariate {name!r} must have shape ({n},)")
             if not np.all(np.isfinite(arr)):
-                raise DataError(f"row covariate {name!r} contains missing values")
+                raise DataError(f"row covariate {name!r} contains missing or infinite values")
         for name, arr in survey.items():
             if arr.shape != (n, j):
                 raise DataError(f"survey covariate {name!r} must have shape ({n}, {j})")
+            if np.any(np.isinf(arr)):
+                raise DataError(f"survey covariate {name!r} contains infinite values")
         object.__setattr__(self, "row_covariates", row)
         object.__setattr__(self, "survey_covariates", survey)
 
@@ -174,15 +188,12 @@ def read_dataset(path) -> Dataset:
     site = _parse_labels(columns[0], "site", lines)
     year = _parse_labels(columns[1], "year", lines)
     counts = np.column_stack([_parse_column(columns[i], header[i], lines) for _, i in count_cols])
-    row_cov = {name: _parse_column(columns[i], name, lines) for name, i in row_cols.items()}
-    for name, values in row_cov.items():
-        if np.isnan(values).any():
-            line = lines[int(np.argmax(np.isnan(values)))]
-            raise DataError(f"line {line}: row covariate {name!r} is missing")
+    row_cov = {name: _parse_covariate(columns[i], name, lines, "row") for name, i in row_cols.items()}
     survey_cov = {
-        name: np.column_stack(
-            [_parse_column(columns[cols[s + 1]], name, lines) for s in range(n_surveys)]
-        )
+        name: np.column_stack([
+            _parse_covariate(columns[cols[s]], header[cols[s]], lines, "survey")
+            for s in range(1, n_surveys + 1)
+        ])
         for name, cols in survey_cols.items()
     }
 
@@ -197,13 +208,14 @@ def build_designs(
     dataset: Dataset,
     lambda_covariates: tuple[str, ...],
     p_covariates: tuple[str, ...],
-) -> tuple[ObservationTable, DesignMatrices, list[str]]:
+) -> tuple[ObservationTable, DesignMatrices, list[str], np.ndarray]:
     """Assemble design matrices with explicit intercepts from named covariates.
 
     A survey-level detection covariate that is missing where a count was
     recorded makes that cell unusable: the count is dropped (marked as a
     missed survey), and rows losing every survey are dropped entirely.
-    The returned notes describe any such surgery.
+    Returns (table, designs, notes, kept): the notes describe any such
+    surgery, and ``kept`` marks the dataset's rows that the table holds.
     """
     table = dataset.table
     n, j = table.n_rows, table.n_surveys
@@ -260,7 +272,7 @@ def build_designs(
         abundance_names=("(Intercept)",) + tuple(lambda_covariates),
         detection_names=("(Intercept)",) + tuple(p_covariates),
     )
-    return new_table, designs, notes
+    return new_table, designs, notes, keep
 
 
 def parse_config(path) -> dict[str, str]:

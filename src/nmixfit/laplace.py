@@ -23,12 +23,9 @@ from .fitcore import (
 )
 from .likelihood import (
     _batch_series,
-    _d_scale,
-    _leading_log_term,
     _phi,
-    _ratio_parts,
+    _posterior_pmf,
     _row_slabs,
-    _take,
     table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
 )
 from .mle import _fit
@@ -216,38 +213,28 @@ def lambda_fitted(
     ]
 
 
-def check_n_grid_max(n_grid_max: int | None, ystar: int) -> None:
-    """ModelError when a ceiling on N lies below the largest count ``ystar``."""
-    if n_grid_max is not None and n_grid_max < ystar:
-        raise ModelError(f"n_grid_max={n_grid_max} is below the largest count {ystar}")
-
-
 def posterior_n(
     y_row: np.ndarray,
     lambda_draws: np.ndarray,
     p_draws: np.ndarray,
     theta_draws: np.ndarray | None = None,
-    n_grid_max: int | None = None,
 ) -> np.ndarray:
     """Posterior pmf of one row's latent abundance N, averaged over draws.
 
     The draws are the rows of one batch of the likelihood's series
-    kernel, so each draw's support is the range that the kernel's two
-    geometric tail bounds select (under 1e-12 of its mass lies outside).
-    On the union of the ranges each draw's pmf g(N) / L is rebuilt from
-    the kernel's leading term and term ratios, one slab of draws at a
-    time (see :func:`likelihood._row_slabs`), so the working arrays hold
-    about 2**17 elements, or one draw's pmf where that is wider, however
-    many draws there are.  The pmfs are added in draw order, as one mean
-    over all the draws adds them, then averaged and renormalised.
+    kernel, so each draw's support is the range n_min..n_max that
+    :func:`likelihood.row_loglik_detail` reports for it (under 1e-12 of
+    its mass lies outside).  The kernel module rebuilds each draw's pmf
+    g(N) / L on the union of the ranges, in slabs of about 2**17 elements
+    whatever the number of draws, adds the pmfs in draw order, and
+    renormalises their mean.
 
     Returns the pmf aligned with ``np.arange(max(y), top + 1)``, where
-    ``top`` is ``n_grid_max`` if given, else the highest end of a draw's
-    range; entries outside the union are zero.  Raises ModelError naming
-    a malformed input (NaN included), and NumericError when
-    a draw gives the counts zero likelihood (p = 1 with unequal counts),
-    when a range runs past ``n_grid_max`` (naming it), or when the kernel
-    fails on a draw, naming the draw and the term budget.
+    ``top`` is the highest n_max of any draw; entries below the lowest
+    n_min are zero.  Raises ModelError naming a malformed input (NaN
+    included), and NumericError when a draw gives the counts zero
+    likelihood (p = 1 with unequal counts), or when the kernel fails on a
+    draw, naming the draw and the term budget.
 
     Parameters
     ----------
@@ -257,8 +244,6 @@ def posterior_n(
     p_draws : array of shape (n_draws, n_surveys)
     theta_draws : array of shape (n_draws,), optional
         Dispersion draws; None for the Poisson mixture.
-    n_grid_max : int, optional
-        Ceiling on the support; the pmf is zero-padded up to it.
     """
     y = np.atleast_1d(np.asarray(y_row, dtype=float))
     lam = np.atleast_1d(np.asarray(lambda_draws, dtype=float))
@@ -279,9 +264,6 @@ def posterior_n(
         if theta.shape != lam.shape or not np.all((theta > 0) & np.isfinite(theta)):
             raise ModelError("theta draws must be positive and finite, with one entry per draw")
     phi = _phi(theta, lam.size)
-    ystar = int(np.max(y))
-    check_n_grid_max(n_grid_max, ystar)
-
     counts = np.broadcast_to(y, p.shape)
     # log(1 - p) is -inf at p = 1; the kernel's ratios are then exactly 0
     with np.errstate(divide="ignore"):
@@ -294,35 +276,7 @@ def posterior_n(
                 f"posterior draw {exc.row} (lam={lam[exc.row]:.6g}) fails in the series over N, "
                 f"whose term budget is {likelihood._TERM_BUDGET} terms past the draw's start"
             ) from exc
-        if not np.all(np.isfinite(log_l)):
-            bad = int(np.argmax(~np.isfinite(log_l)))
-            raise NumericError(f"posterior draw {bad} gives the counts zero likelihood")
-        lo, hi = int(n_min.min()), int(n_max.max())
-        if n_grid_max is not None and hi > n_grid_max:
-            raise NumericError(
-                f"posterior draw {int(np.argmax(n_max))} has mass up to N={hi}, past "
-                f"n_grid_max={n_grid_max}; raise n_grid_max or leave it unset"
-            )
-        lead = _leading_log_term(np.full(lam.size, float(lo)), counts, lam, p, phi)
-        grid = np.arange(lo + 1.0, hi + 1.0)[None, :]
-        keep = 1.0 - p
-        keep[:, 0] *= _d_scale(lam, phi)
-        slabs = _row_slabs(lam.size, grid.size + 1)
-        # row 0 holds the running total, so each slab's draws add to it in
-        # draw order, as one mean over all the draws would add them
-        pmfs = np.empty((max(r.stop - r.start for r in slabs) + 1, grid.size + 1))
-        total = np.zeros(grid.size + 1)
-        for rows in slabs:
-            k = rows.stop - rows.start
-            log_g = pmfs[1 : k + 1]
-            ratio, _ = _ratio_parts(grid, *_take(rows, counts, keep, phi))
-            log_g[:, 0] = lead[rows]
-            np.log(ratio, out=log_g[:, 1:])
-            np.add.accumulate(log_g, axis=1, out=log_g)
-            log_g -= log_l[rows, None]
-            np.exp(log_g, out=log_g)
-            pmfs[0] = total
-            np.add.reduce(pmfs[: k + 1], axis=0, out=total)
-    probs = total / lam.size
-    top = hi if n_grid_max is None else n_grid_max
-    return np.pad(probs / probs.sum(), (lo - ystar, top - hi))
+    if not np.all(np.isfinite(log_l)):
+        bad = int(np.argmax(~np.isfinite(log_l)))
+        raise NumericError(f"posterior draw {bad} gives the counts zero likelihood")
+    return _posterior_pmf(counts, lam, p, phi, log_l, n_min, n_max)

@@ -205,10 +205,14 @@ def _once(theta):
     return theta[0] if np.all(theta == theta[0]) else theta
 
 
-def _d_scale(lam, phi):
-    """lam / (1 + lam phi), the part of d(N) free of N: lam itself at phi = 0,
-    else 1 / (phi + 1 / lam), as lam phi overflows for theta near 1e-304."""
-    return np.where(phi > 0.0, 1.0 / (phi + 1.0 / lam), lam)
+def _keep(lam, p, phi):
+    """Each cell's 1 - p, the first column times d's factor free of N, and
+    that factor, lam / (1 + lam phi): lam itself at phi = 0, else
+    1 / (phi + 1 / lam), as lam phi overflows for theta near 1e-304."""
+    scale = np.where(phi > 0.0, 1.0 / (phi + 1.0 / lam), lam)
+    keep = 1.0 - p
+    keep[:, 0] *= scale
+    return keep, scale
 
 
 def _take(rows, *inputs):
@@ -222,7 +226,7 @@ def _ratio_parts(n_grid, y0, keep, phi, work=None):
 
     ``y0`` and ``keep`` hold each cell's count and 1 - p, with 0 and 1 in
     missing cells, whose factor is then 1; ``keep``'s first column also
-    holds d's factor free of N (see :func:`_d_scale`).  The rest of d is
+    holds d's factor free of N (see :func:`_keep`).  The rest of d is
     (1 + (N - 1) phi) / N, whose numerator a call with no phi > 0 row skips.
     q = r where phi <= 1 (d decreases), else the survey factor times
     max(d, d_inf), d_inf = lam phi / (1 + lam phi), which d rises toward.
@@ -503,9 +507,7 @@ def _batch_series(counts, lam, p, phi, moments):
     """
     n_rows = counts.shape[0]
     ystar = np.max(counts, axis=1)
-    scale = _d_scale(lam, phi)
-    keep = 1.0 - p
-    keep[:, 0] *= scale
+    keep, scale = _keep(lam, p, phi)
     lead = _leading_log_term(ystar, counts, lam, p, phi)
     base = np.sum(np.log1p(-p), axis=1) + np.log(scale)
     start, mode, sd = _series_start(ystar, counts, base, phi, lead)
@@ -566,6 +568,37 @@ def _batch_series(counts, lam, p, phi, moments):
             mean_dtrigamma=dtrigamma - h_prime,
         )
     return ll, start.astype(int), n_max.astype(int), stats
+
+
+def _posterior_pmf(counts, lam, p, phi, ll, n_min, n_max):
+    """Mean over the rows of each row's pmf g(N) / L, renormalised, on
+    N = max(counts)..max(n_max) and zero below min(n_min), from one
+    :func:`_batch_series` result.  log g is the leading term at min(n_min)
+    plus the cumulative log term ratios, one slab of rows at a time (see
+    :func:`_row_slabs`); the pmfs are added in row order, as one sum over
+    all the rows adds them."""
+    lo, hi = int(n_min.min()), int(n_max.max())
+    grid = np.arange(lo + 1.0, hi + 1.0)[None, :]
+    keep, _ = _keep(lam, p, phi)
+    slabs = _row_slabs(lam.size, grid.size + 1)
+    # row 0 holds the running total, so each slab's rows add to it in order
+    pmfs = np.empty((max(r.stop - r.start for r in slabs) + 1, grid.size + 1))
+    total = np.zeros(grid.size + 1)
+    with np.errstate(divide="ignore"):
+        lead = _leading_log_term(np.full(lam.size, float(lo)), counts, lam, p, phi)
+        for rows in slabs:
+            k = rows.stop - rows.start
+            log_g = pmfs[1 : k + 1]
+            ratio, _ = _ratio_parts(grid, *_take(rows, counts, keep, phi))
+            log_g[:, 0] = lead[rows]
+            np.log(ratio, out=log_g[:, 1:])
+            np.add.accumulate(log_g, axis=1, out=log_g)
+            log_g -= ll[rows, None]
+            np.exp(log_g, out=log_g)
+            pmfs[0] = total
+            np.add.reduce(pmfs[: k + 1], axis=0, out=total)
+    probs = total / lam.size
+    return np.pad(probs / probs.sum(), (lo - int(np.max(counts)), 0))
 
 
 def row_loglik_detail(row: RowLikelihoodInput) -> RowLikelihoodDetail:

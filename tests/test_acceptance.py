@@ -251,7 +251,7 @@ def test_criterion_5_mallard_reproduction():
             f"Loader message: {exc}"
         )
 
-    table_s, designs_s, _ = with_survey_detection_covariates(dataset)
+    table_s, designs_s, _, _ = with_survey_detection_covariates(dataset)
     ml = fit_ml(table_s, designs_s, MixtureFamily.NEGBIN)
     assert ml.converged
     rows = {s.name: s for s in summarize_fit(ml)}
@@ -264,7 +264,7 @@ def test_criterion_5_mallard_reproduction():
             f"{name} SE: {got.se:.3f} vs printed {ref_se:.3f}"
         )
 
-    table_a, designs_a, _ = with_averaged_detection_covariates(dataset)
+    table_a, designs_a, _, _ = with_averaged_detection_covariates(dataset)
     lap = fit_laplace(table_a, designs_a, MixtureFamily.NEGBIN)
     assert lap.converged
     lap_est = dict(zip(lap.parameter_names, lap.estimates.to_array()))
@@ -364,10 +364,8 @@ def test_criterion_8_posterior_n_properties():
     # y = 0 with Poisson mixing is conjugate: the posterior is the prior
     # thinned by the all-missed probability, still Poisson on the grid
     lam0, p0 = 4.0, np.array([0.3, 0.5])
-    probs0 = posterior_n(
-        np.zeros(2), np.array([lam0]), p0[None, :], n_grid_max=60
-    )
-    grid = np.arange(61.0)
+    probs0 = posterior_n(np.zeros(2), np.array([lam0]), p0[None, :])
+    grid = np.arange(float(probs0.size))
     expected = poisson.pmf(grid, lam0 * np.prod(1.0 - p0))
     expected = expected / expected.sum()
     conj_err = float(np.max(np.abs(probs0 - expected)))

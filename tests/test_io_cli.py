@@ -160,6 +160,29 @@ class TestDatasetParsing:
         with pytest.raises(DataError, match=r"^line 5: row covariate 'elev' is missing$"):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("site,year,y1,elev\n1,1,2,0.5\n2,1,3,-inf\n", r"^line 3: row covariate 'elev' is infinite$"),
+            ("site,year,y1,y2,w_1,w_2\n1,1,2,3,0.5,\n2,1,3,4,0.5,inf\n",
+             r"^line 3: survey covariate 'w_2' is infinite$"),
+        ],
+    )
+    def test_infinite_covariate_names_its_line_and_column(self, tmp_path, text, message):
+        """A missing survey covariate is allowed (NaN); an infinite one of
+        either level is a data fault at its line."""
+        path = tmp_path / "inf.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_dataset(path)
+
+    def test_dataset_rejects_infinite_covariates(self):
+        table = ObservationTable(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with pytest.raises(DataError, match="row covariate 'x' contains missing or infinite values"):
+            Dataset(table=table, row_covariates={"x": np.array([0.5, np.inf])})
+        with pytest.raises(DataError, match="survey covariate 'w' contains infinite values"):
+            Dataset(table=table, survey_covariates={"w": np.array([[0.5, np.nan], [-np.inf, 1.0]])})
+
     def _count_cell_calls(self, monkeypatch, path):
         """_parse_cell calls per column name (a count of work, not a timing)."""
         calls = {}
@@ -193,7 +216,8 @@ class TestDatasetParsing:
 class TestBuildDesigns:
     def test_intercepts_and_named_columns(self):
         ds = _dataset()
-        table, designs, notes = build_designs(ds, ("elev",), ("date",))
+        table, designs, notes, kept = build_designs(ds, ("elev",), ("date",))
+        assert kept.tolist() == [True, True, True]
         assert designs.abundance_names == ("(Intercept)", "elev")
         assert designs.detection_names == ("(Intercept)", "date")
         np.testing.assert_array_equal(designs.abundance_design[:, 0], 1.0)
@@ -212,7 +236,7 @@ class TestBuildDesigns:
     def test_missing_survey_covariate_drops_the_cell(self):
         ds = _dataset()
         # date[1, 1] is missing while y[1, 1] = 3 was observed
-        table, designs, notes = build_designs(ds, ("elev",), ("date",))
+        table, designs, notes, _ = build_designs(ds, ("elev",), ("date",))
         assert np.isnan(table.counts[1, 1])
         assert any("dropped" in note for note in notes)
         # masked design cells are zero-filled, never NaN
@@ -224,7 +248,8 @@ class TestBuildDesigns:
             table=ObservationTable(counts),
             survey_covariates={"w": np.array([[0.5, 1.5], [np.nan, np.nan]])},
         )
-        table, designs, notes = build_designs(ds, (), ("w",))
+        table, designs, notes, kept = build_designs(ds, (), ("w",))
+        assert kept.tolist() == [True, False]
         assert table.n_rows == 1
         assert designs.n_rows == 1
         assert any("row" in note for note in notes)
@@ -368,22 +393,49 @@ class TestCli:
         probs = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_posterior_n_ceiling_below_the_counts_exits_3_before_any_fit(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        self._simulate(tmp_path)
+    @staticmethod
+    def _first_row_dropped(tmp_path):
+        """A 60-row survey-covariate CSV whose first row lacks x4 in every
+        survey, so a fit on x4 drops it."""
+        ds = simulate(SimConfig(n_sites=30, n_years=2, seed=3)).dataset_survey
+        x4 = ds.survey_covariates["x4"].copy()
+        x4[0] = np.nan
+        path = tmp_path / "dropped.csv"
+        write_dataset(dataclasses.replace(ds, survey_covariates={**ds.survey_covariates, "x4": x4}), path)
+        return ds, ["posterior-n", "--dataset", str(path), "--p-covariates", "x4", "--samples", "20",
+                    "--output-dir", str(tmp_path)]
+
+    def test_posterior_n_row_counts_the_csv_rows(self, tmp_path, capsys):
+        """--row 2 is the CSV's second data row though the first is dropped:
+        its counts, site and year."""
+        ds, argv = self._first_row_dropped(tmp_path)
+        assert main([*argv, "--row", "2"]) == 0
+        out = capsys.readouterr().out
+        site, year = ds.table.site[1], ds.table.year[1]
+        assert f"row 2 (site {site}, year {year})" in out
+        assert f"counts {ds.table.counts[1].astype(int).tolist()}," in out
+
+    def test_posterior_n_dropped_row_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
         fits = []
         monkeypatch.setattr(cli, "fit_laplace", lambda *args, **kwargs: fits.append(args))
-        dataset = read_dataset(tmp_path / "sim_counts_mean.csv")
-        ystar = int(dataset.table.row_max()[1])
-        code = main(
-            ["posterior-n", "--dataset", str(tmp_path / "sim_counts_mean.csv"),
-             "--engine", "laplace", "--row", "2", "--n-grid-max", "-1",
-             "--samples", "10", "--output-dir", str(tmp_path)]
-        )
-        assert code == 3
-        assert f"n_grid_max=-1 is below the largest count {ystar}" in capsys.readouterr().err
+        _, argv = self._first_row_dropped(tmp_path)
+        assert main([*argv, "--row", "1"]) == 2
+        assert "--row 1: that data row was dropped" in capsys.readouterr().err
+        assert main([*argv, "--row", "61"]) == 2
+        assert "--row must lie in 1..60" in capsys.readouterr().err
         assert fits == []
+
+    def test_infinite_survey_covariate_exits_2_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        write_dataset(simulate(SimConfig(n_sites=30, n_years=2, seed=3)).dataset_survey, path)
+        lines = path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[lines[0].split(",").index("x4_2")] = "inf"
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--dataset", str(path), "--engine", "ml", "--p-covariates", "x4",
+                     "--output-dir", str(tmp_path)]) == 2
+        assert "line 6: survey covariate 'x4_2' is infinite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["lambda-fitted", "posterior-n"])
     def test_posterior_commands_imply_laplace(self, tmp_path, capsys, command):

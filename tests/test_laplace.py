@@ -345,53 +345,37 @@ class TestPosteriorN:
 
     def test_sums_to_one_with_support_from_max_count(self):
         y = np.array([3.0, 7.0, 5.0])
-        probs = posterior_n(
-            y, np.array([6.0, 9.0]), np.full((2, 3), 0.55), n_grid_max=120
-        )
-        assert probs.size == 120 - 7 + 1
+        lam = np.array([6.0, 9.0])
+        probs = posterior_n(y, lam, np.full((2, 3), 0.55))
+        rows = [RowLikelihoodInput(y=y, p=np.full(3, 0.55), lam=m) for m in lam]
+        top = max(row_loglik_detail(row).n_max for row in rows)
+        assert probs.size == top - 7 + 1
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0.0)
 
     def test_perfect_detection_is_a_point_mass(self):
-        probs = posterior_n(
-            np.array([4.0, 4.0]), np.array([5.0]), np.array([[1.0, 1.0]]),
-            n_grid_max=40,
-        )
+        probs = posterior_n(np.array([4.0, 4.0]), np.array([5.0]), np.array([[1.0, 1.0]]))
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs[1:] == 0.0)
 
     def test_zero_count_poisson_conjugacy(self):
         """Observing zero thins the prior: the posterior over N is the
         original Poisson damped by (1-p)^N, i.e. Poisson(lam (1-p))."""
-        probs = posterior_n(
-            np.array([0.0]), np.array([2.0]), np.array([[0.5]]), n_grid_max=60
-        )
-        grid = np.arange(61)
+        probs = posterior_n(np.array([0.0]), np.array([2.0]), np.array([[0.5]]))
+        grid = np.arange(probs.size)
         want = poisson.pmf(grid, 1.0)
         want /= want.sum()
         np.testing.assert_allclose(probs, want, atol=1e-10)
 
     def test_duplicated_draws_do_not_move_the_average(self):
         y = np.array([2.0, 5.0])
-        one = posterior_n(y, np.array([6.0]), np.array([[0.4, 0.6]]), n_grid_max=80)
-        two = posterior_n(
-            y, np.array([6.0, 6.0]), np.array([[0.4, 0.6], [0.4, 0.6]]),
-            n_grid_max=80,
-        )
+        one = posterior_n(y, np.array([6.0]), np.array([[0.4, 0.6]]))
+        two = posterior_n(y, np.array([6.0, 6.0]), np.array([[0.4, 0.6], [0.4, 0.6]]))
         np.testing.assert_allclose(one, two, atol=1e-15)
 
     def test_draw_with_no_mass_is_named(self):
         with pytest.raises(NumericError, match="draw 0"):
-            posterior_n(
-                np.array([2.0, 5.0]), np.array([5.0]), np.array([[1.0, 1.0]]),
-                n_grid_max=30,
-            )
-
-    def test_grid_must_cover_counts(self):
-        with pytest.raises(ModelError):
-            posterior_n(
-                np.array([9.0]), np.array([5.0]), np.array([[0.5]]), n_grid_max=8
-            )
+            posterior_n(np.array([2.0, 5.0]), np.array([5.0]), np.array([[1.0, 1.0]]))
 
     def test_default_grid_reaches_past_the_visible_tail(self):
         y = np.array([3.0, 11.0])
@@ -402,16 +386,12 @@ class TestPosteriorN:
 
     def test_far_posterior_mass_needs_no_ceiling(self):
         """Large mean, rare detection: the posterior mean, about 49,881,
-        lies far above the counts.  The default support reaches it; a
-        ceiling of 11,243 cuts it off and is named in the error."""
+        lies far above the counts.  The support reaches it."""
         y = np.array([10.0, 12.0, 9.0])
-        lam, p = np.array([5e4]), np.full((1, 3), 0.001)
-        probs = posterior_n(y, lam, p)
+        probs = posterior_n(y, np.array([5e4]), np.full((1, 3), 0.001))
         grid = np.arange(12, 12 + probs.size)
         assert probs @ grid == pytest.approx(49881.14, abs=0.01)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(NumericError, match="n_grid_max=11243"):
-            posterior_n(y, lam, p, n_grid_max=11243)
 
     def test_draw_past_the_term_budget_is_named(self):
         """NB theta=2 spreads this draw's posterior over more than the
@@ -443,20 +423,46 @@ class TestPosteriorN:
                 theta_draws=np.array([2.0, bad]),
             )
 
+    # per-draw theta, one draw (lam 400, p 0.01) whose series starts far
+    # above max(y); and three such draws, so no draw's range starts at max(y)
+    _MIXED = (
+        np.array([3.0, 5.0, 4.0]),
+        np.array([6.0, 12.0, 9.0, 400.0]),
+        np.array([[0.4, 0.5, 0.6], [0.3, 0.3, 0.5], [0.7, 0.6, 0.5], [0.01, 0.01, 0.01]]),
+        np.array([2.0, 0.7, 5.0, 1000.0]),
+    )
+    _ALL_MOVED = (
+        np.array([3.0, 5.0, 4.0]),
+        np.array([400.0, 500.0, 800.0]),
+        np.array([[0.01, 0.01, 0.01], [0.012, 0.01, 0.008], [0.01, 0.01, 0.01]]),
+        np.array([1000.0, 300.0, 2000.0]),
+    )
+
+    @pytest.mark.parametrize("case", [_MIXED, _ALL_MOVED], ids=["one-moved", "all-moved"])
+    def test_support_is_the_kernels(self, case):
+        """The pmf spans max(y) to the highest n_max of any draw, and is
+        exactly 0 below the lowest n_min, the ranges row_loglik_detail
+        reports draw by draw."""
+        y, lam, p, theta = case
+        details = [
+            row_loglik_detail(RowLikelihoodInput(y=y, p=p[i], lam=lam[i], theta=theta[i]))
+            for i in range(lam.size)
+        ]
+        assert any(d.n_min > y.max() for d in details)
+        probs = posterior_n(y, lam, p, theta_draws=theta)
+        low = min(d.n_min for d in details) - int(y.max())
+        assert probs.size == max(d.n_max for d in details) - int(y.max()) + 1
+        assert np.all(probs[:low] == 0.0)
+        assert probs[low] > 0.0
+
     def test_matches_a_scipy_average_over_draws(self):
         """Per-draw theta, and a draw (lam 400, p 0.01) whose series starts
         far above max(y): the pmf is the average of each draw's normalised
-        scipy pmf on a wide grid, to 1e-12."""
-        y = np.array([3.0, 5.0, 4.0])
-        lam = np.array([6.0, 12.0, 9.0, 400.0])
-        p = np.array([[0.4, 0.5, 0.6], [0.3, 0.3, 0.5], [0.7, 0.6, 0.5], [0.01, 0.01, 0.01]])
-        theta = np.array([2.0, 0.7, 5.0, 1000.0])
-        moved = RowLikelihoodInput(y=y, p=p[3], lam=lam[3], theta=theta[3])
-        assert row_loglik_detail(moved).n_min > y.max()
-        top = 900
-        got = posterior_n(y, lam, p, theta_draws=theta, n_grid_max=top)
+        scipy pmf on the returned support, to 1e-12."""
+        y, lam, p, theta = self._MIXED
+        got = posterior_n(y, lam, p, theta_draws=theta)
 
-        grid = np.arange(5, top + 1)[None, :]
+        grid = np.arange(5, 5 + got.size)[None, :]
         logw = nbinom.logpmf(grid, theta[:, None], (theta / (theta + lam))[:, None])
         for j in range(y.size):
             logw = logw + binom.logpmf(y[j], grid, p[:, j][:, None])

@@ -7,8 +7,10 @@ beyond the input container, so agreement between them is evidence, not
 tautology.
 """
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -896,3 +898,31 @@ class TestHessian:
         np.testing.assert_allclose(
             hess, want, rtol=1e-6, atol=1e-6 * np.max(np.abs(want))
         )
+
+
+# The series kernel's term layout: each helper's arguments follow choices
+# (phi per row, d's N-free factor folded into keep's first column) that
+# only likelihood.py should know.
+_KERNEL_TERM_HELPERS = (
+    "_keep", "_leading_log_term", "_log_ratio", "_ratio_parts", "_series_start", "_sum_upward", "_take",
+)
+
+
+def test_only_the_kernel_module_uses_its_term_helpers():
+    """No module but likelihood.py imports a kernel term helper or reads one
+    off the likelihood module; the guard names only helpers that exist."""
+    package = Path(likelihood.__file__).parent
+    assert all(callable(getattr(likelihood, name, None)) for name in _KERNEL_TERM_HELPERS)
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "likelihood.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in _KERNEL_TERM_HELPERS]
+    assert found == []
