@@ -19,7 +19,12 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, ModelError, NmixError, NumericError
-from .experiments import median_abs_bias, run_bias_experiment, write_bias_csv
+from .experiments import (
+    median_abs_bias,
+    run_bias_experiment,
+    total_kernel_passes,
+    write_bias_csv,
+)
 from .io import (
     build_designs,
     fit_to_json,
@@ -301,9 +306,13 @@ def _posterior_samples(args, table, designs, family):
 
 
 def _cmd_lambda_fitted(args) -> int:
-    table, designs, family, _ = _prepare_fit(args)
+    table, designs, family, kept = _prepare_fit(args)
     fit, samples, elapsed = _posterior_samples(args, table, designs, family)
-    rows = lambda_fitted(samples, designs)
+    # number each summary by its data row, not its design row
+    rows = [
+        replace(r, index=int(k))
+        for r, k in zip(lambda_fitted(samples, designs), np.flatnonzero(kept) + 1)
+    ]
     path = _out_path(args, "lambda_fitted.csv")
     write_records(path, rows, LambdaFittedSummary)
     medians = np.array([r.median for r in rows])
@@ -362,7 +371,10 @@ def _cmd_bias_experiment(args) -> int:
     )
     path = _out_path(args, "bias_experiment.csv")
     write_bias_csv(records, path)
-    print(f"{len(records)} records from {records[-1].run + 1} runs written to {path}")
+    print(
+        f"{len(records)} records from {records[-1].run + 1} runs written to {path}; "
+        f"the fits took {total_kernel_passes(records)} kernel passes"
+    )
     for model in ("averaged", "survey"):
         strong = median_abs_bias(records, model, a4_window=(2.0, np.inf))
         weak = median_abs_bias(records, model, a4_window=(0.0, 1.0))

@@ -4,12 +4,20 @@ Each run draws a detection slope a4, simulates counts whose detection
 probability depends on the survey-specific covariate x4, then fits two
 models to those counts: one seeing only the per-(site, year) mean of x4
 ("averaged", misspecified whenever x4 varies between surveys) and one
-seeing x4 itself ("survey", correctly specified).  Per-parameter
-estimation errors land in a flat record list ready for CSV export.
+seeing x4 itself ("survey", correctly specified).  Both fits start at
+the replicate's generating values (``SimConfig.parameters``), as a
+parametric bootstrap refits each simulated data set from the
+coefficients that generated it, so neither fit depends on the other.
+Where the posterior is flat, as on the negative binomial's theta = inf
+ridge, a fit ends near its start, so there the bias partly reflects the
+start and understates the bias of a fit from a data-driven start.
+Per-parameter estimation errors, with each fit's kernel passes and
+optimiser message, land in a flat record list ready for CSV export.
 
-Failed fits are recorded with converged=False and NaN estimates; a
-sweep never aborts because one replicate misbehaved.  Output order is
-deterministic and independent of the worker count.
+Failed fits are recorded with converged=False, NaN estimates, 0 kernel
+passes and the error's text; a sweep never aborts because one replicate
+misbehaved.  Output order is deterministic and independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -45,17 +53,17 @@ class BiasRecord:
     estimate: float
     bias: float
     converged: bool
+    kernel_passes: int = 0
+    optimizer_message: str = ""
 
 
 def _run_one(args) -> list[BiasRecord]:
     run, a4, sim_seed, base = args
     config = replace(base, alpha=(base.alpha[0], base.alpha[1], a4), seed=sim_seed)
     sim = simulate(config)
-    truths = np.array(list(config.beta) + list(config.alpha) + [np.log(config.theta)])
+    start = config.parameters
+    truths = start.to_array()
     records = []
-    # the models share their parameter layout: the survey fit starts at the
-    # averaged fit's optimum when that fit converged, else at the default
-    start = None
     for model, designs in (
         ("averaged", sim.designs_mean),
         ("survey", sim.designs_survey),
@@ -63,11 +71,10 @@ def _run_one(args) -> list[BiasRecord]:
         try:
             fit = fit_laplace(sim.table_survey, designs, config.family, start=start)
             estimates = fit.estimates.to_array()
-            converged = fit.converged
-            start = fit.estimates if converged else None
-        except NmixError:
+            converged, passes, message = fit.converged, fit.kernel_passes, fit.optimizer_message
+        except NmixError as exc:
             estimates = np.full(truths.size, np.nan)
-            converged = False
+            converged, passes, message = False, 0, str(exc)
         for i, label in enumerate(_PARAM_LABELS):
             records.append(
                 BiasRecord(
@@ -79,6 +86,8 @@ def _run_one(args) -> list[BiasRecord]:
                     estimate=float(estimates[i]),
                     bias=float(estimates[i] - truths[i]),
                     converged=converged,
+                    kernel_passes=passes,
+                    optimizer_message=message,
                 )
             )
     return records
@@ -117,6 +126,12 @@ def run_bias_experiment(
 
 def write_bias_csv(records: list[BiasRecord], path) -> None:
     write_records(path, records, BiasRecord)
+
+
+def total_kernel_passes(records: list[BiasRecord]) -> int:
+    """Kernel passes of all the fits behind ``records``: every record of a
+    fit carries its count, so each (run, model) is counted once."""
+    return sum({(r.run, r.model): r.kernel_passes for r in records}.values())
 
 
 def median_abs_bias(

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataError, ModelError
+from .errors import DataError
 from .fitcore import FitResult
 from .model import DesignMatrices, ObservationTable, ParameterVector, _frozen_array
 
@@ -79,6 +79,17 @@ def _parse_labels(cells, column: str, lines) -> np.ndarray:
             f"line {lines[i]}: {column} label {cells[i]!r} is missing or not a 64-bit integer"
         )
     return values.astype(int)
+
+
+def _parse_counts(cells, column: str, lines) -> np.ndarray:
+    """A count column; a cell that is neither missing nor a non-negative
+    integer is a DataError naming its line."""
+    values = _parse_column(cells, column, lines)
+    bad = ~np.isnan(values) & ((values < 0) | (values != np.floor(values)) | np.isinf(values))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"line {lines[i]}: count {column}={cells[i]!r} is not a non-negative integer")
+    return values
 
 
 def _parse_covariate(cells, column: str, lines, level: str) -> np.ndarray:
@@ -187,7 +198,13 @@ def read_dataset(path) -> Dataset:
     columns = list(zip(*rows))
     site = _parse_labels(columns[0], "site", lines)
     year = _parse_labels(columns[1], "year", lines)
-    counts = np.column_stack([_parse_column(columns[i], header[i], lines) for _, i in count_cols])
+    counts = np.column_stack([_parse_counts(columns[i], header[i], lines) for _, i in count_cols])
+    empty = np.isnan(counts).all(axis=1)
+    if empty.any():
+        raise DataError(
+            f"line {lines[int(np.argmax(empty))]}: every count column y1..y{n_surveys} is empty; "
+            "a row needs at least one observed survey"
+        )
     row_cov = {name: _parse_covariate(columns[i], name, lines, "row") for name, i in row_cols.items()}
     survey_cov = {
         name: np.column_stack([
@@ -197,10 +214,7 @@ def read_dataset(path) -> Dataset:
         for name, cols in survey_cols.items()
     }
 
-    try:
-        table = ObservationTable(counts=counts, site=site, year=year)
-    except ModelError as exc:
-        raise DataError(str(exc)) from exc
+    table = ObservationTable(counts=counts, site=site, year=year)
     return Dataset(table=table, row_covariates=row_cov, survey_covariates=survey_cov)
 
 

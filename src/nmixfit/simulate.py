@@ -33,7 +33,7 @@ import numpy as np
 from ._special import expit
 from .errors import ModelError
 from .io import Dataset, build_designs
-from .model import DesignMatrices, MixtureFamily, ObservationTable
+from .model import DesignMatrices, MixtureFamily, ObservationTable, ParameterVector
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,13 @@ class SimConfig:
     @property
     def family(self) -> MixtureFamily:
         return MixtureFamily.POISSON if self.theta is None else MixtureFamily.NEGBIN
+
+    @property
+    def parameters(self) -> ParameterVector:
+        """The generating values in a fit's stacked layout: beta, alpha and
+        log theta (None for Poisson abundances)."""
+        log_theta = None if self.theta is None else np.log(self.theta)
+        return ParameterVector(beta=self.beta, alpha=self.alpha, log_theta=log_theta)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ import re
 import numpy as np
 import pytest
 
-from nmixfit import DataError, NumericError, SimConfig, experiments
+from nmixfit import DataError, NumericError, SimConfig, experiments, fit_laplace, simulate
 from nmixfit.experiments import (
     BiasRecord,
     median_abs_bias,
     run_bias_experiment,
+    total_kernel_passes,
     write_bias_csv,
 )
 
@@ -85,34 +86,91 @@ class TestRunMechanics:
         assert pools == [2]
 
 
-class TestSurveyStart:
-    def _starts(self, monkeypatch, fail_averaged):
-        """Run one replicate, recording each fit's start and result."""
-        calls = []
+class TestGeneratingStart:
+    """Both fits of a replicate start at its generating values, which are
+    also the records' truth column, and the records hold what fit_laplace
+    returns from there."""
+
+    def _fits(self, monkeypatch):
+        """Run one replicate, recording its configuration and each fit's start."""
+        configs, starts = [], []
+        real_fit, real_simulate = experiments.fit_laplace, experiments.simulate
+
+        def recording_simulate(config):
+            configs.append(config)
+            return real_simulate(config)
+
+        def recording_fit(table, designs, family, start=None):
+            starts.append(start)
+            return real_fit(table, designs, family, start=start)
+
+        monkeypatch.setattr(experiments, "simulate", recording_simulate)
+        monkeypatch.setattr(experiments, "fit_laplace", recording_fit)
+        records = run_bias_experiment(runs=1, seed=42, base=SMALL)
+        (config,) = configs
+        return config, starts, records
+
+    def test_both_fits_start_at_the_generating_values(self, monkeypatch):
+        config, starts, _ = self._fits(monkeypatch)
+        assert len(starts) == 2
+        for start in starts:
+            assert start.to_array().tolist() == config.parameters.to_array().tolist()
+
+    def test_truth_column_is_the_generating_values(self, monkeypatch):
+        config, _, records = self._fits(monkeypatch)
+        truth = config.parameters.to_array().tolist()
+        for model in ("averaged", "survey"):
+            assert [r.truth for r in records if r.model == model] == truth
+
+    def test_records_hold_the_fit_from_the_generating_values(self, monkeypatch):
+        """Each record's estimate, convergence, passes and message are those
+        of fit_laplace started at the generating values, to the bit."""
+        config, _, records = self._fits(monkeypatch)
+        sim = simulate(config)
+        for model, designs in (("averaged", sim.designs_mean), ("survey", sim.designs_survey)):
+            fit = fit_laplace(sim.table_survey, designs, config.family, start=config.parameters)
+            rows = [r for r in records if r.model == model]
+            assert [r.estimate for r in rows] == fit.estimates.to_array().tolist()
+            assert {(r.converged, r.kernel_passes, r.optimizer_message) for r in rows} == {
+                (fit.converged, fit.kernel_passes, fit.optimizer_message)
+            }
+
+    def test_a_failed_fit_records_no_passes_and_its_error(self, monkeypatch):
         real = experiments.fit_laplace
 
-        def recording(table, designs, family, start=None, **kwargs):
-            if fail_averaged and not calls:
-                calls.append((start, None))
+        def failing_averaged(table, designs, family, start=None):
+            if "x4.m" in designs.detection_names:
                 raise NumericError("averaged fit failed")
-            fit = real(table, designs, family, start=start, **kwargs)
-            calls.append((start, fit))
-            return fit
+            return real(table, designs, family, start=start)
 
-        monkeypatch.setattr(experiments, "fit_laplace", recording)
-        run_bias_experiment(runs=1, seed=42, base=SMALL)
-        return calls
+        monkeypatch.setattr(experiments, "fit_laplace", failing_averaged)
+        records = run_bias_experiment(runs=1, seed=42, base=SMALL)
+        failed = [r for r in records if r.model == "averaged"]
+        assert all(math.isnan(r.estimate) and not r.converged for r in failed)
+        assert {(r.kernel_passes, r.optimizer_message) for r in failed} == {
+            (0, "averaged fit failed")
+        }
+        # the survey fit does not depend on the averaged one
+        reference = run_bias_experiment(runs=1, seed=42, base=SMALL)
+        survey = [r for r in records if r.model == "survey"]
+        assert survey == [r for r in reference if r.model == "survey"]
 
-    def test_survey_fit_starts_at_the_averaged_optimum(self, monkeypatch):
-        (avg_start, avg_fit), (srv_start, _) = self._starts(monkeypatch, fail_averaged=False)
-        assert avg_start is None
-        assert avg_fit.converged
-        assert srv_start is avg_fit.estimates
 
-    def test_failed_averaged_fit_leaves_the_default_start(self, monkeypatch):
-        _, (srv_start, srv_fit) = self._starts(monkeypatch, fail_averaged=True)
-        assert srv_start is None
-        assert srv_fit.converged
+def test_generating_values_in_the_stacked_layout():
+    config = SimConfig(beta=(1.0, 2.0, 3.0, 4.0), alpha=(0.5, -0.5, 2.0), theta=2.5)
+    params = config.parameters
+    assert params.to_array().tolist() == [1.0, 2.0, 3.0, 4.0, 0.5, -0.5, 2.0, float(np.log(2.5))]
+    assert params.n_params == 8
+    poisson = SimConfig(theta=None).parameters
+    assert poisson.log_theta is None and poisson.n_params == 7
+
+
+def test_paper_scale_round_takes_at_most_44_kernel_passes():
+    """One round of the paper-scale sweep (4 replicates, 8 fits) from the
+    generating values: 42 passes; from the default start it took 61."""
+    records = run_bias_experiment(runs=4, seed=0)
+    assert all(r.converged for r in records)
+    assert total_kernel_passes(records) <= 44
 
 
 class TestMedianAbsBias:
@@ -185,27 +243,45 @@ class TestCsvRoundTrip:
         path = tmp_path / "bias.csv"
         write_bias_csv(records, path)
         head = path.read_text().splitlines()[0]
-        assert head == "run,a4_true,model,parameter,truth,estimate,bias,converged"
+        assert head == (
+            "run,a4_true,model,parameter,truth,estimate,bias,converged,"
+            "kernel_passes,optimizer_message"
+        )
 
 
     def test_failed_fit_and_full_precision_round_trip(self, tmp_path):
         """NaN is an empty cell, booleans are true/false, and a float keeps
         all 17 significant digits."""
         records = [
-            BiasRecord(0, 1.0 / 3.0, "averaged", "alpha4", 1.0 / 3.0, math.nan, math.nan, False),
-            BiasRecord(0, 1.0 / 3.0, "survey", "alpha4", 1.0 / 3.0, 0.5, 0.5 - 1.0 / 3.0, True),
+            BiasRecord(0, 1.0 / 3.0, "averaged", "alpha4", 1.0 / 3.0, math.nan, math.nan, False,
+                       0, "objective is not finite at the starting point"),
+            BiasRecord(0, 1.0 / 3.0, "survey", "alpha4", 1.0 / 3.0, 0.5, 0.5 - 1.0 / 3.0, True,
+                       4, "Optimization terminated successfully."),
         ]
         path = tmp_path / "bias.csv"
         write_bias_csv(records, path)
         assert path.read_text().splitlines()[1:] == [
-            "0,0.33333333333333331,averaged,alpha4,0.33333333333333331,,,false",
-            "0,0.33333333333333331,survey,alpha4,0.33333333333333331,0.5,0.16666666666666669,true",
+            "0,0.33333333333333331,averaged,alpha4,0.33333333333333331,,,false,"
+            "0,objective is not finite at the starting point",
+            "0,0.33333333333333331,survey,alpha4,0.33333333333333331,0.5,0.16666666666666669,true,"
+            "4,Optimization terminated successfully.",
         ]
         failed, fitted = read_bias_csv(path)
         assert math.isnan(failed.estimate) and math.isnan(failed.bias)
         assert failed.converged is False
         assert (failed.run, failed.a4_true, failed.truth) == (0, 1.0 / 3.0, 1.0 / 3.0)
+        assert (failed.kernel_passes, failed.optimizer_message) == (0, records[0].optimizer_message)
         assert fitted == records[1]
+
+    def test_file_without_the_cost_columns_reads_with_defaults(self, tmp_path):
+        path = tmp_path / "bias.csv"
+        path.write_text(
+            "run,a4_true,model,parameter,truth,estimate,bias,converged\n"
+            "0,0.5,survey,alpha4,0.5,0.75,0.25,true\n"
+        )
+        assert read_bias_csv(path) == [
+            BiasRecord(0, 0.5, "survey", "alpha4", 0.5, 0.75, 0.25, True, 0, "")
+        ]
 
 
 class TestCsvFaults:

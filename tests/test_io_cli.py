@@ -415,6 +415,14 @@ class TestCli:
         assert f"row 2 (site {site}, year {year})" in out
         assert f"counts {ds.table.counts[1].astype(int).tolist()}," in out
 
+    def test_lambda_fitted_index_counts_the_csv_rows(self, tmp_path):
+        """With the first data row dropped, the 59 summaries are indexed by
+        the CSV's data rows 2..60."""
+        _, argv = self._first_row_dropped(tmp_path)
+        assert main(["lambda-fitted", *argv[1:]]) == 0
+        lines = (tmp_path / "lambda_fitted.csv").read_text().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(2, 61))
+
     def test_posterior_n_dropped_row_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
         fits = []
         monkeypatch.setattr(cli, "fit_laplace", lambda *args, **kwargs: fits.append(args))
@@ -484,6 +492,9 @@ class TestCli:
         lines = (tmp_path / "bias_experiment.csv").read_text().splitlines()
         assert lines[0].startswith("run,")
         assert len(lines) == 1 + 2 * 2 * 8  # runs x models x parameters
+        # each fit's passes sit on each of its 8 records
+        passes = sum(int(line.split(",")[8]) for line in lines[1:]) // 8
+        assert f"the fits took {passes} kernel passes" in capsys.readouterr().out
 
     def test_config_file_fills_unset_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -558,6 +569,24 @@ class TestCli:
         )
         assert code == 2
         assert f"line 3: {column} label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["inf", "-1", "2.5"])
+    def test_faulty_count_exits_2_naming_its_line_and_column(self, tmp_path, capsys, cell):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"site,year,y1,y2\n1,1,2,3\n2,1,4,{cell}\n")
+        code = main(["fit", "--dataset", str(path), "--engine", "ml", "--output-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 3: count y2={cell!r} is not a non-negative integer\n"
+
+    def test_row_without_counts_exits_2_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("site,year,y1,y2\n1,1,2,3\n2,1,,\n")
+        code = main(["fit", "--dataset", str(path), "--engine", "ml", "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: line 3: every count column y1..y2 is empty"
+        )
 
     def test_rank_deficient_design_exits_3(self, tmp_path):
         self._simulate(tmp_path)
