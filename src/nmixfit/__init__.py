@@ -16,11 +16,11 @@ from .laplace import (
     PriorSpec,
     fit_laplace,
     lambda_fitted,
-    posterior_n,
     sample_posterior,
 )
 from .likelihood import (
     RowLikelihoodInput,
+    posterior_n,
     row_loglik_detail,
     table_loglik,
     table_loglik_hessian,

@@ -41,9 +41,9 @@ from .laplace import (
     PriorSpec,
     fit_laplace,
     lambda_fitted,
-    posterior_n,
     sample_posterior,
 )
+from .likelihood import posterior_n
 from .mle import fit_ml, format_fit_summary, summarize_fit
 from .model import MixtureFamily, lambda_from_predictor, p_from_predictor
 from .simulate import SimConfig, simulate
@@ -218,6 +218,8 @@ def _out_path(args, filename: str) -> str:
 
 def _cmd_simulate(args) -> int:
     _default(args, "family", "nb")
+    if args.family == "poisson" and args.theta is not None:
+        raise DataError("--theta and --family poisson (flag or config) conflict: the Poisson has no dispersion")
     config = _sim_config(
         args,
         beta=_parse_floats(args.beta, 4, "beta") if args.beta else None,
@@ -272,6 +274,9 @@ def _run_engine(args, table, designs, family):
 def _cmd_fit(args) -> int:
     if args.engine is None:
         raise DataError("--engine is required: ml or laplace")
+    for flag, value in (("--prior-mean", args.prior_mean), ("--prior-precision", args.prior_precision)):
+        if args.engine == "ml" and value is not None:
+            raise DataError(f"{flag} (flag or config) sets a prior, which only --engine laplace has")
     table, designs, family, _ = _prepare_fit(args)
     fit, elapsed = _run_engine(args, table, designs, family)
     summary = summarize_fit(fit) if fit.covariance is not None else None

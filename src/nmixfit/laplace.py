@@ -3,8 +3,8 @@
 The posterior over (beta, alpha, log_theta) is approximated by a
 Gaussian centred at the mode with covariance equal to the inverse
 negative Hessian there.  Downstream quantities (fitted abundance means,
-the posterior over a row's latent N) are Monte Carlo summaries over
-draws from that Gaussian.
+and through :func:`likelihood.posterior_n` the posterior over a row's
+latent N) are Monte Carlo summaries over draws from that Gaussian.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import likelihood
 from .errors import ModelError, NumericError
 from .fitcore import (
     FitResult,
@@ -22,9 +21,6 @@ from .fitcore import (
     maximize_log_density,  # noqa: F401  perfbench/tracer.py wraps the name here
 )
 from .likelihood import (
-    _batch_series,
-    _phi,
-    _posterior_pmf,
     _row_slabs,
     table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
 )
@@ -174,11 +170,12 @@ def lambda_fitted(
     never fewer than one row's draws, whatever the number of rows.  The
     mean and the sd (n-1 denominator) are summed along each row's draws.
     The quantiles are numpy's "linear" method (Hyndman & Fan's type 7),
-    read from the order statistics of one sort per row.  Up to 8,192
-    draws, where a slab takes 16 rows or more, every row's summary is the
-    one a single rows x draws array gives, to the bit.  When several
-    predictors overflow, the error names the largest in the first slab
-    that holds one, by its row in the table.
+    read from the order statistics of one sort per row.  Wherever no slab
+    is a lone row (up to 43,690 draws, where a slab takes three rows or
+    more, and up to 65,536 for an even number of rows), every row's
+    summary is the one a single rows x draws array gives, to the bit.
+    When several predictors overflow, the error names the largest in the
+    first slab that holds one, by its row in the table.
     """
     if samples.p_lambda != designs.p_lambda:
         raise ModelError("samples and designs disagree on the abundance design width")
@@ -212,71 +209,3 @@ def lambda_fitted(
         for i in range(designs.n_rows)
     ]
 
-
-def posterior_n(
-    y_row: np.ndarray,
-    lambda_draws: np.ndarray,
-    p_draws: np.ndarray,
-    theta_draws: np.ndarray | None = None,
-) -> np.ndarray:
-    """Posterior pmf of one row's latent abundance N, averaged over draws.
-
-    The draws are the rows of one batch of the likelihood's series
-    kernel, so each draw's support is the range n_min..n_max that
-    :func:`likelihood.row_loglik_detail` reports for it (under 1e-12 of
-    its mass lies outside).  The kernel module rebuilds each draw's pmf
-    g(N) / L on the union of the ranges, in slabs of about 2**17 elements
-    whatever the number of draws, adds the pmfs in draw order, and
-    renormalises their mean.
-
-    Returns the pmf aligned with ``np.arange(max(y), top + 1)``, where
-    ``top`` is the highest n_max of any draw; entries below the lowest
-    n_min are zero.  Raises ModelError naming a malformed input (NaN
-    included), and NumericError when a draw gives the counts zero
-    likelihood (p = 1 with unequal counts), or when the kernel fails on a
-    draw, naming the draw and the term budget.
-
-    Parameters
-    ----------
-    y_row : array of shape (n_surveys,)
-        Observed counts of the row (observed surveys only).
-    lambda_draws : array of shape (n_draws,)
-    p_draws : array of shape (n_draws, n_surveys)
-    theta_draws : array of shape (n_draws,), optional
-        Dispersion draws; None for the Poisson mixture.
-    """
-    y = np.atleast_1d(np.asarray(y_row, dtype=float))
-    lam = np.atleast_1d(np.asarray(lambda_draws, dtype=float))
-    p = np.atleast_2d(np.asarray(p_draws, dtype=float))
-    # the checks are written so that NaN fails them
-    if y.ndim != 1 or y.size < 1 or not np.all((y >= 0) & (y == np.floor(y)) & np.isfinite(y)):
-        raise ModelError(f"y_row must hold at least one non-negative integer count, got {y.tolist()}")
-    if p.shape != (lam.size, y.size):
-        raise ModelError(f"p_draws must have shape ({lam.size}, {y.size}), got {p.shape}")
-    if not np.all((lam > 0) & np.isfinite(lam)):
-        raise ModelError("lambda draws must be positive and finite")
-    # p = 1 is admitted: perfect detection pins N at the observed count
-    if not np.all((p > 0) & (p <= 1)):
-        raise ModelError("detection draws must lie in (0, 1]")
-    theta = None
-    if theta_draws is not None:
-        theta = np.atleast_1d(np.asarray(theta_draws, dtype=float))
-        if theta.shape != lam.shape or not np.all((theta > 0) & np.isfinite(theta)):
-            raise ModelError("theta draws must be positive and finite, with one entry per draw")
-    phi = _phi(theta, lam.size)
-    counts = np.broadcast_to(y, p.shape)
-    # log(1 - p) is -inf at p = 1; the kernel's ratios are then exactly 0
-    with np.errstate(divide="ignore"):
-        try:
-            log_l, n_min, n_max, _ = _batch_series(counts, lam, p, phi, moments=False)
-        except NumericError as exc:
-            if exc.row is None:
-                raise
-            raise NumericError(
-                f"posterior draw {exc.row} (lam={lam[exc.row]:.6g}) fails in the series over N, "
-                f"whose term budget is {likelihood._TERM_BUDGET} terms past the draw's start"
-            ) from exc
-    if not np.all(np.isfinite(log_l)):
-        bad = int(np.argmax(~np.isfinite(log_l)))
-        raise NumericError(f"posterior draw {bad} gives the counts zero likelihood")
-    return _posterior_pmf(counts, lam, p, phi, log_l, n_min, n_max)

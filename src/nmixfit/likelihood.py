@@ -37,7 +37,8 @@ depend on where the blocks or the slabs end (see :func:`_sum_upward`).
 A sum that leaves double range or a row that exhausts its budget of
 10,000 terms past its start raises ``NumericError`` naming the row.
 The same pass can accumulate the posterior moments of N that the exact
-score and Hessian need (see :func:`table_loglik_hessian`).
+score and Hessian need (see :func:`table_loglik_hessian`), and
+:func:`posterior_n` rebuilds a row's posterior pmf of N on its ranges.
 """
 
 from __future__ import annotations
@@ -94,29 +95,17 @@ _STOP_MARGIN = 4.0
 # kernel's block buffers, lambda_fitted's draws and posterior_n's pmfs are
 # built one slab of rows at a time, so their size does not grow with rows.
 _SLAB = 1 << 17
-# BLAS products group rows in twos, fours or eights, and treat a trailing
-# partial group, and a lone row, by other code with other rounding.
-_SLAB_ALIGN = 16
 
 
 def _row_slabs(n_rows, width):
     """Consecutive slices of ``range(n_rows)`` of at most _SLAB // width
-    rows each (one row at least).
-
-    When _SLAB_ALIGN or more rows fit, every slab starts at a multiple of
-    _SLAB_ALIGN and the last never holds one row alone, so a matrix product
-    taken slab by slab groups each row as one product over all the rows
-    does, and gives the same bits.  The last slab then has 17 rows where
-    only 16 fit, the one case where a slab can exceed _SLAB.
-    """
+    rows each (one row at least); where two rows fit, the last never holds
+    one row alone, as a matrix product over one row rounds unlike the same
+    row in a product over several (see :func:`laplace.lambda_fitted`)."""
     step = max(_SLAB // max(width, 1), 1)
-    if step >= _SLAB_ALIGN:
-        step -= step % _SLAB_ALIGN
     starts = list(range(0, n_rows, step))
-    if len(starts) > 1 and n_rows - starts[-1] == 1 and step >= _SLAB_ALIGN:
-        starts[-1] -= _SLAB_ALIGN
-        if starts[-1] == starts[-2]:
-            del starts[-1]
+    if len(starts) > 1 and n_rows - starts[-1] == 1 and step > 1:
+        starts[-1] -= 1
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
 
 
@@ -363,13 +352,13 @@ def _sum_upward(active, start, y0, keep, lam, phi, floor, moments, mode, sd):
     allowed, and once every reach is passed the blocks just double.  Terms
     and partial sums are accumulated in sequence across blocks, so a row's
     sum and stopping point do not depend on where the blocks end.  A block
-    is worked in slabs of rows from
-    :func:`_row_slabs`, so each rows x block array, a view of buffers kept
-    for the whole call, holds at most ``_SLAB`` elements whatever the
-    number of rows.  Each row's carry, partial sum and running h sums live
-    in full-length arrays, and the slabs split the rows where one matrix
-    product over them would group them, so the slabs change no bit of any
-    value, stopping point or moment.
+    is worked in slabs of rows from :func:`_row_slabs`, so each rows x
+    block array, a view of buffers kept for the whole call, holds at most
+    ``_SLAB`` elements whatever the number of rows.  Each row's carry,
+    partial sum and running h sums live in full-length arrays, and every
+    sum runs along its row alone (``einsum``, not BLAS, which rounds by
+    how it groups rows), so neither the slabs nor the other rows change a
+    bit of any value, stopping point or moment.
 
     Returns full-length (part_sum, n_max, sums), meaningful on ``active``.
     With ``moments``, sums has rows sum t_k * (k, k^2, h_k, h_k^2, k h_k,
@@ -453,8 +442,8 @@ def _sum_upward(active, start, y0, keep, lam, phi, floor, moments, mode, sd):
                 np.greater(np.arange(width), last[:, None], out=stop)
                 np.copyto(cum, 0.0, where=stop)
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    sums[0, rows] += cum @ steps
-                    sums[1, rows] += cum @ (steps * steps)
+                    sums[0, rows] += np.einsum("ij,j->i", cum, steps)
+                    sums[1, rows] += np.einsum("ij,j->i", cum, steps * steps)
                     if with_h:
                         h, h_sq = tmp, spare
                         np.add((st + (1.0 / ph - 1.0))[:, None], steps, out=h)
@@ -470,7 +459,7 @@ def _sum_upward(active, start, y0, keep, lam, phi, floor, moments, mode, sd):
                         sums[5, rows] += np.add.reduce(h_sq, axis=1)
                         np.multiply(h, cum, out=h_sq)
                         sums[2, rows] += np.add.reduce(h_sq, axis=1)
-                        sums[4, rows] += h_sq @ steps
+                        sums[4, rows] += np.einsum("ij,j->i", h_sq, steps)
                         h_sq *= h
                         sums[3, rows] += np.add.reduce(h_sq, axis=1)
         active = np.concatenate(going)
@@ -570,18 +559,78 @@ def _batch_series(counts, lam, p, phi, moments):
     return ll, start.astype(int), n_max.astype(int), stats
 
 
-def _posterior_pmf(counts, lam, p, phi, ll, n_min, n_max):
-    """Mean over the rows of each row's pmf g(N) / L, renormalised, on
-    N = max(counts)..max(n_max) and zero below min(n_min), from one
-    :func:`_batch_series` result.  log g is the leading term at min(n_min)
-    plus the cumulative log term ratios, one slab of rows at a time (see
-    :func:`_row_slabs`); the pmfs are added in row order, as one sum over
-    all the rows adds them."""
+def posterior_n(
+    y_row: np.ndarray,
+    lambda_draws: np.ndarray,
+    p_draws: np.ndarray,
+    theta_draws: np.ndarray | None = None,
+) -> np.ndarray:
+    """Posterior pmf of one row's latent abundance N, averaged over draws.
+
+    The draws are the rows of one batch of the series kernel, so each
+    draw's support is the range n_min..n_max that :func:`row_loglik_detail`
+    reports for it (under 1e-12 of its mass lies outside).  Each draw's
+    pmf g(N) / L is rebuilt on the union of the ranges, from the leading
+    term at the lowest n_min plus the cumulative log term ratios, one slab
+    of draws at a time (see :func:`_row_slabs`); the pmfs are added in
+    draw order, as one sum over all the draws adds them, and their mean is
+    renormalised.
+
+    Returns the pmf aligned with ``np.arange(max(y), top + 1)``, where
+    ``top`` is the highest n_max of any draw; entries below the lowest
+    n_min are zero.  Raises ModelError naming a malformed input (NaN
+    included), and NumericError when a draw gives the counts zero
+    likelihood (p = 1 with unequal counts), or when the kernel fails on a
+    draw, naming the draw and the term budget.
+
+    Parameters
+    ----------
+    y_row : array of shape (n_surveys,)
+        Observed counts of the row (observed surveys only).
+    lambda_draws : array of shape (n_draws,)
+    p_draws : array of shape (n_draws, n_surveys)
+    theta_draws : array of shape (n_draws,), optional
+        Dispersion draws; None for the Poisson mixture.
+    """
+    y = np.atleast_1d(np.asarray(y_row, dtype=float))
+    lam = np.atleast_1d(np.asarray(lambda_draws, dtype=float))
+    p = np.atleast_2d(np.asarray(p_draws, dtype=float))
+    # the checks are written so that NaN fails them
+    if y.ndim != 1 or y.size < 1 or not np.all((y >= 0) & (y == np.floor(y)) & np.isfinite(y)):
+        raise ModelError(f"y_row must hold at least one non-negative integer count, got {y.tolist()}")
+    if p.shape != (lam.size, y.size):
+        raise ModelError(f"p_draws must have shape ({lam.size}, {y.size}), got {p.shape}")
+    if not np.all((lam > 0) & np.isfinite(lam)):
+        raise ModelError("lambda draws must be positive and finite")
+    # p = 1 is admitted: perfect detection pins N at the observed count
+    if not np.all((p > 0) & (p <= 1)):
+        raise ModelError("detection draws must lie in (0, 1]")
+    theta = None
+    if theta_draws is not None:
+        theta = np.atleast_1d(np.asarray(theta_draws, dtype=float))
+        if theta.shape != lam.shape or not np.all((theta > 0) & np.isfinite(theta)):
+            raise ModelError("theta draws must be positive and finite, with one entry per draw")
+    phi = _phi(theta, lam.size)
+    counts = np.broadcast_to(y, p.shape)
+    # log(1 - p) is -inf at p = 1; the kernel's ratios are then exactly 0
+    with np.errstate(divide="ignore"):
+        try:
+            ll, n_min, n_max, _ = _batch_series(counts, lam, p, phi, moments=False)
+        except NumericError as exc:
+            if exc.row is None:
+                raise
+            raise NumericError(
+                f"posterior draw {exc.row} (lam={lam[exc.row]:.6g}) fails in the series over N, "
+                f"whose term budget is {_TERM_BUDGET} terms past the draw's start"
+            ) from exc
+    if not np.all(np.isfinite(ll)):
+        bad = int(np.argmax(~np.isfinite(ll)))
+        raise NumericError(f"posterior draw {bad} gives the counts zero likelihood")
     lo, hi = int(n_min.min()), int(n_max.max())
     grid = np.arange(lo + 1.0, hi + 1.0)[None, :]
     keep, _ = _keep(lam, p, phi)
     slabs = _row_slabs(lam.size, grid.size + 1)
-    # row 0 holds the running total, so each slab's rows add to it in order
+    # row 0 holds the running total, so each slab's draws add to it in order
     pmfs = np.empty((max(r.stop - r.start for r in slabs) + 1, grid.size + 1))
     total = np.zeros(grid.size + 1)
     with np.errstate(divide="ignore"):
@@ -598,7 +647,7 @@ def _posterior_pmf(counts, lam, p, phi, ll, n_min, n_max):
             pmfs[0] = total
             np.add.reduce(pmfs[: k + 1], axis=0, out=total)
     probs = total / lam.size
-    return np.pad(probs / probs.sum(), (lo - int(np.max(counts)), 0))
+    return np.pad(probs / probs.sum(), (lo - int(y.max()), 0))
 
 
 def row_loglik_detail(row: RowLikelihoodInput) -> RowLikelihoodDetail:

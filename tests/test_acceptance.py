@@ -24,10 +24,10 @@ from nmixfit.datasets import (
     with_survey_detection_covariates,
 )
 from nmixfit.experiments import run_bias_experiment
-from nmixfit.laplace import posterior_n
 from nmixfit.likelihood import (
     RowLikelihoodInput,
     _batch_series,
+    posterior_n,
     row_loglik_detail,
 )
 from nmixfit.mle import fit_ml, summarize_fit

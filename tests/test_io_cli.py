@@ -550,6 +550,88 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_config_value_that_does_not_parse_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta = abc\n")
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: config key 'theta': cannot parse 'abc'\n"
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("flag, value", [("prior-mean", "1.5"), ("prior-precision", "50")])
+    def test_ml_fit_with_a_prior_exits_2(self, tmp_path, capsys, flag, value):
+        """ML has no prior, so a prior setting is a usage fault, from a flag
+        or a config file, rejected before any fit; laplace takes it."""
+        self._simulate(tmp_path)
+        data = ["--dataset", str(tmp_path / "sim_counts_mean.csv")]
+        out = tmp_path / "out"
+        assert main(["fit", *data, "--engine", "ml", f"--{flag}", value, "--output-dir", str(out)]) == 2
+        want = f"error: --{flag} (flag or config) sets a prior, which only --engine laplace has\n"
+        assert capsys.readouterr().err == want
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"engine = ml\n{flag} = {value}\n")
+        assert main(["fit", *data, "--config", str(cfg), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+        assert main(["fit", *data, "--config", str(cfg), "--engine", "laplace",
+                     "--output-dir", str(out)]) == 0
+        assert json.loads((out / "fit.json").read_text())["engine"] == "laplace"
+
+    @pytest.mark.parametrize("missing", ["--dataset", "--engine"])
+    def test_fit_without_dataset_or_engine_exits_2(self, tmp_path, capsys, missing):
+        self._simulate(tmp_path)
+        given = {"--dataset": str(tmp_path / "sim_counts_mean.csv"), "--engine": "ml"}
+        del given[missing]
+        out = tmp_path / "out"
+        assert main(["fit", *[a for item in given.items() for a in item], "--output-dir", str(out)]) == 2
+        assert f"error: {missing} is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_beta_and_alpha_reach_the_data(self, tmp_path):
+        """--beta and --alpha give the library's simulation of those values:
+        lambda is exp(b0) where the slopes are 0, and the counts match."""
+        code = main(["simulate", "--sites", "12", "--years", "2", "--seed", "3",
+                     "--beta", "0.5,0,0,0", "--alpha=-1,0.5,0.25", "--output-dir", str(tmp_path)])
+        assert code == 0
+        truth = np.genfromtxt(tmp_path / "sim_truth.csv", delimiter=",", names=True)
+        np.testing.assert_array_equal(truth["lambda"], np.exp(0.5))
+        sim = simulate(SimConfig(n_sites=12, n_years=2, seed=3, beta=(0.5, 0.0, 0.0, 0.0),
+                                 alpha=(-1.0, 0.5, 0.25)))
+        np.testing.assert_array_equal(truth["n"], sim.true_n)
+        write_dataset(sim.dataset_mean, tmp_path / "library.csv")
+        assert (tmp_path / "library.csv").read_bytes() == (tmp_path / "sim_counts_mean.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("beta", "1,2,3", "--beta needs exactly 4 values, got 3"),
+            ("alpha", "1,2,3,4", "--alpha needs exactly 3 values, got 4"),
+            ("alpha", "1,x,2", "--alpha must be comma-separated numbers, got '1,x,2'"),
+        ],
+    )
+    def test_simulate_bad_coefficients_exit_2(self, tmp_path, capsys, flag, value, message):
+        assert main(["simulate", f"--{flag}", value, "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_simulate_poisson_writes_the_poisson_simulation(self, tmp_path):
+        self._simulate(tmp_path, "--family", "poisson")
+        sim = simulate(SimConfig(n_sites=12, n_years=2, seed=3, theta=None))
+        write_dataset(sim.dataset_mean, tmp_path / "library.csv")
+        assert (tmp_path / "library.csv").read_bytes() == (tmp_path / "sim_counts_mean.csv").read_bytes()
+
+    def test_simulate_poisson_with_theta_exits_2(self, tmp_path, capsys):
+        """The Poisson has no theta, so a given one is a usage fault, from a
+        flag or a config file, rejected before anything is written."""
+        out = ["--output-dir", str(tmp_path)]
+        want = "error: --theta and --family poisson (flag or config) conflict: the Poisson has no dispersion\n"
+        assert main(["simulate", "--family", "poisson", "--theta", "2"] + out) == 2
+        assert capsys.readouterr().err == want
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta = 2\n")
+        assert main(["simulate", "--family", "poisson", "--config", str(cfg)] + out) == 2
+        assert capsys.readouterr().err == want
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     def test_missing_dataset_exits_2(self, tmp_path):
         code = main(
             ["fit", "--dataset", str(tmp_path / "absent.csv"),

@@ -285,7 +285,7 @@ class TestLambdaFittedExactness:
 
     def test_design_of_several_slabs(self):
         """705 rows at 4,000 draws are summarised in 23 slabs, the last of
-        17 rows; the quantiles still match numpy's bit for bit."""
+        2 rows; the quantiles still match numpy's bit for bit."""
         rng = np.random.default_rng(8)
         x = np.column_stack([np.ones(705), rng.standard_normal((705, 2))])
         draws = np.column_stack([rng.normal(1.0, 0.3, (4000, 3)), np.zeros(4000)])

@@ -735,21 +735,19 @@ class TestSlabs:
     @pytest.mark.parametrize("n_rows", [1, 2, 15, 16, 17, 31, 33, 48, 49, 705, 20_000])
     @pytest.mark.parametrize("width", [1, 3, 53, 2049, 4096, 5000, 200_000])
     def test_slabs_cover_the_rows_in_aligned_bounded_pieces(self, n_rows, width):
+        """No slab holds more rows than fit in _SLAB elements (one row at
+        least), and where two rows fit the last slab is no lone row."""
         slabs = likelihood._row_slabs(n_rows, width)
         assert [i for r in slabs for i in range(r.start, r.stop)] == list(range(n_rows))
         fit = max(likelihood._SLAB // width, 1)
         sizes = [r.stop - r.start for r in slabs]
-        if fit < likelihood._SLAB_ALIGN:
-            assert max(sizes) <= fit
-            return
-        assert all(r.start % likelihood._SLAB_ALIGN == 0 for r in slabs)
-        assert len(slabs) == 1 or sizes[-1] > 1
-        # a 17-row slab where only 16 rows fit is the one excess
-        assert max(sizes) * width <= likelihood._SLAB or (fit < 32 and sizes[-1] == 17)
+        assert max(sizes) <= fit
+        assert fit == 1 or max(sizes) * width <= likelihood._SLAB
+        assert fit == 1 or len(slabs) == 1 or sizes[-1] > 1
 
     def test_no_block_buffer_exceeds_a_slab(self, monkeypatch):
         """The widest blocks (4096 terms) still fit 32 rows in a slab."""
-        assert likelihood._SLAB // likelihood._BLOCK_MAX >= 2 * likelihood._SLAB_ALIGN
+        assert likelihood._SLAB // likelihood._BLOCK_MAX >= 32
         sizes = []
         ratio_parts = likelihood._ratio_parts
 
@@ -775,10 +773,9 @@ class TestSlabs:
         np.testing.assert_array_equal(whole, np.concatenate(halves))
 
     def test_moments_equal_the_halves(self, monkeypatch):
-        """NB with a per-row theta.  The two halves are equal and each row
-        comes 16 times in a row, so both halves size their blocks as the
-        whole table does, and every block's rows fall into the same BLAS
-        row groups in the whole as in each half."""
+        """NB with a per-row theta.  The two halves are equal, so both size
+        their blocks as the whole table does, and each row comes 16 times
+        in a row, so the whole table spans several slabs."""
         half = tuple(np.repeat(a, 16, axis=0) for a in _nb_rows(100, 10))
         whole = tuple(np.concatenate([a, a]) for a in half)
         slabs = _slab_counts(monkeypatch)
@@ -792,7 +789,7 @@ class TestSlabs:
     def test_moments_do_not_depend_on_the_slab_size(self, monkeypatch):
         """Rows cut into slabs give the moments of one slab for the whole
         table, to the bit, on rows that differ from each other.  6,001 rows
-        make the first block's last slab one of 17 rows."""
+        make the first block's slabs uneven: 2,340, 2,340 and 1,321 rows."""
         args = _nb_rows(6001, 11)
         slabs = _slab_counts(monkeypatch)
         got = _batch_series(*args, moments=True)
@@ -858,6 +855,40 @@ class TestBlockSizing:
         assert points <= ceiling
 
 
+def _nb_moved_rows():
+    """200 NB rows with a per-row theta, then three NB rows whose starts
+    move far above max(y), as (counts, lam, p, phi)."""
+    counts, lam, p, phi = _nb_rows(200, 13)
+    ys, lams, ps, thetas = zip(
+        ([200.0, 180.0, 210.0], 1e4, 0.02, 3.0),
+        ([1000.0, 1000.0, 1000.0], 2000.0, 0.5, 20.0),
+        ([150.0, 140.0, 160.0], 3000.0, 0.05, 50.0),
+    )
+    return (
+        np.vstack([counts, ys]),
+        np.concatenate([lam, lams]),
+        np.vstack([p, np.repeat(np.array(ps)[:, None], 3, axis=1)]),
+        np.concatenate([phi, 1.0 / np.array(thetas)]),
+    )
+
+
+class TestRowOrder:
+    """A row's value, summed range and moments depend on that row alone:
+    permuting a batch's rows permutes every output, to the bit."""
+
+    @pytest.mark.parametrize("case", ["seed-6-ml", "nb-moved-rows"])
+    def test_permuted_rows_give_permuted_series(self, case, example_sim, ml_fit):
+        args = _ml_table(example_sim, ml_fit) if case == "seed-6-ml" else _nb_moved_rows()
+        want = _batch_series(*args, moments=True)
+        if case == "nb-moved-rows":
+            assert np.all(want[1][-3:] > np.max(args[0][-3:], axis=1))
+        order = np.random.default_rng(1).permutation(args[1].size)
+        got = _batch_series(*(a[order] for a in args), moments=True)
+        assert len(got[3]) == 6
+        for g, w in zip((*got[:3], *got[3]), (*want[:3], *want[3])):
+            np.testing.assert_array_equal(g, w[order])
+
+
 class TestScore:
     """The exact score against finite differences of table_loglik."""
 
@@ -900,17 +931,19 @@ class TestHessian:
         )
 
 
-# The series kernel's term layout: each helper's arguments follow choices
-# (phi per row, d's N-free factor folded into keep's first column) that
-# only likelihood.py should know.
+# The series kernel and its term layout: each helper's arguments follow
+# choices (phi per row, d's N-free factor folded into keep's first column)
+# that only likelihood.py should know.
 _KERNEL_TERM_HELPERS = (
-    "_keep", "_leading_log_term", "_log_ratio", "_ratio_parts", "_series_start", "_sum_upward", "_take",
+    "_batch_series", "_keep", "_leading_log_term", "_log_ratio", "_phi", "_ratio_parts",
+    "_series_start", "_sum_upward", "_take",
 )
 
 
 def test_only_the_kernel_module_uses_its_term_helpers():
-    """No module but likelihood.py imports a kernel term helper or reads one
-    off the likelihood module; the guard names only helpers that exist."""
+    """No module but likelihood.py imports the series kernel or a term
+    helper, or reads one off the likelihood module; the guard names only
+    helpers that exist."""
     package = Path(likelihood.__file__).parent
     assert all(callable(getattr(likelihood, name, None)) for name in _KERNEL_TERM_HELPERS)
     found = []
