@@ -105,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset with known truth")
     _sim_flags(p)
-    p.add_argument("--beta", default=None, help="b0,b1,b2,b3 (default %g,%g,%g,%g)" % sim.beta)
-    p.add_argument("--alpha", default=None, help="a0,a1,a4 (default %g,%g,%g)" % sim.alpha)
+    negative = "; a negative first value needs --%s=-1,... or a config file"
+    p.add_argument("--beta", help="b0,b1,b2,b3 (default %g,%g,%g,%g)" % sim.beta + negative % "beta")
+    p.add_argument("--alpha", help="a0,a1,a4 (default %g,%g,%g)" % sim.alpha + negative % "alpha")
     p.add_argument("--family", choices=["poisson", "nb"], default=None)
     _common_flags(p)
 

@@ -34,8 +34,8 @@ doubling.  Each block is worked one slab of rows at a time, in a few
 buffers of at most 2**17 elements reused for every slab and block, so
 the working memory does not grow with the rows; a row's sum does not
 depend on where the blocks or the slabs end (see :func:`_sum_upward`).
-A sum that leaves double range or a row that exhausts its budget of
-10,000 terms past its start raises ``NumericError`` naming the row.
+A row past its budget of 10,000 terms past its start gets a NaN value,
+and a sum that leaves double range +inf; :func:`_check_series` names it.
 The same pass can accumulate the posterior moments of N that the exact
 score and Hessian need (see :func:`table_loglik_hessian`), and
 :func:`posterior_n` rebuilds a row's posterior pmf of N on its ranges.
@@ -71,7 +71,7 @@ _P_FLOOR = np.nextafter(0.0, 1.0)
 # when the bounds are nearly sharp.
 _REL_FLOOR = 1e-12
 _TAIL_SAFETY = 0.5
-# A row sums at most _TERM_BUDGET terms past its start, else NumericError.
+# A row sums at most _TERM_BUDGET terms past its start, else its value is NaN.
 # The series always converges for p > 0, so an exhausted budget means the
 # row's posterior is too wide, never that it diverges.
 _TERM_BUDGET = 10000
@@ -338,13 +338,13 @@ def _series_start(ystar, y0, base, phi, lead):
     return start, mode, sd
 
 
-def _sum_upward(active, start, y0, keep, lam, phi, floor, moments, mode, sd):
+def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
     """Sum rows ``active`` upward from N = start, with t(start) = 1.
 
     A row stops once its right tail bound is at most ``floor`` times its
-    partial sum, or raises after ``_TERM_BUDGET`` terms.  A row's reach,
-    its expected stopping offset, is ``_STOP_SDS`` sds and ``_STOP_MARGIN``
-    terms past its ``mode``, or 0 where that estimate failed.  The first
+    partial sum, or gets part_sum NaN after ``_TERM_BUDGET`` terms.  Its
+    reach, its expected stopping offset, is ``_STOP_SDS`` sds and
+    ``_STOP_MARGIN`` terms past its ``mode``, or 0 where that failed.  The first
     block is as wide as the median reach: half the rows should finish in
     it, which on a table of mixed rows costs less than one block sized for
     the widest.  Each later block covers the largest reach of the rows
@@ -360,35 +360,27 @@ def _sum_upward(active, start, y0, keep, lam, phi, floor, moments, mode, sd):
     how it groups rows), so neither the slabs nor the other rows change a
     bit of any value, stopping point or moment.
 
-    Returns full-length (part_sum, n_max, sums), meaningful on ``active``.
-    With ``moments``, sums has rows sum t_k * (k, k^2, h_k, h_k^2, k h_k,
-    h'_k), where k = N - start and h_k and h'_k are the running sums of
-    1 / (N - 1 + theta) and of its square.  At phi = 0, theta = 1 / phi is
-    inf and every h exactly 0, so a call with no phi > 0 row skips them.
+    Writes the ``active`` rows of ``out`` = full-length (part_sum, n_max,
+    sums), and raises nothing.  With ``moments``, sums has rows sum t_k *
+    (k, k^2, h_k, h_k^2, k h_k, h'_k), where k = N - start and h_k and h'_k
+    are the running sums of 1 / (N - 1 + theta) and of its square.  At
+    phi = 0, theta = 1 / phi is inf and every h exactly 0, so a call with
+    no phi > 0 row skips them.
     """
+    part_sum, n_max, sums = out
+    part_sum[active], n_max[active], sums[:, active] = 1.0, start[active], 0.0
     n_rows = y0.shape[0]
     with_h = moments and phi.any()
     with np.errstate(invalid="ignore"):
         reach = mode - start + (_STOP_SDS * sd + _STOP_MARGIN)
     reach = np.where(reach > 0.0, reach, 0.0)
-    part_sum = np.ones(n_rows)
     carry = np.ones(n_rows)
-    sums = np.zeros((6 if moments else 0, n_rows))
     carry_h = np.zeros((2, n_rows))
-    n_max = start.copy()
     space, flags = np.empty((5, 0)), np.empty(0, dtype=bool)
 
     offset = 0
     allowed = width = int(np.clip(np.ceil(np.median(reach[active])), 1, _BLOCK_MAX))
-    while active.size:
-        if offset >= _TERM_BUDGET:
-            row = int(active[0])
-            raise NumericError(
-                f"term budget exhausted for row {row} (lam={lam[row]:.6g}, start N={start[row]:.0f}): "
-                f"{offset + 1} terms summed without meeting the relative floor; the budget is "
-                f"{_TERM_BUDGET} terms past the start",
-                row=row,
-            )
+    while active.size and offset < _TERM_BUDGET:
         width = min(width, _TERM_BUDGET - offset)
         steps = offset + np.arange(1, width + 1, dtype=float)
         going = []
@@ -467,7 +459,7 @@ def _sum_upward(active, start, y0, keep, lam, phi, floor, moments, mode, sd):
         allowed = min(2 * allowed, _BLOCK_MAX)
         left = np.max(reach[active], initial=0.0) - offset
         width = int(min(allowed, np.ceil(left))) if left > 0.0 else allowed
-    return part_sum, n_max, sums
+    part_sum[active] = np.nan
 
 
 class PosteriorMoments(NamedTuple):
@@ -492,7 +484,9 @@ def _batch_series(counts, lam, p, phi, moments):
     trigamma recurrences psi(s + k + theta) = psi(s + theta) + h_k and
     psi'(s + k + theta) = psi'(s + theta) - h'_k.
     Returns (ll, n_min, n_max, stats) with stats None or a
-    :class:`PosteriorMoments`.
+    :class:`PosteriorMoments`.  Nothing here raises, and one row's failure
+    moves no bit of the others: ll is NaN past the term budget (no retry),
+    +inf past double range and -inf at zero likelihood; see :func:`_check_series`.
     """
     n_rows = counts.shape[0]
     ystar = np.max(counts, axis=1)
@@ -500,10 +494,11 @@ def _batch_series(counts, lam, p, phi, moments):
     lead = _leading_log_term(ystar, counts, lam, p, phi)
     base = np.sum(np.log1p(-p), axis=1) + np.log(scale)
     start, mode, sd = _series_start(ystar, counts, base, phi, lead)
-    inputs = (counts, keep, lam, phi)
+    inputs = (counts, keep, phi)
     floor = _TAIL_SAFETY * _REL_FLOOR
-    sums = _sum_upward(np.arange(n_rows), start, *inputs, floor, moments, mode, sd)
-    part_sum = sums[0]
+    out = (np.empty(n_rows), np.empty(n_rows), np.empty((6 if moments else 0, n_rows)))
+    part_sum, n_max, raw = out
+    _sum_upward(np.arange(n_rows), start, *inputs, floor, moments, mode, sd, out)
 
     pending = np.flatnonzero(start > ystar)
     # c sd lower, then twice as far each time, so the retries end
@@ -514,34 +509,27 @@ def _batch_series(counts, lam, p, phi, moments):
         # at most q / (1 - q), q = 1 / r(s); rows where that is not negligible go on
         ratio, _ = _ratio_parts(start[pending, None], *_take(pending, counts, keep, phi))
         with np.errstate(divide="ignore"):
-            q = 1.0 / ratio[:, 0]
-            pending = pending[~((q < 1.0) & (q / (1.0 - q) <= floor * part_sum[pending]))]
+            q, ps = 1.0 / ratio[:, 0], part_sum[pending]
+            pending = pending[~(np.isnan(ps) | ((q < 1.0) & (q / (1.0 - q) <= floor * ps)))]
         if not pending.size:
             break
         start[pending] = np.maximum(ystar[pending], start[pending] - drop[pending])
         drop[pending] *= 2.0
-        redo = _sum_upward(pending, start, *inputs, floor, moments, mode, sd)
-        for whole, part in zip(sums, redo):
-            whole[..., pending] = part[..., pending]
+        _sum_upward(pending, start, *inputs, floor, moments, mode, sd, out)
         pending = pending[start[pending] > ystar[pending]]
 
-    part_sum, n_max, raw = sums
-    # a sum that overflowed holds inf, and the stopping rule then stops it
-    spilled = np.flatnonzero(~np.isfinite(part_sum + np.add.reduce(raw, axis=0)))
-    if spilled.size:
-        row = int(spilled[0])
-        raise NumericError(
-            f"latent-abundance series overflowed double precision for row {row} "
-            f"(lam={lam[row]:.6g}, start N={start[row]:.0f})",
-            row=row,
-        )
+    # a sum that overflowed holds inf, and the stopping rule then stops it; a row
+    # whose moment sums overflowed gets inf too, and one past its budget keeps NaN
+    part_sum[np.isfinite(part_sum) & ~np.isfinite(np.add.reduce(raw, axis=0))] = np.inf
     shifted = np.flatnonzero(start > ystar)
     if shifted.size:
         lead[shifted] = _leading_log_term(start[shifted], *_take(shifted, counts, lam, p, phi))
     ll = lead + np.log(part_sum)
     stats = None
     if moments:
-        k, k_sq, h, h_sq, k_h, h_prime = raw / part_sum
+        # inf / inf: an overflowed row's moments are NaN
+        with np.errstate(invalid="ignore"):
+            k, k_sq, h, h_sq, k_h, h_prime = raw / part_sum
         # psi(s + theta) - psi(theta) and its trigamma twin, 0 at phi = 0
         dpsi, dtrigamma = np.zeros((2, n_rows))
         if (nb := np.flatnonzero(phi)).size:
@@ -557,6 +545,23 @@ def _batch_series(counts, lam, p, phi, moments):
             mean_dtrigamma=dtrigamma - h_prime,
         )
     return ll, start.astype(int), n_max.astype(int), stats
+
+
+def _check_series(ll, n_min, n_max, lam, unit):
+    """Raise NumericError naming, as the caller's ``unit``, the first row of
+    a kernel result whose ``ll`` is not finite, and why (see :func:`_batch_series`)."""
+    bad = np.flatnonzero(~np.isfinite(ll))
+    if bad.size:
+        k = bad[0]
+        where = f"{unit} {k} (lam={lam[k]:.6g}, start N={n_min[k]})"
+        if ll[k] == -np.inf:
+            raise NumericError(f"{unit} {k} gives the counts zero likelihood")
+        if np.isnan(ll[k]):
+            raise NumericError(
+                f"term budget exhausted for {where}: {n_max[k] - n_min[k] + 1} terms summed without "
+                f"meeting the relative floor; the budget is {_TERM_BUDGET} terms past the start"
+            )
+        raise NumericError(f"latent-abundance series overflowed double precision for {where}")
 
 
 def posterior_n(
@@ -579,9 +584,9 @@ def posterior_n(
     Returns the pmf aligned with ``np.arange(max(y), top + 1)``, where
     ``top`` is the highest n_max of any draw; entries below the lowest
     n_min are zero.  Raises ModelError naming a malformed input (NaN
-    included), and NumericError when a draw gives the counts zero
-    likelihood (p = 1 with unequal counts), or when the kernel fails on a
-    draw, naming the draw and the term budget.
+    included), and NumericError naming the first posterior draw that
+    gives the counts zero likelihood (p = 1 with unequal counts), exhausts
+    the term budget or overflows (see :func:`_check_series`).
 
     Parameters
     ----------
@@ -614,18 +619,8 @@ def posterior_n(
     counts = np.broadcast_to(y, p.shape)
     # log(1 - p) is -inf at p = 1; the kernel's ratios are then exactly 0
     with np.errstate(divide="ignore"):
-        try:
-            ll, n_min, n_max, _ = _batch_series(counts, lam, p, phi, moments=False)
-        except NumericError as exc:
-            if exc.row is None:
-                raise
-            raise NumericError(
-                f"posterior draw {exc.row} (lam={lam[exc.row]:.6g}) fails in the series over N, "
-                f"whose term budget is {_TERM_BUDGET} terms past the draw's start"
-            ) from exc
-    if not np.all(np.isfinite(ll)):
-        bad = int(np.argmax(~np.isfinite(ll)))
-        raise NumericError(f"posterior draw {bad} gives the counts zero likelihood")
+        ll, n_min, n_max, _ = _batch_series(counts, lam, p, phi, moments=False)
+    _check_series(ll, n_min, n_max, lam, "posterior draw")
     lo, hi = int(n_min.min()), int(n_max.max())
     grid = np.arange(lo + 1.0, hi + 1.0)[None, :]
     keep, _ = _keep(lam, p, phi)
@@ -667,11 +662,12 @@ def row_loglik_detail(row: RowLikelihoodInput) -> RowLikelihoodDetail:
     Raises
     ------
     NumericError
-        If the row needs more than 10,000 terms past its start.
+        If the row needs more than 10,000 terms past its start, or its sum
+        leaves double range; the message names row 0 and the cause.
     """
-    ll, n_min, n_max, _ = _batch_series(
-        row.y[None, :], np.array([row.lam]), row.p[None, :], _phi(row.theta, 1), moments=False
-    )
+    lam, phi = np.array([row.lam]), _phi(row.theta, 1)
+    ll, n_min, n_max, _ = _batch_series(row.y[None, :], lam, row.p[None, :], phi, moments=False)
+    _check_series(ll, n_min, n_max, lam, "row")
     return RowLikelihoodDetail(
         loglik=float(ll[0]),
         n_terms=int(n_max[0] - n_min[0] + 1),
@@ -710,7 +706,10 @@ def table_row_logliks(
     family: MixtureFamily,
 ) -> np.ndarray:
     """Per-row log-likelihood contributions, in table order."""
-    return _batch_series(*_kernel_inputs(params, table, designs, family), moments=False)[0]
+    counts, lam, p, phi = _kernel_inputs(params, table, designs, family)
+    ll, n_min, n_max, _ = _batch_series(counts, lam, p, phi, moments=False)
+    _check_series(ll, n_min, n_max, lam, "row")
+    return ll
 
 
 def table_loglik_hessian(
@@ -738,7 +737,8 @@ def table_loglik_hessian(
     give the Hessian.  The value equals :func:`table_loglik` exactly.
     """
     counts, lam, p, phi = _kernel_inputs(params, table, designs, family)
-    ll, _, _, mom = _batch_series(counts, lam, p, phi, moments=True)
+    ll, n_min, n_max, mom = _batch_series(counts, lam, p, phi, moments=True)
+    _check_series(ll, n_min, n_max, lam, "row")
     x, w, m = designs.abundance_design, designs.detection_design, mom.mean_n
 
     # 1 and -lam exactly at phi = 0

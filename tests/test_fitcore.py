@@ -80,6 +80,31 @@ class TestMaximize:
         assert opt.converged
         assert opt.x[0] == pytest.approx(np.e, rel=1e-4)
 
+    def test_trial_point_past_the_term_budget_is_a_rejected_step(self, monkeypatch):
+        """Intercept-only Poisson ML on a sparse table whose likelihood rises
+        toward lam = inf with lam p fixed: a trial point lies past the
+        kernel's term budget, and the fit rejects that step and converges."""
+        # the 132nd table of a probe that draws N ~ Poisson(3) at 10 sites
+        # and three surveys with p = 0.15, one table after another
+        rng = np.random.default_rng(0)
+        for _ in range(132):
+            y = rng.binomial(rng.poisson(3.0, 10)[:, None], 0.15, (10, 3)).astype(float)
+        errors = []
+        check = likelihood._check_series
+
+        def recorded(*args):
+            try:
+                check(*args)
+            except NumericError as exc:
+                errors.append(str(exc))
+                raise
+
+        monkeypatch.setattr(likelihood, "_check_series", recorded)
+        designs = DesignMatrices(np.ones((10, 1)), np.ones((10, 3, 1)))
+        fit = fit_ml(ObservationTable(y), designs, MixtureFamily.POISSON)
+        assert fit.converged
+        assert any(e.startswith("term budget exhausted for row ") for e in errors)
+
     def test_non_finite_start_is_an_error(self):
         with pytest.raises(NumericError, match="starting point"):
             maximize_log_density(

@@ -600,6 +600,23 @@ class TestCli:
         write_dataset(sim.dataset_mean, tmp_path / "library.csv")
         assert (tmp_path / "library.csv").read_bytes() == (tmp_path / "sim_counts_mean.csv").read_bytes()
 
+    def test_simulate_negative_first_coefficients_by_flag_or_config(self, tmp_path):
+        """A list with a negative first value is joined to its flag with =,
+        or given in a config file, and both write the same files."""
+        size = ["--sites", "3", "--years", "1"]
+        flags, config = tmp_path / "flags", tmp_path / "config"
+        assert main(["simulate", "--alpha=-1,0.5,0.25", "--beta=-0.5,0,0,0", *size,
+                     "--output-dir", str(flags)]) == 0
+        truth = np.genfromtxt(flags / "sim_truth.csv", delimiter=",", names=True)
+        np.testing.assert_array_equal(truth["lambda"], np.exp(-0.5))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = -1,0.5,0.25\nbeta = -0.5,0,0,0\n")
+        assert main(["simulate", "--config", str(cfg), *size, "--output-dir", str(config)]) == 0
+        names = sorted(os.listdir(flags))
+        assert "sim_truth.csv" in names and sorted(os.listdir(config)) == names
+        for name in names:
+            assert (config / name).read_bytes() == (flags / name).read_bytes()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

@@ -398,7 +398,8 @@ class TestPosteriorN:
         series' 10,000-term budget; the error names the posterior draw
         and the budget, not a table row."""
         y = np.array([10.0, 12.0, 9.0])
-        with pytest.raises(NumericError, match="posterior draw 0 .*term budget is 10000") as info:
+        want = "term budget exhausted for posterior draw 0 .*the budget is 10000 terms past the start"
+        with pytest.raises(NumericError, match=want) as info:
             posterior_n(y, np.array([5e4]), np.full((1, 3), 0.001), theta_draws=np.array([2.0]))
         assert "row" not in str(info.value)
 

@@ -29,6 +29,7 @@ from nmixfit import (
     RowLikelihoodInput,
     SimConfig,
     fit_ml,
+    posterior_n,
     row_loglik_detail,
     simulate,
     table_loglik,
@@ -684,7 +685,9 @@ class TestBlockLayout:
         ll_8, n_min_8, n_max_8, mom_8 = _batch_series(*args, moments=True)
         np.testing.assert_array_equal(n_min_8, n_min)
         np.testing.assert_array_equal(n_max_8, n_max)
-        np.testing.assert_allclose(ll_8, ll, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(ll_8, ll)
+        # the moments keep a tolerance: a row summed across a block edge
+        # takes its per-block moment sums at other places
         for got, want in zip(mom_8, mom):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -931,13 +934,107 @@ class TestHessian:
         )
 
 
+def _at_entry(entry, y, lam, p):
+    """One Poisson row of counts ``y`` and one detection ``p`` through a
+    public entry of the kernel; the error's unit and the call."""
+    y = np.asarray(y, dtype=float)
+    if entry == "posterior_n":
+        return "posterior draw", lambda: posterior_n(y, np.array([lam]), np.full((1, y.size), p))
+    if entry == "row_loglik_detail":
+        return "row", lambda: row_loglik_detail(_row(y, np.full(y.size, p), lam))
+    table = (*_kernel_table(y[None, :], lam, p), MixtureFamily.POISSON)
+    call = table_row_logliks if entry == "table_row_logliks" else table_loglik_hessian
+    return "row", lambda: call(*table)
+
+
+_ENTRIES = ["row_loglik_detail", "table_row_logliks", "table_loglik_hessian", "posterior_n"]
+
+
+class TestFailedRows:
+    """The kernel returns a failed row as a value (NaN past the term
+    budget, +inf past double range, -inf at zero likelihood), and every
+    public entry names the first such row, as its own unit, and the cause."""
+
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    def test_term_budget_is_named(self, entry, monkeypatch):
+        # the posterior of N has sd ~700, far wider than a budget of 50 terms
+        monkeypatch.setattr(likelihood, "_TERM_BUDGET", 50)
+        unit, call = _at_entry(entry, [0.0], 1e6, 0.5)
+        with pytest.raises(NumericError, match=f"^term budget exhausted for {unit} 0 ") as info:
+            call()
+        assert str(info.value).endswith("51 terms summed without meeting the relative floor; "
+                                        "the budget is 50 terms past the start")
+
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    def test_overflow_is_named_and_is_no_budget(self, entry, monkeypatch):
+        """Kept at y* = 10, the far-mode row's terms scaled to g(10) leave
+        double range long before the budget."""
+        monkeypatch.setattr(likelihood, "_MIN_SHIFT", 10**9)
+        monkeypatch.setattr(likelihood, "_LEAD_LIMIT", 1e9)
+        unit, call = _at_entry(entry, [10.0], 5e4, 0.001)
+        with pytest.raises(NumericError, match=f"^latent-abundance series overflowed double precision "
+                                               rf"for {unit} 0 \(lam=50000, start N=10\)$") as info:
+            call()
+        assert "budget" not in str(info.value)
+
+    def test_zero_likelihood_is_named(self):
+        """p = 1 pins N at each count, so unequal counts have no mass under
+        the second draw; the first draw is fine."""
+        p = np.array([[0.5, 0.5], [1.0, 1.0]])
+        with pytest.raises(NumericError, match="^posterior draw 1 gives the counts zero likelihood$"):
+            posterior_n(np.array([3.0, 5.0]), np.array([5.0, 5.0]), p)
+
+    def test_first_failed_row_is_named(self, monkeypatch):
+        """Of a zero-likelihood draw and an earlier draw past the budget,
+        the error names the first."""
+        monkeypatch.setattr(likelihood, "_TERM_BUDGET", 50)
+        p = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 1.0]])
+        with pytest.raises(NumericError, match="^term budget exhausted for posterior draw 1 "):
+            posterior_n(np.array([3.0, 5.0]), np.array([5.0, 1e6, 5.0]), p)
+
+    @pytest.mark.parametrize("moments", [False, True])
+    def test_one_failed_row_leaves_the_others_alone(self, moments):
+        """An NB row whose posterior spreads past the 10,000-term budget
+        gets ll NaN, and every other row's ll and summed range equal, to
+        the bit, those of the same batch without it."""
+        counts, lam, p, phi = _mixed_rows("per-row")
+        at = 7
+        batch = (
+            np.insert(counts, at, [10.0, 12.0, 9.0], axis=0),
+            np.insert(lam, at, 5e4),
+            np.insert(p, at, 0.001, axis=0),
+            np.insert(phi, at, 0.5),
+        )
+        ll, n_min, n_max, _ = _batch_series(*batch, moments=moments)
+        assert np.isnan(ll[at])
+        assert n_max[at] - n_min[at] == likelihood._TERM_BUDGET
+        want = _batch_series(counts, lam, p, phi, moments=moments)
+        others = np.arange(lam.size + 1) != at
+        for got, w in zip((ll, n_min, n_max), want[:3]):
+            np.testing.assert_array_equal(got[others], w)
+
+
 # The series kernel and its term layout: each helper's arguments follow
 # choices (phi per row, d's N-free factor folded into keep's first column)
 # that only likelihood.py should know.
 _KERNEL_TERM_HELPERS = (
-    "_batch_series", "_keep", "_leading_log_term", "_log_ratio", "_phi", "_ratio_parts",
-    "_series_start", "_sum_upward", "_take",
+    "_batch_series", "_check_series", "_keep", "_leading_log_term", "_log_ratio", "_phi",
+    "_ratio_parts", "_series_start", "_sum_upward", "_take",
 )
+
+
+def test_every_kernel_result_is_checked():
+    """Every function of likelihood.py that calls the series kernel also
+    calls _check_series, so no failed row reaches a caller as a value."""
+    tree = ast.parse(Path(likelihood.__file__).read_text())
+    callers = {}
+    for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        called = {node.func.id for node in ast.walk(func)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        if "_batch_series" in called:
+            callers[func.name] = "_check_series" in called
+    assert set(_ENTRIES) <= set(callers)
+    assert all(callers.values()), callers
 
 
 def test_only_the_kernel_module_uses_its_term_helpers():
