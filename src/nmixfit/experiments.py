@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NmixError
+from .errors import ModelError, NmixError
 from .io import write_records
 from .laplace import fit_laplace
 from .simulate import SimConfig, simulate
@@ -102,9 +102,9 @@ def run_bias_experiment(
     """Run the sweep, a4 drawn uniformly from [-3, 3) for each run, and
     return records ordered by (run, model, parameter)."""
     if runs < 1:
-        raise NmixError("runs must be at least 1")
+        raise ModelError("runs must be at least 1")
     if base.theta is None:
-        raise NmixError("the bias experiment requires a dispersion parameter")
+        raise ModelError("the bias experiment requires a dispersion parameter")
     a4_stream, seed_stream = np.random.SeedSequence(seed).spawn(2)
     a4_values = np.random.default_rng(a4_stream).uniform(-3.0, 3.0, size=runs)
     sim_seeds = np.random.default_rng(seed_stream).integers(0, 2**63 - 1, size=runs)

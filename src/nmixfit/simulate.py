@@ -1,39 +1,34 @@
 """Synthetic repeated-count data with known truth.
 
-The generator builds a site by survey by year array of counts.  Site
-covariates x1 and x2 and the survey-level covariate x4 are centred
+Site covariates x1 and x2 and the survey-level covariate x4 are centred
 uniforms on (-0.5, 0.5); the year covariate x3 is an equally spaced
-grid scaled to [-0.5, 0.5].  Abundance follows
+grid scaled to [-0.5, 0.5].  ``io.build_designs`` turns them into the
+designs a fit of the written CSV gets (see ``SimOutput``), and lambda
+and p are the model's links evaluated on those designs at
+``config.parameters``: ``true_lambda`` is the fitted model's lambda at
+the generating values, and the model's checks guard the generator.  N
+is negative binomial (size theta) or Poisson.  Counts are drawn under
+both detection models from the same N, so a fit can pair data whose
+detection covariate varies within a (site, year) with a model that sees
+only its mean, or with the correct one.
 
-    log lambda[s, k] = b0 + b1 x1[s] + b2 x2[s] + b3 x3[k]
-
-with N[s, k] negative binomial (size theta) or Poisson.  Detection uses
-
-    logit p = a0 + a1 x1[s] + a4 x4
-
-where x4 is either the survey-specific value or its per-(site, year)
-mean.  Counts are generated under both detection models from the same
-latent N, so a fit can be run against data whose detection covariate
-varies within a (site, year) while the model only sees the mean, or
-against the correctly specified pairing.  Both come out as ``io.Dataset``s
-with designs from ``io.build_designs``, as a fit of the written CSV gets them.
-
-Draw order is fixed and documented: the covariate stream draws x1, x2,
-x4; the abundance stream draws N; the count stream draws the mean-model
-counts then the survey-model counts.  Three independent streams keep
-each block reproducible even if another block changes shape.
+Draw order is fixed: the covariate stream draws x1, x2, x4; the
+abundance stream draws N; the count stream draws the mean-model counts
+then the survey-model counts, each in (site, survey, year) order.  Three
+independent streams keep each block reproducible even if another block
+changes shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._special import expit
-from .errors import ModelError
+from .errors import ModelError, NumericError
 from .io import Dataset, build_designs
 from .model import DesignMatrices, MixtureFamily, ObservationTable, ParameterVector
+from .model import detection_probs, lambda_values
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,8 @@ class SimConfig:
             raise ModelError("n_sites, n_surveys and n_years must be positive")
         if len(self.beta) != 4 or len(self.alpha) != 3:
             raise ModelError("beta must have 4 entries and alpha 3")
-        if self.theta is not None and not self.theta > 0:
-            raise ModelError("theta must be positive or None for Poisson abundances")
+        if self.theta is not None and not (np.isfinite(self.theta) and self.theta > 0):
+            raise ModelError("theta must be positive and finite, or None for Poisson abundances")
 
     @property
     def family(self) -> MixtureFamily:
@@ -104,7 +99,8 @@ def _centered_uniform(rng, size):
 
 
 def simulate(config: SimConfig = SimConfig()) -> SimOutput:
-    """Generate one pair of datasets; fully determined by ``config.seed``."""
+    """Generate one pair of datasets; fully determined by ``config.seed``.
+    NumericError when lambda overflows exp() or the sampler cannot draw N."""
     s, j, k = config.n_sites, config.n_surveys, config.n_years
     rng_cov, rng_n, rng_y = (
         np.random.default_rng(ss) for ss in np.random.SeedSequence(config.seed).spawn(3)
@@ -113,56 +109,58 @@ def simulate(config: SimConfig = SimConfig()) -> SimOutput:
     x1 = _centered_uniform(rng_cov, s)
     x2 = _centered_uniform(rng_cov, s)
     x4 = _centered_uniform(rng_cov, (s, j, k))
-    x4_mean = x4.mean(axis=1)
     if k == 1:
         x3 = np.zeros(1)
     else:
         years = np.arange(1, k + 1, dtype=float)
         x3 = (years - years.mean()) / np.max(years - years.mean()) / 2.0
 
-    b0, b1, b2, b3 = config.beta
-    a0, a1, a4 = config.alpha
-    lam = np.exp(b0 + b1 * x1[:, None] + b2 * x2[:, None] + b3 * x3[None, :])
-    if config.theta is None:
-        n_latent = rng_n.poisson(lam)
-    else:
-        n_latent = rng_n.negative_binomial(
-            config.theta, config.theta / (config.theta + lam)
-        )
-
-    logit_base = a0 + a1 * x1[:, None, None]
-    p_mean = expit(logit_base + a4 * x4_mean[:, None, :])
-    p_survey = expit(logit_base + a4 * x4)
-    counts_mean = rng_y.binomial(n_latent[:, None, :], p_mean, size=(s, j, k))
-    counts_survey = rng_y.binomial(n_latent[:, None, :], p_survey, size=(s, j, k))
-
-    # (site, survey, year) -> rows of (year, site) with survey columns
+    # (site, survey, year) <-> rows of (year, site) with survey columns
     def to_rows(arr):
-        return arr.transpose(2, 0, 1).reshape(k * s, j)
+        return arr.transpose(2, 0, 1).reshape(k * s, -1)
+
+    def from_rows(arr):
+        return arr.reshape(k, s, -1).transpose(1, 2, 0)
 
     site = np.tile(np.arange(1, s + 1), k)
     year = np.repeat(np.arange(1, k + 1), s)
+    # the counts never enter the designs, so the covariates carry zeros
+    layout = Dataset(
+        table=ObservationTable(counts=np.zeros((k * s, j)), site=site, year=year),
+        row_covariates={
+            "x1": np.tile(x1, k),
+            "x2": np.tile(x2, k),
+            "x3": np.repeat(x3, s),
+            "x4.m": x4.mean(axis=1).T.reshape(k * s),
+        },
+        survey_covariates={"x4": to_rows(x4)},
+    )
+    designs_mean = build_designs(layout, ("x1", "x2", "x3"), ("x1", "x4.m"))[1]
+    designs_survey = build_designs(layout, ("x1", "x2", "x3"), ("x1", "x4"))[1]
 
-    def dataset(counts):
-        return Dataset(
-            table=ObservationTable(counts=to_rows(counts).astype(float), site=site, year=year),
-            row_covariates={
-                "x1": np.tile(x1, k),
-                "x2": np.tile(x2, k),
-                "x3": np.repeat(x3, s),
-                "x4.m": x4_mean.T.reshape(k * s),
-            },
-            survey_covariates={"x4": to_rows(x4)},
-        )
-
-    dataset_mean, dataset_survey = dataset(counts_mean), dataset(counts_survey)
-    abundance = ("x1", "x2", "x3")
+    params = config.parameters
+    p_models = [from_rows(detection_probs(params, d)) for d in (designs_mean, designs_survey)]
+    lam = lambda_values(params, designs_mean)
+    lam_grid, theta = from_rows(lam), config.theta
+    try:
+        with np.errstate(over="ignore"):  # numpy's range check overflows before it raises
+            if theta is None:
+                n_latent = rng_n.poisson(lam_grid)
+            else:
+                n_latent = rng_n.negative_binomial(theta, theta / (theta + lam_grid))
+    except ValueError as exc:
+        size = "" if theta is None else f", theta={theta:.6g}"
+        raise NumericError(f"the sampler cannot draw N at lambda={lam.max():.6g}{size}: {exc}") from None
+    counts = [rng_y.binomial(n_latent, p, size=(s, j, k)) for p in p_models]
+    dataset_mean, dataset_survey = (
+        replace(layout, table=replace(layout.table, counts=to_rows(c))) for c in counts
+    )
     return SimOutput(
         config=config,
         dataset_mean=dataset_mean,
         dataset_survey=dataset_survey,
-        designs_mean=build_designs(dataset_mean, abundance, ("x1", "x4.m"))[1],
-        designs_survey=build_designs(dataset_survey, abundance, ("x1", "x4"))[1],
-        true_lambda=lam.T.reshape(k * s),
+        designs_mean=designs_mean,
+        designs_survey=designs_survey,
+        true_lambda=lam,
         true_n=n_latent.T.reshape(k * s).astype(float),
     )

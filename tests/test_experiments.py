@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from nmixfit import DataError, NumericError, SimConfig, experiments, fit_laplace, simulate
+from nmixfit import DataError, ModelError, NumericError, SimConfig, experiments, fit_laplace, simulate
 from nmixfit.experiments import (
     BiasRecord,
     median_abs_bias,
@@ -28,6 +28,17 @@ def records():
 
 
 class TestRunMechanics:
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"runs": 0}, "runs must be at least 1"),
+            ({"base": SimConfig(theta=None)}, "requires a dispersion parameter"),
+        ],
+    )
+    def test_invalid_settings_are_model_errors(self, settings, message):
+        with pytest.raises(ModelError, match=message):
+            run_bias_experiment(**settings)
+
     def test_record_count(self, records):
         # runs x {averaged, survey} x 8 tracked parameters
         assert len(records) == 3 * 2 * 8

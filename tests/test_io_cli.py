@@ -649,6 +649,36 @@ class TestCli:
         assert capsys.readouterr().err == want
         assert os.listdir(tmp_path) == ["run.cfg"]
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["simulate", "--theta", "inf"], 3, "theta must be positive and finite, or None"),
+            (["bias-experiment", "--theta", "inf"], 3, "theta must be positive and finite, or None"),
+            (["simulate", "--beta=nan,0,0,0"], 3, "parameters must be finite"),
+            (["simulate", "--alpha=inf,0,0"], 3, "parameters must be finite"),
+            (["simulate", "--beta=800,0,0,0"], 4,
+             "abundance linear predictor 800 at row 0 overflows exp()"),
+            (["simulate", "--beta=50,0,0,0"], 4,
+             "the sampler cannot draw N at lambda=5.18471e+21, theta=3: "),
+            (["simulate", "--theta", "1e-320"], 4,
+             "the sampler cannot draw N at lambda=93.5587, theta=9.99989e-321: "),
+            (["bias-experiment", "--theta", "1e-320", "--runs", "1", "--sites", "3", "--years", "2"],
+             4, "the sampler cannot draw N at lambda=27.6843, theta=9.99989e-321: "),
+            (["simulate", "--family", "poisson", "--beta=44,0,0,0"], 4,
+             "the sampler cannot draw N at lambda=1.28516e+19: lam value too large"),
+        ],
+    )
+    def test_simulation_settings_the_model_rejects_are_named(
+        self, tmp_path, capsys, argv, code, message
+    ):
+        """Invalid settings exit 3 and abundances the sampler cannot draw
+        exit 4, each as one error line, before anything is written."""
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_dataset_exits_2(self, tmp_path):
         code = main(
             ["fit", "--dataset", str(tmp_path / "absent.csv"),

@@ -1,8 +1,12 @@
 """Container validation and linear-predictor evaluation."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nmixfit
 from nmixfit import (
     DesignMatrices,
     MixtureFamily,
@@ -226,3 +230,21 @@ def test_model_types_copy_the_callers_array(build, attr):
     given[0, 0] = 7.0
     assert np.ravel(getattr(built, attr)).tolist() == [1.0, 2.0]
     assert not getattr(built, attr).flags.writeable
+
+
+def test_only_the_model_module_holds_the_links():
+    """No module but model.py imports expit or reads it off another module,
+    so the logit link is stated once and the simulator draws from it."""
+    found = []
+    for path in sorted(Path(nmixfit.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "expit"]
+    assert found == []

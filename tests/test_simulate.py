@@ -1,10 +1,13 @@
 """Synthetic data generator: structure, reproducibility, and the
-relationship between the two count tables."""
+relationship between the two count tables, and the model the draws
+come from."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from nmixfit import MixtureFamily, ModelError, SimConfig, simulate
+from nmixfit import MixtureFamily, ModelError, SimConfig, lambda_values, simulate
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +131,60 @@ class TestFamilies:
             simulate(SimConfig(n_sites=0))
         with pytest.raises(ModelError):
             simulate(SimConfig(theta=-1.0))
+
+    @pytest.mark.parametrize("theta", [np.inf, np.nan, 0.0])
+    def test_theta_must_be_positive_and_finite(self, theta):
+        with pytest.raises(ModelError, match="theta must be positive and finite, or None"):
+            SimConfig(theta=theta)
+
+
+# SHA-256 of the simulated counts (mean then survey table), covariates (x1,
+# x2, x3, x4.m, then x4) and latent N, as float64 bytes
+_PINNED = [
+    (SimConfig(seed=6), (
+        "f46bef4f9fabf2698992f2cc296df6c69ad11346dcf552f1c11b8ee4b05e2f40",
+        "750438ca2de104b8cd953e63fad337c3048dcbd688f54125175f37ae93132ee2",
+        "0863f70cee1e26ed6ea1d781ca4e4a32bdc089bee9b27876954ef2be3e3c47b2",
+    )),
+    (SimConfig(seed=1, theta=None), (
+        "c4d1e362b48e764514c5d3cafdccc33648a0eb3adaeb9d5456edb6e0df02e5af",
+        "0d0e00b3f8c2be82e0dcbca33c2e991598906a4f57f9f6b04e34e3d5ce8e3cbd",
+        "2510466d43c687abf85ab317a9c90cae7a03422292486342b235093b68960aea",
+    )),
+    (SimConfig(n_sites=200, n_surveys=5, n_years=1, theta=0.3, seed=3), (
+        "b38f0456a74e6ebde59f6afe0e623bc4ab7fcc7ecc4d5247d8fec498265ea793",
+        "7bfdd3ecbf8835ab15d87efea017c7b103e5431a4bda95b3b53fffb4afb084c1",
+        "8e35a163e2d9cfc5f70717acac75e843dd5e04642126d9d8f49b12f460567bd7",
+    )),
+    (SimConfig(seed=7, alpha=(1.0, -2.0, -3.0)), (
+        "9916f7a2cbde159cdf1f69bfcb6bb34c7b5cba4f975d280daa7de65a49b29ccf",
+        "c127fe705f4a146a2e6593bf1b4382798e0934ec38d67c110a5508b07099714d",
+        "7734be72ebfc8b67487fe07e063b1c2a3e3e1c01a202b019d92d3629acae99ef",
+    )),
+]
+
+
+def _sha256(*arrays):
+    return hashlib.sha256(
+        b"".join(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays)
+    ).hexdigest()
+
+
+class TestDrawsFromTheModel:
+    @pytest.mark.parametrize("config, digests", _PINNED)
+    def test_seeded_data_are_pinned(self, config, digests):
+        """The draws of a seed never move unseen: counts, covariates and N."""
+        sim = simulate(config)
+        ds = sim.dataset_mean
+        assert (
+            _sha256(sim.table_mean.counts, sim.table_survey.counts),
+            _sha256(*ds.row_covariates.values(), *ds.survey_covariates.values()),
+            _sha256(sim.true_n),
+        ) == digests
+
+    @pytest.mark.parametrize("config", [c for c, _ in _PINNED])
+    def test_true_lambda_is_the_model_lambda(self, config):
+        sim = simulate(config)
+        np.testing.assert_array_equal(
+            sim.true_lambda, lambda_values(config.parameters, sim.designs_mean)
+        )
