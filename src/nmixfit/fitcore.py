@@ -6,6 +6,8 @@ value, its exact gradient (the score) and its exact Hessian from a
 single kernel pass.  An exact trust region (Newton steps, safe where
 the Hessian is indefinite) runs on that triple, evaluating each point
 once, and convergence is judged by the score at the returned point.
+Several fits run in lock-step, so that each step's points can share one
+kernel pass; each fit takes the steps it would take alone.
 The covariance is the inverse negative Hessian at the mode, which the
 last pass already computed, so every fit gets one at no extra pass.
 Fits take no settings: the optimiser's limits are the constants below.
@@ -143,26 +145,12 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> tuple[np.n
     return vec @ c, True
 
 
-def maximize_log_density(log_density_derivs, x0: np.ndarray) -> Optimum:
-    """Maximise a log density from ``x0`` by trust-region Newton steps.
-
-    ``log_density_derivs(x)`` returns (value, gradient, Hessian); every
-    point is evaluated once, and a point where that raises NumericError
-    or is not finite is a rejected step.  The result's gradient_norm is
-    the infinity norm of the gradient at the returned point;
-    ``converged`` compares it with ``_CONVERGED_NORM``.
-    """
-
-    def evaluate(x):
-        try:
-            with np.errstate(all="ignore"):
-                point = tuple(np.asarray(v, dtype=float) for v in log_density_derivs(x))
-        except NumericError:
-            return None
-        return point if all(np.all(np.isfinite(v)) for v in point) else None
-
-    x = np.asarray(x0, dtype=float)
-    point = evaluate(x)
+def _trust_region(x: np.ndarray):
+    """One fit's trust region from ``x``, as a generator: it yields each
+    point to evaluate, is sent back (value, gradient, Hessian) there, or
+    None where that is not finite, and returns the :class:`Optimum`; it
+    raises NumericError if the start is not finite."""
+    point = yield x
     if point is None:
         raise NumericError("objective is not finite at the starting point")
     iterations, radius, status = 0, _RADIUS, 0
@@ -176,7 +164,8 @@ def maximize_log_density(log_density_derivs, x0: np.ndarray) -> Optimum:
         if not predicted > 0.0:
             status = 2
             break
-        trial = evaluate(x + step)
+        trial_x = x + step
+        trial = yield trial_x
         noise = _ROUNDING * max(1.0, abs(value))  # Conn, Gould & Toint 2000, 17.4.2
         rho = -np.inf if trial is None else (trial[0] - value + noise) / (predicted + noise)
         if rho < 0.25:
@@ -184,7 +173,7 @@ def maximize_log_density(log_density_derivs, x0: np.ndarray) -> Optimum:
         elif rho > 0.75 and on_boundary:
             radius = min(2.0 * radius, _MAX_RADIUS)
         if rho > _ETA:
-            x, point = x + step, trial
+            x, point = trial_x, trial
         iterations += 1
     gnorm = float(np.max(np.abs(point[1])))
     return Optimum(
@@ -198,6 +187,48 @@ def maximize_log_density(log_density_derivs, x0: np.ndarray) -> Optimum:
         hessian=point[2],
         passes=iterations + 1,  # the start and one trial point per iteration
     )
+
+
+def _finite(entry):
+    """An evaluation as float arrays, or None where it raised NumericError
+    or is not finite."""
+    if entry is None or isinstance(entry, NumericError):
+        return None
+    point = tuple(np.asarray(v, dtype=float) for v in entry)
+    return point if all(np.all(np.isfinite(v)) for v in point) else None
+
+
+def maximize_log_density(log_density_derivs, starts) -> list[Optimum | NumericError]:
+    """Maximise one log density from each of ``starts`` by trust-region
+    Newton steps, the fits in lock-step.
+
+    ``log_density_derivs(points)`` gets one entry per start: the point
+    where that fit asks for (value, gradient, Hessian) next, or None once
+    it has finished.  It returns a list of the same length holding the
+    triple at each point asked for, or the NumericError that evaluating
+    it raised; such a point, or one whose triple is not finite, is a
+    rejected step.  Each fit takes the steps it takes alone, and evaluates
+    every point once.  Returns, per start, its :class:`Optimum`, whose
+    gradient_norm is the infinity norm of the gradient at the returned
+    point (``converged`` compares it with ``_CONVERGED_NORM``), or a
+    NumericError if the objective is not finite at the start.
+    """
+    runs = [_trust_region(np.asarray(x0, dtype=float)) for x0 in starts]
+    asked = [next(run) for run in runs]
+    results = [None] * len(runs)
+    while any(x is not None for x in asked):
+        with np.errstate(all="ignore"):
+            evaluated = log_density_derivs(asked)
+        for i, run in enumerate(runs):
+            if asked[i] is None:
+                continue
+            try:
+                asked[i] = run.send(_finite(evaluated[i]))
+            except StopIteration as done:
+                results[i], asked[i] = done.value, None
+            except NumericError as exc:
+                results[i], asked[i] = exc, None
+    return results
 
 
 def covariance_from_log_density(hessian: np.ndarray) -> np.ndarray | None:

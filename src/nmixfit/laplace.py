@@ -24,7 +24,7 @@ from .likelihood import (
     _row_slabs,
     table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
 )
-from .mle import _fit
+from .mle import _fit_one
 from .model import (
     DesignMatrices,
     MixtureFamily,
@@ -86,7 +86,7 @@ def fit_laplace(
     (log-likelihood plus log prior) at the mode and whose ``covariance``
     approximates the posterior covariance.
     """
-    return _fit(table, designs, family, priors, start)
+    return _fit_one(table, designs, family, priors, start)
 
 
 @dataclass(frozen=True)

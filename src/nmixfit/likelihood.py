@@ -27,17 +27,21 @@ for a sum from y* to overflow, starts near its mode instead (see
 Summation stops once the right bound is below half of the relative
 floor, 1e-12, times the partial sum; a row whose left bound is not that
 small is summed again from lower down.  There is one summation path, in
-vectorised blocks over the rows.  Each row's stopping point is estimated
-from its summand's mode and sd: the first block is as wide as the median
-estimate, and each later one as the widest estimate still open, at most
-doubling.  Each block is worked one slab of rows at a time, in a few
-buffers of at most 2**17 elements reused for every slab and block, so
-the working memory does not grow with the rows; a row's sum does not
-depend on where the blocks or the slabs end (see :func:`_sum_upward`).
-A row past its budget of 10,000 terms past its start gets a NaN value,
-and a sum that leaves double range +inf; :func:`_check_series` names it.
-The same pass can accumulate the posterior moments of N that the exact
-score and Hessian need (see :func:`table_loglik_hessian`), and
+vectorised blocks over the rows.  A pass for the value alone sizes its
+blocks from each row's estimated stopping point (from its summand's mode
+and sd): the first block is as wide as the median estimate, and each
+later one as the widest estimate still open, at most doubling.  A pass
+that also accumulates the posterior moments of N that the exact score
+and Hessian need (see :func:`table_loglik_hessian`) ends its blocks at
+fixed offsets from each row's start instead.  Each block is worked one
+slab of rows at a time, in a few buffers of at most 2**17 elements
+reused for every slab and block, so the working memory does not grow
+with the rows.  Every output of a row, value, summed range and moments,
+depends on that row alone, not on the rows that share its batch (see
+:func:`_sum_upward` and :func:`_series_start`), so many tables can share
+one pass (see :func:`tables_loglik_hessian`).  A row past its budget of
+10,000 terms past its start gets a NaN value, and a sum that leaves
+double range +inf; :func:`_check_series` names it.
 :func:`posterior_n` rebuilds a row's posterior pmf of N on its ranges.
 """
 
@@ -63,6 +67,9 @@ from .model import (
 )
 
 _BLOCK_MAX = 4096
+# A moment pass's first block is _FIRST_BLOCK terms wide, and each later one
+# as wide as the offset it starts at (at most _BLOCK_MAX)
+_FIRST_BLOCK = 16
 _P_FLOOR = np.nextafter(0.0, 1.0)
 
 # The mass discarded on both sides of a row's summed range is below
@@ -83,7 +90,7 @@ _MIN_SHIFT = 64
 # Summed from y*, terms scaled to g(y*) add up to L / g(y*) <= 1 / g(y*):
 # no overflow while log g(y*) > -_LEAD_LIMIT, so rows below it always move.
 _LEAD_LIMIT = 600.0
-# Newton stops once every step in log(N - y*) is below _NEWTON_TOL.
+# A row's Newton steps stop once its step in log(N - y*) is below _NEWTON_TOL.
 _NEWTON_STEPS = 10
 _NEWTON_TOL = 1e-3
 # A row's series is expected to stop _STOP_SDS sds plus _STOP_MARGIN terms
@@ -170,7 +177,7 @@ def log_count_density(n, lam, phi):
     nb = phi > 0.0
     if nb.any():
         n, lam, theta, log_n_fact = n[nb], lam[nb], 1.0 / phi[nb], log_n_fact[nb]
-        out[nb] = (gammaln(n + theta) - gammaln(_once(theta)) - log_n_fact
+        out[nb] = (gammaln(n + theta) - _once(gammaln, theta) - log_n_fact
                    + theta * np.log(theta / (theta + lam)) + n * np.log(lam / (theta + lam)))
     return out
 
@@ -188,10 +195,17 @@ def _leading_log_term(start, counts, lam, p, phi):
     return log_count_density(start, lam, phi) + np.add.reduce(cells, axis=1)
 
 
-def _once(theta):
-    """``theta``, or its one value when every row shares it: a function of
-    theta alone then runs once, and gives each row the same bits."""
-    return theta[0] if np.all(theta == theta[0]) else theta
+def _once(f, theta):
+    """``f`` at each row's ``theta``, evaluated once per run of equal values:
+    a batch of k tables pays for k values, not for its rows, and each row
+    gets the bits ``f`` gives its theta alone.  One run takes the scalar,
+    which ``_special`` works out in less than half the time of a 1-element
+    array."""
+    ends = np.flatnonzero(theta[1:] != theta[:-1]) + 1
+    if not ends.size:
+        return f(theta[0])
+    starts = np.concatenate(([0], ends))
+    return np.repeat(f(theta[starts]), np.diff(starts, append=theta.size))
 
 
 def _keep(lam, p, phi):
@@ -279,7 +293,8 @@ def _series_start(ystar, y0, base, phi, lead):
     _MIN_SHIFT + c sd, with sd >= sqrt(D / J) (-d log r/dN <= (D + J y*) /
     (m D) at the mode, J surveys), so rows with r < 1 at the root of
     D = _MIN_SHIFT + c sqrt(D / J) are screened out.  Bracketed Newton
-    steps in u = log(N - y*) start from the root of log r's large-N form:
+    steps in u = log(N - y*), each row stopping once its own step is below
+    ``_NEWTON_TOL``, start from the root of log r's large-N form:
     N - y* = exp(base) at phi = 0, exact for one survey, and
     N = (sum_j y_j + theta - 1) / -(base + log phi) for phi > 0.  Rows
     screened out get m and sd from two plain Newton steps from the same
@@ -315,23 +330,29 @@ def _series_start(ystar, y0, base, phi, lead):
     lo = np.where(far[rows], np.log(reach), -np.inf)
     hi = np.where(far[rows], np.inf, np.log(reach))
     u = np.log(np.maximum(guess[rows], reach))
+    slope = np.empty(rows.size)
+    live = np.arange(rows.size)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            gap = np.exp(u)
-            f, df = _log_ratio(ys + gap, *args, slope=True)
-            lo = np.where(f >= 0.0, u, lo)
-            hi = np.where(f < 0.0, u, hi)
-            nxt = u - f / (df * gap)
+            u_l, lo_l, hi_l = u[live], lo[live], hi[live]
+            gap = np.exp(u_l)
+            f, df = _log_ratio(ys[live] + gap, *_take(live, *args), slope=True)
+            slope[live] = df
+            lo_l = np.where(f >= 0.0, u_l, lo_l)
+            hi_l = np.where(f < 0.0, u_l, hi_l)
+            nxt = u_l - f / (df * gap)
             # outside the bracket, bisect it or widen it by e^2
-            bisect = np.where(np.isinf(hi), lo + 2.0, np.where(np.isinf(lo), hi - 2.0, 0.5 * (lo + hi)))
-            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, bisect)
-            done = np.all(np.abs(nxt - u) < _NEWTON_TOL)
-            u = nxt
-            if done:
+            bisect = np.where(np.isinf(hi_l), lo_l + 2.0,
+                              np.where(np.isinf(lo_l), hi_l - 2.0, 0.5 * (lo_l + hi_l)))
+            u[live] = nxt = np.where((nxt >= lo_l) & (nxt <= hi_l), nxt, bisect)
+            lo[live], hi[live] = lo_l, hi_l
+            # a row whose step is NaN goes on to the last step
+            live = live[~(np.abs(nxt - u_l) < _NEWTON_TOL)]
+            if not live.size:
                 break
         # sd from the slope at the last iterate evaluated
         mode[rows] = ys + np.exp(u)
-        sd[rows] = 1.0 / np.sqrt(-df)
+        sd[rows] = 1.0 / np.sqrt(-slope)
         s = np.floor(mode[rows] - _START_SDS * sd[rows])
         moved = (s - ys >= _MIN_SHIFT) | ((s > ys) & (lead[rows] < -_LEAD_LIMIT))
     start[rows[moved]] = s[moved]
@@ -342,23 +363,28 @@ def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
     """Sum rows ``active`` upward from N = start, with t(start) = 1.
 
     A row stops once its right tail bound is at most ``floor`` times its
-    partial sum, or gets part_sum NaN after ``_TERM_BUDGET`` terms.  Its
+    partial sum, or gets part_sum NaN after ``_TERM_BUDGET`` terms.  Terms
+    and partial sums are accumulated in sequence across blocks, so a row's
+    sum and stopping point do not depend on where the blocks end, and a
+    pass without ``moments`` sizes its blocks from the rows.  A row's
     reach, its expected stopping offset, is ``_STOP_SDS`` sds and
     ``_STOP_MARGIN`` terms past its ``mode``, or 0 where that failed.  The first
     block is as wide as the median reach: half the rows should finish in
     it, which on a table of mixed rows costs less than one block sized for
     the widest.  Each later block covers the largest reach of the rows
     still going, but is at most twice the width the block before it was
-    allowed, and once every reach is passed the blocks just double.  Terms
-    and partial sums are accumulated in sequence across blocks, so a row's
-    sum and stopping point do not depend on where the blocks end.  A block
-    is worked in slabs of rows from :func:`_row_slabs`, so each rows x
-    block array, a view of buffers kept for the whole call, holds at most
-    ``_SLAB`` elements whatever the number of rows.  Each row's carry,
-    partial sum and running h sums live in full-length arrays, and every
-    sum runs along its row alone (``einsum``, not BLAS, which rounds by
-    how it groups rows), so neither the slabs nor the other rows change a
-    bit of any value, stopping point or moment.
+    allowed, and once every reach is passed the blocks just double.  A
+    moment sum, though, adds each block's terms first, so its rounding
+    depends on where the blocks end: with ``moments``, blocks end at fixed
+    offsets from each row's start, ``_FIRST_BLOCK``, twice that, and on,
+    doubling until the blocks are ``_BLOCK_MAX`` wide, whatever the other
+    rows.  A block is worked in slabs of rows from :func:`_row_slabs`, so
+    each rows x block array, a view of buffers kept for the whole call,
+    holds at most ``_SLAB`` elements whatever the number of rows.  Each
+    row's carry, partial sum and running h sums live in full-length arrays,
+    and every sum runs along its row alone (``einsum``, not BLAS, which
+    rounds by how it groups rows), so neither the slabs nor the other rows
+    change a bit of any value, stopping point or moment.
 
     Writes the ``active`` rows of ``out`` = full-length (part_sum, n_max,
     sums), and raises nothing.  With ``moments``, sums has rows sum t_k *
@@ -371,15 +397,18 @@ def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
     part_sum[active], n_max[active], sums[:, active] = 1.0, start[active], 0.0
     n_rows = y0.shape[0]
     with_h = moments and phi.any()
-    with np.errstate(invalid="ignore"):
-        reach = mode - start + (_STOP_SDS * sd + _STOP_MARGIN)
-    reach = np.where(reach > 0.0, reach, 0.0)
     carry = np.ones(n_rows)
     carry_h = np.zeros((2, n_rows))
     space, flags = np.empty((5, 0)), np.empty(0, dtype=bool)
 
     offset = 0
-    allowed = width = int(np.clip(np.ceil(np.median(reach[active])), 1, _BLOCK_MAX))
+    if moments:
+        width = min(_FIRST_BLOCK, _BLOCK_MAX)
+    else:
+        with np.errstate(invalid="ignore"):
+            reach = mode - start + (_STOP_SDS * sd + _STOP_MARGIN)
+        reach = np.where(reach > 0.0, reach, 0.0)
+        allowed = width = int(np.clip(np.ceil(np.median(reach[active])), 1, _BLOCK_MAX))
     while active.size and offset < _TERM_BUDGET:
         width = min(width, _TERM_BUDGET - offset)
         steps = offset + np.arange(1, width + 1, dtype=float)
@@ -456,9 +485,12 @@ def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
                         sums[3, rows] += np.add.reduce(h_sq, axis=1)
         active = np.concatenate(going)
         offset += width
-        allowed = min(2 * allowed, _BLOCK_MAX)
-        left = np.max(reach[active], initial=0.0) - offset
-        width = int(min(allowed, np.ceil(left))) if left > 0.0 else allowed
+        if moments:
+            width = min(offset, _BLOCK_MAX)
+        else:
+            allowed = min(2 * allowed, _BLOCK_MAX)
+            left = np.max(reach[active], initial=0.0) - offset
+            width = int(min(allowed, np.ceil(left))) if left > 0.0 else allowed
     part_sum[active] = np.nan
 
 
@@ -534,8 +566,8 @@ def _batch_series(counts, lam, p, phi, moments):
         dpsi, dtrigamma = np.zeros((2, n_rows))
         if (nb := np.flatnonzero(phi)).size:
             s, theta = start[nb], 1.0 / phi[nb]
-            dpsi[nb] = digamma(s + theta) - digamma(_once(theta))
-            dtrigamma[nb] = trigamma(s + theta) - trigamma(_once(theta))
+            dpsi[nb] = digamma(s + theta) - _once(digamma, theta)
+            dtrigamma[nb] = trigamma(s + theta) - _once(trigamma, theta)
         stats = PosteriorMoments(
             mean_n=start + k,
             var_n=k_sq - k * k,
@@ -736,9 +768,52 @@ def table_loglik_hessian(
     psi'(N_i + theta), so a few posterior moments from the series pass
     give the Hessian.  The value equals :func:`table_loglik` exactly.
     """
-    counts, lam, p, phi = _kernel_inputs(params, table, designs, family)
-    ll, n_min, n_max, mom = _batch_series(counts, lam, p, phi, moments=True)
-    _check_series(ll, n_min, n_max, lam, "row")
+    inputs = _kernel_inputs(params, table, designs, family)
+    ll, n_min, n_max, mom = _batch_series(*inputs, moments=True)
+    _check_series(ll, n_min, n_max, inputs[1], "row")
+    return _score_hessian(params, designs, family, *inputs, ll, mom)
+
+
+def tables_loglik_hessian(problems):
+    """:func:`table_loglik_hessian` of each (params, table, designs, family)
+    in ``problems``, from one kernel pass per survey count.
+
+    Every output of a row depends on that row alone, so each entry is, to
+    the bit, what its problem gives alone: (loglik, score, Hessian), or
+    the NumericError that it raises.  Tables of different survey counts
+    take separate passes: a padded survey would change how a row's start
+    is screened (see :func:`_series_start`).
+    """
+    results = [None] * len(problems)
+    by_surveys = {}
+    for i, (params, table, designs, family) in enumerate(problems):
+        try:
+            inputs = _kernel_inputs(params, table, designs, family)
+        except NumericError as exc:
+            results[i] = exc
+            continue
+        by_surveys.setdefault(inputs[0].shape[1], []).append((i, inputs))
+    for group in by_surveys.values():
+        batch = (np.concatenate(parts) for parts in zip(*(inputs for _, inputs in group)))
+        *series, mom = _batch_series(*batch, moments=True)
+        end = 0
+        for i, inputs in group:
+            rows = slice(end, end := end + inputs[1].size)
+            ll, n_min, n_max = (a[rows] for a in series)
+            try:
+                _check_series(ll, n_min, n_max, inputs[1], "row")
+            except NumericError as exc:
+                results[i] = exc
+                continue
+            params, _, designs, family = problems[i]
+            own = PosteriorMoments(*(a[rows] for a in mom))
+            results[i] = _score_hessian(params, designs, family, *inputs, ll, own)
+    return results
+
+
+def _score_hessian(params, designs, family, counts, lam, p, phi, ll, mom):
+    """Total log-likelihood, score and Hessian of one table, from its kernel
+    inputs and its rows' values and moments (see :func:`table_loglik_hessian`)."""
     x, w, m = designs.abundance_design, designs.detection_design, mom.mean_n
 
     # 1 and -lam exactly at phi = 0

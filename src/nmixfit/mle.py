@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, NmixError, NumericError
 from .fitcore import (
     FitResult,
     check_designs_for_fit,
@@ -17,7 +17,7 @@ from .fitcore import (
 )
 from .likelihood import (
     table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
-    table_loglik_hessian,
+    tables_loglik_hessian,
 )
 from .model import (
     DesignMatrices,
@@ -28,39 +28,81 @@ from .model import (
 )
 
 
-def _fit(table, designs, family, prior, start) -> FitResult:
-    """Both engines' fit: ML when ``prior`` is None, else the posterior mode
-    under ``prior`` (a ``PriorSpec``) on the coefficient block.  It calls
-    the optimiser through this module's names, which perfbench/tracer.py wraps."""
-    check_designs_for_fit(table, designs, family)
-    p_lam, p_det = designs.p_lambda, designs.p_detect
-    n_coef = p_lam + p_det
+def _vector(x, designs, family):
+    """The stacked vector ``x`` as the parameters of a fit of ``designs``."""
+    return ParameterVector.from_array(x, designs.p_lambda, designs.p_detect, family.has_dispersion)
 
-    def log_density_derivs(x):
-        pv = ParameterVector.from_array(x, p_lam, p_det, family.has_dispersion)
-        loglik, score, hess = table_loglik_hessian(pv, table, designs, family)
-        if prior is None:
-            return loglik, score, hess
-        score[:n_coef] += prior.score(x[:n_coef])
-        hess[:n_coef, :n_coef] += prior.hessian(x[:n_coef])
-        return loglik + prior.log_density(x[:n_coef]), score, hess
 
-    if start is None:
-        start = default_start(table, designs, family)
-    opt = maximize_log_density(log_density_derivs, start.to_array())
-    return FitResult(
-        estimates=ParameterVector.from_array(opt.x, p_lam, p_det, family.has_dispersion),
-        covariance=covariance_from_log_density(opt.hessian),
-        loglik=opt.value,
-        converged=opt.converged,
-        iterations=opt.iterations,
-        gradient_norm=opt.gradient_norm,
-        family=family,
-        parameter_names=stacked_parameter_names(designs, family),
-        optimizer_success=opt.success,
-        optimizer_message=opt.message,
-        kernel_passes=opt.passes,
-    )
+def _fit(problems) -> list[FitResult | NmixError]:
+    """Both engines' fit of each (table, designs, family, prior, start) in
+    ``problems``: ML where ``prior`` is None, else the posterior mode under
+    ``prior`` (a ``PriorSpec``) on the coefficient block.
+
+    The fits run in lock-step, and each step evaluates every running fit's
+    point in one kernel pass per survey count (see
+    :func:`likelihood.tables_loglik_hessian`).  Each entry of the result is
+    the FitResult the problem gets alone, to the bit, or the NmixError
+    that fitting it alone raises.  The optimiser is called through this
+    module's names, which perfbench/tracer.py wraps.
+    """
+    results = [None] * len(problems)
+    fits, starts = [], []
+    for i, (table, designs, family, prior, start) in enumerate(problems):
+        try:
+            check_designs_for_fit(table, designs, family)
+            x0 = (default_start(table, designs, family) if start is None else start).to_array()
+            _vector(x0, designs, family)
+        except NmixError as exc:
+            results[i] = exc
+            continue
+        fits.append((i, table, designs, family, prior))
+        starts.append(x0)
+
+    def log_density_derivs(points):
+        asked, tables = [k for k, x in enumerate(points) if x is not None], []
+        for k in asked:
+            _, table, designs, family, _ = fits[k]
+            tables.append((_vector(points[k], designs, family), table, designs, family))
+        evaluated = tables_loglik_hessian(tables)
+        out = [None] * len(points)
+        for k, entry in zip(asked, evaluated):
+            _, _, designs, _, prior = fits[k]
+            if prior is not None and not isinstance(entry, NumericError):
+                x, n_coef = points[k], designs.p_lambda + designs.p_detect
+                loglik, score, hess = entry
+                score[:n_coef] += prior.score(x[:n_coef])
+                hess[:n_coef, :n_coef] += prior.hessian(x[:n_coef])
+                entry = loglik + prior.log_density(x[:n_coef]), score, hess
+            out[k] = entry
+        return out
+
+    optima = maximize_log_density(log_density_derivs, starts)
+    for (i, _, designs, family, _), opt in zip(fits, optima):
+        if isinstance(opt, NmixError):
+            results[i] = opt
+            continue
+        results[i] = FitResult(
+            estimates=_vector(opt.x, designs, family),
+            covariance=covariance_from_log_density(opt.hessian),
+            loglik=opt.value,
+            converged=opt.converged,
+            iterations=opt.iterations,
+            gradient_norm=opt.gradient_norm,
+            family=family,
+            parameter_names=stacked_parameter_names(designs, family),
+            optimizer_success=opt.success,
+            optimizer_message=opt.message,
+            kernel_passes=opt.passes,
+        )
+    return results
+
+
+def _fit_one(table, designs, family, prior, start) -> FitResult:
+    """The fit of one problem (see :func:`_fit`); raises its NmixError."""
+    (result,) = _fit([(table, designs, family, prior, start)])
+    if isinstance(result, NmixError):
+        raise result
+    return result
 
 
 def fit_ml(
@@ -75,7 +117,7 @@ def fit_ml(
     data-driven start.  The result's covariance is the inverse observed
     information at the mode.
     """
-    return _fit(table, designs, family, None, start)
+    return _fit_one(table, designs, family, None, start)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 summary statistic."""
 
 import concurrent.futures
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nmixfit import DataError, ModelError, NumericError, SimConfig, experiments, fit_laplace, simulate
+from nmixfit import DataError, ModelError, SimConfig, experiments, fit_laplace, likelihood, simulate
 from nmixfit.experiments import (
     BiasRecord,
     median_abs_bias,
@@ -97,27 +99,32 @@ class TestRunMechanics:
         assert pools == [2]
 
 
+def _recorded_run(monkeypatch, **settings):
+    """Run a sweep, recording each replicate's configuration and the start
+    of each problem handed to the fit driver."""
+    configs, starts = [], []
+    real_fit, real_simulate = experiments._fit, experiments.simulate
+
+    def recording_simulate(config):
+        configs.append(config)
+        return real_simulate(config)
+
+    def recording_fit(problems):
+        starts.extend(start for *_, start in problems)
+        return real_fit(problems)
+
+    monkeypatch.setattr(experiments, "simulate", recording_simulate)
+    monkeypatch.setattr(experiments, "_fit", recording_fit)
+    return configs, starts, run_bias_experiment(**settings)
+
+
 class TestGeneratingStart:
     """Both fits of a replicate start at its generating values, which are
     also the records' truth column, and the records hold what fit_laplace
     returns from there."""
 
     def _fits(self, monkeypatch):
-        """Run one replicate, recording its configuration and each fit's start."""
-        configs, starts = [], []
-        real_fit, real_simulate = experiments.fit_laplace, experiments.simulate
-
-        def recording_simulate(config):
-            configs.append(config)
-            return real_simulate(config)
-
-        def recording_fit(table, designs, family, start=None):
-            starts.append(start)
-            return real_fit(table, designs, family, start=start)
-
-        monkeypatch.setattr(experiments, "simulate", recording_simulate)
-        monkeypatch.setattr(experiments, "fit_laplace", recording_fit)
-        records = run_bias_experiment(runs=1, seed=42, base=SMALL)
+        configs, starts, records = _recorded_run(monkeypatch, runs=1, seed=42, base=SMALL)
         (config,) = configs
         return config, starts, records
 
@@ -137,34 +144,46 @@ class TestGeneratingStart:
         """Each record's estimate, convergence, passes and message are those
         of fit_laplace started at the generating values, to the bit."""
         config, _, records = self._fits(monkeypatch)
-        sim = simulate(config)
-        for model, designs in (("averaged", sim.designs_mean), ("survey", sim.designs_survey)):
-            fit = fit_laplace(sim.table_survey, designs, config.family, start=config.parameters)
-            rows = [r for r in records if r.model == model]
-            assert [r.estimate for r in rows] == fit.estimates.to_array().tolist()
-            assert {(r.converged, r.kernel_passes, r.optimizer_message) for r in rows} == {
-                (fit.converged, fit.kernel_passes, fit.optimizer_message)
-            }
+        _assert_records_hold_single_fits(records, [config])
 
     def test_a_failed_fit_records_no_passes_and_its_error(self, monkeypatch):
-        real = experiments.fit_laplace
+        """The averaged fit starts where lambda overflows exp(), so its
+        objective is not finite at the start; the survey fit, in the same
+        lock-step group, does not depend on it."""
+        real = experiments._fit
 
-        def failing_averaged(table, designs, family, start=None):
-            if "x4.m" in designs.detection_names:
-                raise NumericError("averaged fit failed")
-            return real(table, designs, family, start=start)
+        def averaged_from_overflow(problems):
+            spoilt = []
+            for table, designs, family, prior, start in problems:
+                if "x4.m" in designs.detection_names:
+                    start = dataclasses.replace(start, beta=np.r_[1e3, start.beta[1:]])
+                spoilt.append((table, designs, family, prior, start))
+            return real(spoilt)
 
-        monkeypatch.setattr(experiments, "fit_laplace", failing_averaged)
+        monkeypatch.setattr(experiments, "_fit", averaged_from_overflow)
         records = run_bias_experiment(runs=1, seed=42, base=SMALL)
         failed = [r for r in records if r.model == "averaged"]
         assert all(math.isnan(r.estimate) and not r.converged for r in failed)
         assert {(r.kernel_passes, r.optimizer_message) for r in failed} == {
-            (0, "averaged fit failed")
+            (0, "objective is not finite at the starting point")
         }
-        # the survey fit does not depend on the averaged one
         reference = run_bias_experiment(runs=1, seed=42, base=SMALL)
         survey = [r for r in records if r.model == "survey"]
         assert survey == [r for r in reference if r.model == "survey"]
+
+
+def _assert_records_hold_single_fits(records, configs):
+    """The records of each replicate's two fits, in run order, hold to the
+    bit what fit_laplace gives each fit alone from the generating values."""
+    for run, config in enumerate(configs):
+        sim = simulate(config)
+        for model, designs in (("averaged", sim.designs_mean), ("survey", sim.designs_survey)):
+            fit = fit_laplace(sim.table_survey, designs, config.family, start=config.parameters)
+            rows = [r for r in records if (r.run, r.model) == (run, model)]
+            assert [r.estimate for r in rows] == fit.estimates.to_array().tolist()
+            assert {(r.converged, r.kernel_passes, r.optimizer_message) for r in rows} == {
+                (fit.converged, fit.kernel_passes, fit.optimizer_message)
+            }
 
 
 def test_generating_values_in_the_stacked_layout():
@@ -182,6 +201,43 @@ def test_paper_scale_round_takes_at_most_44_kernel_passes():
     records = run_bias_experiment(runs=4, seed=0)
     assert all(r.converged for r in records)
     assert total_kernel_passes(records) <= 44
+
+
+class TestPassSharing:
+    """The fits of the paper-scale round run as one lock-step group."""
+
+    def test_eight_fits_share_each_kernel_call(self, monkeypatch):
+        """Its 8 fits still take 42 passes in all, but share at most 8
+        kernel calls (one per step of the slowest fit), not 42."""
+        moments = []
+        kernel = likelihood._batch_series
+
+        def counting(*args, **kwargs):
+            moments.append(kwargs["moments"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(likelihood, "_batch_series", counting)
+        records = run_bias_experiment(runs=4, seed=0)
+        assert total_kernel_passes(records) == 42
+        assert all(moments) and len(moments) <= 8
+
+    def test_records_hold_single_fits(self, monkeypatch):
+        configs, _, records = _recorded_run(monkeypatch, runs=4, seed=0)
+        _assert_records_hold_single_fits(records, configs)
+
+    def test_memory_does_not_grow_with_the_runs(self):
+        """A group keeps its replicates' tables and designs, not their
+        simulations, and at most _GROUP_ROWS rows: 40 runs peak within
+        1 MiB of 12 (numpy reports its buffers to tracemalloc)."""
+        peaks = []
+        for runs in (12, 40):
+            tracemalloc.start()
+            try:
+                run_bias_experiment(runs=runs, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2**20
 
 
 class TestMedianAbsBias:

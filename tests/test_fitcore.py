@@ -23,6 +23,26 @@ from nmixfit.fitcore import (
 )
 
 
+def _maximize(f, x0):
+    """maximize_log_density from one start, on a one-point objective ``f``:
+    a NumericError that ``f`` raises is handed back as the point's entry,
+    and the fit's own NumericError is raised."""
+
+    def each(points):
+        out = []
+        for x in points:
+            try:
+                out.append(None if x is None else f(x))
+            except NumericError as exc:
+                out.append(exc)
+        return out
+
+    (opt,) = maximize_log_density(each, [x0])
+    if isinstance(opt, NumericError):
+        raise opt
+    return opt
+
+
 def _log_domain(x):
     """-(log x - 1)^2, defined only for x > 0, with its derivatives."""
     u = np.log(x[0]) - 1.0
@@ -38,7 +58,7 @@ class TestMaximize:
             d = x - target
             return -0.5 * d @ m @ d, -m @ d, -m
 
-        opt = maximize_log_density(f, np.zeros(2))
+        opt = _maximize(f, np.zeros(2))
         assert opt.converged
         assert opt.success
         assert opt.gradient_norm < 1e-4
@@ -55,7 +75,7 @@ class TestMaximize:
             return value, grad, np.diag([-np.cosh(x[0] - 0.3), -12.0 * (x[1] + 1.0) ** 2])
 
         x0 = np.array([5.0, 2.0])
-        opt = maximize_log_density(f, x0)
+        opt = _maximize(f, x0)
         assert opt.value >= f(x0)[0]
         assert opt.converged
 
@@ -66,7 +86,7 @@ class TestMaximize:
                 return -np.inf, np.array([np.nan]), np.array([[np.nan]])
             return _log_domain(x)
 
-        opt = maximize_log_density(f, np.array([0.5]))
+        opt = _maximize(f, np.array([0.5]))
         assert opt.converged
         assert opt.x[0] == pytest.approx(np.e, rel=1e-4)
 
@@ -76,7 +96,7 @@ class TestMaximize:
                 raise NumericError("outside the domain")
             return _log_domain(x)
 
-        opt = maximize_log_density(f, np.array([0.5]))
+        opt = _maximize(f, np.array([0.5]))
         assert opt.converged
         assert opt.x[0] == pytest.approx(np.e, rel=1e-4)
 
@@ -107,7 +127,7 @@ class TestMaximize:
 
     def test_non_finite_start_is_an_error(self):
         with pytest.raises(NumericError, match="starting point"):
-            maximize_log_density(
+            _maximize(
                 lambda x: (-np.inf, np.full(1, np.nan), np.full((1, 1), np.nan)),
                 np.array([0.5]),
             )
@@ -120,7 +140,7 @@ class TestMaximize:
             grad = np.array([-2.0 * (x[0] - 1.0), x[1] - 4.0 * x[1] ** 3])
             return value, grad, np.diag([-2.0, 1.0 - 12.0 * x[1] ** 2])
 
-        opt = maximize_log_density(f, np.zeros(2))
+        opt = _maximize(f, np.zeros(2))
         assert opt.converged
         assert opt.success
         np.testing.assert_allclose(np.abs(opt.x), [1.0, 0.5], atol=1e-5)
@@ -132,7 +152,7 @@ class TestMaximize:
             d = x - 2.0
             return 1e7 - 0.5 * d @ d, -d, -np.eye(1)
 
-        opt = maximize_log_density(f, np.array([2.0 + 3e-5]))
+        opt = _maximize(f, np.array([2.0 + 3e-5]))
         assert opt.success
         assert opt.iterations == 1
         assert opt.x[0] == 2.0
@@ -145,7 +165,7 @@ class TestMaximize:
             return -0.5 * d @ m @ d, -m @ d, -m
 
         monkeypatch.setattr(fitcore, "_MAX_ITERATIONS", 1)
-        opt = maximize_log_density(f, np.zeros(2))
+        opt = _maximize(f, np.zeros(2))
         assert opt.iterations == 1
         assert not opt.success
         assert "iterations" in opt.message
@@ -174,7 +194,7 @@ class TestCovariance:
             calls.append(x)
             return -0.5 * x @ m @ x, -m @ x, -m
 
-        opt = maximize_log_density(f, np.array([0.3, -1.7]))
+        opt = _maximize(f, np.array([0.3, -1.7]))
         passes = len(calls)
         assert opt.passes == passes
         cov = covariance_from_log_density(opt.hessian)

@@ -338,6 +338,22 @@ def test_leading_term_takes_log_factorial_once_per_row(monkeypatch):
     assert sum(sizes) == 8 * n
 
 
+@pytest.mark.parametrize("name", ["gammaln", "digamma", "trigamma"])
+def test_theta_terms_run_once_per_table(name):
+    """A batch of tables, each of one theta, takes a function of theta
+    alone on one value per table, not per row, with each row's bits."""
+    f, sizes = getattr(likelihood, name), []
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    theta = np.repeat([2.0, 3.5, 2.0], [4, 5, 3])
+    np.testing.assert_array_equal(likelihood._once(counting, theta), f(theta))
+    assert likelihood._once(counting, theta[4:9]) == f(theta[4:9])[0]
+    assert sizes == [3, 1]
+
+
 class TestTableLevel:
     def _toy(self):
         counts = np.array([[1.0, 3.0], [0.0, np.nan], [5.0, 4.0]])
@@ -712,8 +728,8 @@ def _kernel_table(counts, lam, p):
 
 def _assert_same_series(got, want, rows=slice(None)):
     """Rows ``rows`` of one _batch_series result equal another result to
-    the bit, moments included."""
-    for g, w in zip((*got[:3], *got[3]), (*want[:3], *want[3])):
+    the bit, moments included if it has them."""
+    for g, w in zip((*got[:3], *(got[3] or ())), (*want[:3], *(want[3] or ()))):
         np.testing.assert_array_equal(g[rows], w)
 
 
@@ -776,24 +792,20 @@ class TestSlabs:
         np.testing.assert_array_equal(whole, np.concatenate(halves))
 
     def test_moments_equal_the_halves(self, monkeypatch):
-        """NB with a per-row theta.  The two halves are equal, so both size
-        their blocks as the whole table does, and each row comes 16 times
-        in a row, so the whole table spans several slabs."""
-        half = tuple(np.repeat(a, 16, axis=0) for a in _nb_rows(100, 10))
-        whole = tuple(np.concatenate([a, a]) for a in half)
+        """NB with a per-row theta: 9,000 rows span two slabs of the first,
+        16-wide block, and each half gives its rows' series alone."""
+        whole = _nb_rows(9000, 10)
         slabs = _slab_counts(monkeypatch)
         got = _batch_series(*whole, moments=True)
         assert slabs[0] > 1
-        want = _batch_series(*half, moments=True)
-        n = half[1].size
-        _assert_same_series(got, want, slice(0, n))
-        _assert_same_series(got, want, slice(n, None))
+        for rows in (slice(0, 4500), slice(4500, None)):
+            _assert_same_series(got, _batch_series(*(a[rows] for a in whole), moments=True), rows)
 
     def test_moments_do_not_depend_on_the_slab_size(self, monkeypatch):
         """Rows cut into slabs give the moments of one slab for the whole
-        table, to the bit, on rows that differ from each other.  6,001 rows
-        make the first block's slabs uneven: 2,340, 2,340 and 1,321 rows."""
-        args = _nb_rows(6001, 11)
+        table, to the bit, on rows that differ from each other.  20,001 rows
+        make the first block's slabs uneven: 8,192, 8,192 and 3,617 rows."""
+        args = _nb_rows(20_001, 11)
         slabs = _slab_counts(monkeypatch)
         got = _batch_series(*args, moments=True)
         assert slabs[0] > 2
@@ -890,6 +902,27 @@ class TestRowOrder:
         assert len(got[3]) == 6
         for g, w in zip((*got[:3], *got[3]), (*want[:3], *want[3])):
             np.testing.assert_array_equal(g, w[order])
+
+
+class TestBatchInvariance:
+    """Every output of a row, its value, summed range and six moments,
+    is the one it gets alone, to the bit, in a batch with other tables'
+    rows (other lambda and theta, Poisson and NB) and in a permuted batch.
+    The sparse rows (lambda 2000, p 0.02) move their starts, each after as
+    many Newton steps as it needs itself."""
+
+    @pytest.mark.parametrize("moments", [False, True])
+    def test_rows_alone_in_a_batch_and_permuted(self, moments):
+        counts, lam, p, phi = _mixed_rows("scalar")
+        tables = [_nb_moved_rows(), _kernel_regime(2000.0, 0.02, 60, 5), (counts, lam * 3.0, p, phi * 0.4)]
+        batch = tuple(np.concatenate(parts) for parts in zip(*tables))
+        got = _batch_series(*batch, moments=moments)
+        sparse = slice(tables[0][1].size, tables[0][1].size + tables[1][1].size)
+        assert np.all(got[1][sparse] > np.max(batch[0][sparse], axis=1))
+        for i in range(batch[1].size):
+            _assert_same_series(got, _batch_series(*(a[i : i + 1] for a in batch), moments=moments), [i])
+        order = np.random.default_rng(3).permutation(batch[1].size)
+        _assert_same_series(got, _batch_series(*(a[order] for a in batch), moments=moments), order)
 
 
 class TestScore:

@@ -11,13 +11,19 @@ from nmixfit import (
     FitResult,
     MixtureFamily,
     ModelError,
+    NumericError,
     ObservationTable,
     ParameterVector,
+    SimConfig,
     fit_ml,
     format_fit_summary,
+    likelihood,
+    mle,
+    simulate,
     summarize_fit,
     table_loglik,
 )
+from nmixfit.laplace import DEFAULT_PRIOR
 from nmixfit.fitcore import default_start
 from nmixfit.model import stacked_parameter_names
 
@@ -198,3 +204,84 @@ class TestSummaries:
         fit = dataclasses.replace(self._synthetic_fit(), covariance=None)
         with pytest.raises(ModelError):
             summarize_fit(fit)
+
+
+def _rejected_step_table():
+    """The 132nd table of a probe that draws N ~ Poisson(3) at 10 sites and
+    three surveys with p = 0.15: its intercept-only Poisson ML fit takes a
+    trial point past the kernel's term budget (see test_fitcore)."""
+    rng = np.random.default_rng(0)
+    for _ in range(132):
+        y = rng.binomial(rng.poisson(3.0, 10)[:, None], 0.15, (10, 3)).astype(float)
+    return ObservationTable(y), DesignMatrices(np.ones((10, 1)), np.ones((10, 3, 1)))
+
+
+def _assert_same_fit(got, want):
+    """Two FitResults agree to the bit."""
+    assert got.estimates.to_array().tolist() == want.estimates.to_array().tolist()
+    np.testing.assert_array_equal(got.covariance, want.covariance)
+    assert (got.loglik, got.converged, got.iterations, got.gradient_norm) == (
+        want.loglik, want.converged, want.iterations, want.gradient_norm)
+    assert (got.kernel_passes, got.optimizer_success, got.optimizer_message) == (
+        want.kernel_passes, want.optimizer_success, want.optimizer_message)
+    assert (got.family, got.parameter_names) == (want.family, want.parameter_names)
+
+
+class TestLockStep:
+    """Fits run together share each step's kernel pass, and each returns
+    what it returns alone, to the bit."""
+
+    def _problems(self, small_sim):
+        two = simulate(SimConfig(n_sites=30, n_years=2, n_surveys=2, seed=5))
+        table, designs = small_sim.table_mean, small_sim.designs_mean
+        far = ParameterVector(beta=[1e3, 0.0, 0.0, 0.0], alpha=[0.0, 0.0, 0.0], log_theta=0.0)
+        return [
+            (table, designs, MixtureFamily.NEGBIN, None, None),
+            (table, designs, MixtureFamily.POISSON, DEFAULT_PRIOR, None),
+            (two.table_mean, two.designs_mean, MixtureFamily.NEGBIN, DEFAULT_PRIOR, None),
+            (table, designs, MixtureFamily.NEGBIN, DEFAULT_PRIOR, far),
+            (*_rejected_step_table(), MixtureFamily.POISSON, None, None),
+            (two.table_mean, two.designs_mean, MixtureFamily.POISSON, None, None),
+        ]
+
+    def test_fits_equal_single_fits(self, small_sim, monkeypatch):
+        problems = self._problems(small_sim)
+        alone = [mle._fit([problem])[0] for problem in problems]
+        errors, calls = [], []
+        check, kernel = likelihood._check_series, likelihood._batch_series
+
+        def recorded_check(*args):
+            try:
+                check(*args)
+            except NumericError as exc:
+                errors.append(str(exc))
+                raise
+
+        def recorded_kernel(counts, *args, **kwargs):
+            calls.append(counts.shape[1])
+            return kernel(counts, *args, **kwargs)
+
+        monkeypatch.setattr(likelihood, "_check_series", recorded_check)
+        monkeypatch.setattr(likelihood, "_batch_series", recorded_kernel)
+        together = mle._fit(problems)
+        assert any(e.startswith("term budget exhausted for row ") for e in errors)
+        # one pass per survey count and step
+        steps = max(f.kernel_passes for f in together if isinstance(f, FitResult))
+        assert len(calls) <= 2 * steps < sum(f.kernel_passes for f in alone if isinstance(f, FitResult))
+        assert [type(f) for f in together] == [type(f) for f in alone]
+        assert str(together[3]) == str(alone[3]) == "objective is not finite at the starting point"
+        assert isinstance(together[3], NumericError)
+        for got, want in zip(together, alone):
+            if not isinstance(want, NumericError):
+                _assert_same_fit(got, want)
+
+    def test_a_bad_problem_fails_alone(self, small_sim):
+        """A rank-deficient design fails before fitting, as alone; the other fit goes on."""
+        table, designs = small_sim.table_mean, small_sim.designs_mean
+        x = np.asarray(designs.abundance_design)
+        bad = dataclasses.replace(designs, abundance_design=np.column_stack([x, x[:, 1]]),
+                                  abundance_names=(*designs.abundance_names, "copy"))
+        failed, fitted = mle._fit([(table, bad, MixtureFamily.POISSON, None, None),
+                                   (table, designs, MixtureFamily.POISSON, None, None)])
+        assert isinstance(failed, ModelError) and "copy" in str(failed)
+        _assert_same_fit(fitted, fit_ml(table, designs, MixtureFamily.POISSON))
