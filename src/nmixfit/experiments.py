@@ -24,9 +24,9 @@ optimiser step of all of them shares one kernel pass (see
 :func:`mle._fit`).  Every fit's result is, to the bit, the one
 ``fit_laplace`` gives it alone from the generating values, so output
 order and content are deterministic and independent of the grouping and
-the worker count.  A group holds at most ``_GROUP_ROWS`` table rows (one
-replicate at least), and keeps only each replicate's table, designs and
-start, so a sweep's memory does not grow with its runs.
+the worker count.  A group holds at most ``likelihood._BATCH_ROWS`` table
+rows (one replicate at least), and keeps only each replicate's table,
+designs and start, so a sweep's memory does not grow with its runs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .laplace import (
     DEFAULT_PRIOR,
     fit_laplace,  # noqa: F401  perfbench/tracer.py wraps the name here; the sweep fits through _fit
 )
-from .likelihood import _FIRST_BLOCK, _SLAB
+from .likelihood import _BATCH_ROWS
 from .mle import _fit
 from .simulate import SimConfig, simulate
 
@@ -58,8 +58,6 @@ _PARAM_LABELS = (
 )
 
 _MODELS = ("averaged", "survey")
-# a group's rows fit one slab of the kernel's first moment block
-_GROUP_ROWS = _SLAB // _FIRST_BLOCK
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,8 +137,9 @@ def run_bias_experiment(
     ]
     # a fork-started pool starts all its workers at once: no more than tasks
     workers = min(workers, runs)
-    per_group = max(_GROUP_ROWS // (len(_MODELS) * base.n_sites * base.n_years), 1)
-    n_groups = max(workers, -(-runs // per_group))
+    per_group = max(_BATCH_ROWS // (len(_MODELS) * base.n_sites * base.n_years), 1)
+    # a multiple of the workers, so each takes as many groups
+    n_groups = min(runs, workers * -(-runs // (per_group * workers)))
     # consecutive runs, the group sizes differing by one at most
     ends = [runs * k // n_groups for k in range(n_groups + 1)]
     groups = [payloads[a:b] for a, b in zip(ends, ends[1:])]

@@ -102,6 +102,14 @@ _STOP_MARGIN = 4.0
 # kernel's block buffers, lambda_fitted's draws and posterior_n's pmfs are
 # built one slab of rows at a time, so their size does not grow with rows.
 _SLAB = 1 << 17
+# A moment pass's blocks start _FIRST_BLOCK wide across every row of a batch
+# that many tables share; it works them in slabs of _SLAB // _MOMENT_SHARE
+# elements, which keeps such a batch's buffers near those of one table.
+_MOMENT_SHARE = 4
+# Tables that share one moment pass (see tables_loglik_hessian) hold at most
+# _BATCH_ROWS rows together, so that its per-row arrays stay small; its
+# first block then spans _SLAB elements.
+_BATCH_ROWS = _SLAB // _FIRST_BLOCK
 
 
 def _row_slabs(n_rows, width):
@@ -380,7 +388,9 @@ def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
     doubling until the blocks are ``_BLOCK_MAX`` wide, whatever the other
     rows.  A block is worked in slabs of rows from :func:`_row_slabs`, so
     each rows x block array, a view of buffers kept for the whole call,
-    holds at most ``_SLAB`` elements whatever the number of rows.  Each
+    holds at most ``_SLAB`` elements whatever the number of rows, and a
+    moment pass, whose narrow first blocks span every row of the tables
+    sharing it, at most a ``_MOMENT_SHARE``-th of that.  Each
     row's carry, partial sum and running h sums live in full-length arrays,
     and every sum runs along its row alone (``einsum``, not BLAS, which
     rounds by how it groups rows), so neither the slabs nor the other rows
@@ -413,7 +423,7 @@ def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
         width = min(width, _TERM_BUDGET - offset)
         steps = offset + np.arange(1, width + 1, dtype=float)
         going = []
-        for slab in _row_slabs(active.size, width):
+        for slab in _row_slabs(active.size, _MOMENT_SHARE * width if moments else width):
             rows = active[slab]
             n_act = rows.size
             size = n_act * width
@@ -767,11 +777,12 @@ def table_loglik_hessian(
     s_i is affine in N_i and psi(N_i + theta), and d^2 l_c in N_i and
     psi'(N_i + theta), so a few posterior moments from the series pass
     give the Hessian.  The value equals :func:`table_loglik` exactly.
+    This is :func:`tables_loglik_hessian` of the one table.
     """
-    inputs = _kernel_inputs(params, table, designs, family)
-    ll, n_min, n_max, mom = _batch_series(*inputs, moments=True)
-    _check_series(ll, n_min, n_max, inputs[1], "row")
-    return _score_hessian(params, designs, family, *inputs, ll, mom)
+    (result,) = tables_loglik_hessian([(params, table, designs, family)])
+    if isinstance(result, NumericError):
+        raise result
+    return result
 
 
 def tables_loglik_hessian(problems):
@@ -782,7 +793,8 @@ def tables_loglik_hessian(problems):
     the bit, what its problem gives alone: (loglik, score, Hessian), or
     the NumericError that it raises.  Tables of different survey counts
     take separate passes: a padded survey would change how a row's start
-    is screened (see :func:`_series_start`).
+    is screened (see :func:`_series_start`).  Callers keep the tables to
+    ``_BATCH_ROWS`` rows in all.
     """
     results = [None] * len(problems)
     by_surveys = {}

@@ -29,6 +29,29 @@ def records():
     return run_bias_experiment(runs=3, seed=42, base=SMALL)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools a sweep opens; their tasks run here."""
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    # run_bias_experiment imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return opened
+
+
 class TestRunMechanics:
     @pytest.mark.parametrize(
         "settings, message",
@@ -75,24 +98,7 @@ class TestRunMechanics:
         parallel = run_bias_experiment(runs=3, seed=42, workers=2, base=SMALL)
         assert parallel == records
 
-    def test_pool_has_no_more_workers_than_runs(self, records, monkeypatch):
-        pools = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads):
-                return map(fn, payloads)
-
-        # run_bias_experiment imports the pool class when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_has_no_more_workers_than_runs(self, records, pools):
         per_run = 2 * 8
         assert run_bias_experiment(runs=2, seed=42, workers=8, base=SMALL) == records[: 2 * per_run]
         assert run_bias_experiment(runs=1, seed=42, workers=8, base=SMALL) == records[:per_run]
@@ -221,14 +227,27 @@ class TestPassSharing:
         assert total_kernel_passes(records) == 42
         assert all(moments) and len(moments) <= 8
 
+    @pytest.mark.parametrize("runs, workers", [(4, 1), (50, 1), (50, 2), (50, 8), (7, 4), (3, 8)])
+    def test_each_worker_takes_as_many_groups(self, monkeypatch, pools, runs, workers):
+        """Consecutive groups of near-equal size, each within the batch cap
+        (6 replicates of the default 648-row tables), and as many for
+        every worker while there are runs enough."""
+        groups = []
+        monkeypatch.setattr(experiments, "_run_group", lambda g: groups.append([p[0] for p in g]) or [])
+        run_bias_experiment(runs=runs, seed=0, workers=workers)
+        sizes = [len(g) for g in groups]
+        assert [run for g in groups for run in g] == list(range(runs))
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= likelihood._BATCH_ROWS // (2 * 648)
+        assert len(groups) % min(workers, runs) == 0 or len(groups) == runs
+
     def test_records_hold_single_fits(self, monkeypatch):
         configs, _, records = _recorded_run(monkeypatch, runs=4, seed=0)
         _assert_records_hold_single_fits(records, configs)
 
     def test_memory_does_not_grow_with_the_runs(self):
         """A group keeps its replicates' tables and designs, not their
-        simulations, and at most _GROUP_ROWS rows: 40 runs peak within
-        1 MiB of 12 (numpy reports its buffers to tracemalloc)."""
+        simulations, and at most likelihood._BATCH_ROWS rows: 40 runs peak
+        within 1 MiB of 12 (numpy reports its buffers to tracemalloc)."""
         peaks = []
         for runs in (12, 40):
             tracemalloc.start()

@@ -765,8 +765,10 @@ class TestSlabs:
         assert fit == 1 or len(slabs) == 1 or sizes[-1] > 1
 
     def test_no_block_buffer_exceeds_a_slab(self, monkeypatch):
-        """The widest blocks (4096 terms) still fit 32 rows in a slab."""
+        """The widest blocks (4096 terms) still fit 32 rows in a slab, and
+        8 in a moment pass's share of one, which its buffers never exceed."""
         assert likelihood._SLAB // likelihood._BLOCK_MAX >= 32
+        assert likelihood._SLAB // (likelihood._MOMENT_SHARE * likelihood._BLOCK_MAX) >= 8
         sizes = []
         ratio_parts = likelihood._ratio_parts
 
@@ -776,7 +778,7 @@ class TestSlabs:
 
         monkeypatch.setattr(likelihood, "_ratio_parts", recorded)
         _batch_series(*_kernel_regime(50.0, 0.5, 20_000, 8), moments=True)
-        assert len(sizes) > 5 and max(sizes) <= likelihood._SLAB
+        assert len(sizes) > 5 and max(sizes) <= likelihood._SLAB // likelihood._MOMENT_SHARE
 
     def test_values_equal_the_halves(self, monkeypatch):
         """A table of several slabs gives each row's log-likelihood to the
@@ -792,8 +794,8 @@ class TestSlabs:
         np.testing.assert_array_equal(whole, np.concatenate(halves))
 
     def test_moments_equal_the_halves(self, monkeypatch):
-        """NB with a per-row theta: 9,000 rows span two slabs of the first,
-        16-wide block, and each half gives its rows' series alone."""
+        """NB with a per-row theta: 9,000 rows span several slabs of the
+        first, 16-wide block, and each half gives its rows' series alone."""
         whole = _nb_rows(9000, 10)
         slabs = _slab_counts(monkeypatch)
         got = _batch_series(*whole, moments=True)
@@ -804,7 +806,8 @@ class TestSlabs:
     def test_moments_do_not_depend_on_the_slab_size(self, monkeypatch):
         """Rows cut into slabs give the moments of one slab for the whole
         table, to the bit, on rows that differ from each other.  20,001 rows
-        make the first block's slabs uneven: 8,192, 8,192 and 3,617 rows."""
+        make the first block's slabs uneven: nine of 2,048 rows and one of
+        1,569."""
         args = _nb_rows(20_001, 11)
         slabs = _slab_counts(monkeypatch)
         got = _batch_series(*args, moments=True)
@@ -1066,7 +1069,8 @@ def test_every_kernel_result_is_checked():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         if "_batch_series" in called:
             callers[func.name] = "_check_series" in called
-    assert set(_ENTRIES) <= set(callers)
+    # table_loglik_hessian is tables_loglik_hessian of one table
+    assert set(_ENTRIES) - {"table_loglik_hessian"} | {"tables_loglik_hessian"} <= set(callers)
     assert all(callers.values()), callers
 
 
