@@ -38,16 +38,23 @@ def _fold(op, terms):
     return terms[0]
 
 
+def _inv_square(z):
+    """1 / z^2, which is 0 once z^2 overflows (z above about 1.3e154)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (z * z)
+
+
 def _stirling(z):
     """log Gamma(z) for z >= _SHIFT."""
-    return (z - 0.5) * np.log(z) - z + (_HALF_LOG_2PI + _series(_LGAMMA_C, 1.0 / (z * z)) / z)
+    return (z - 0.5) * np.log(z) - z + (_HALF_LOG_2PI + _series(_LGAMMA_C, _inv_square(z)) / z)
 
 
 def _shifted(x):
-    """Mask of x < _SHIFT, x moved up there, and the recurrence's x + i, i < _SHIFT."""
+    """Mask of x < _SHIFT, x moved up there, and the recurrence's x + i,
+    i < _SHIFT, from 1 where x is not low, so no discarded product overflows."""
     x = np.asarray(x, dtype=float)
     low = x < _SHIFT
-    return low, np.where(low, x + _SHIFT, x), np.add.outer(_STEPS, x)
+    return low, np.where(low, x + _SHIFT, x), np.add.outer(_STEPS, np.where(low, x, 1.0))
 
 
 def log_factorial(n):
@@ -66,7 +73,7 @@ def gammaln(x):
 def digamma(x):
     """psi(x) = d log Gamma(x) / dx for x > 0."""
     low, z, terms = _shifted(x)
-    w = 1.0 / (z * z)
+    w = _inv_square(z)
     psi = np.log(z) - 0.5 / z - w * _series(_DIGAMMA_C, w)
     return psi - np.where(low, _fold(np.add, np.reciprocal(terms, out=terms)), 0.0)
 
@@ -74,7 +81,7 @@ def digamma(x):
 def trigamma(x):
     """psi'(x) for x > 0."""
     low, z, terms = _shifted(x)
-    w = 1.0 / (z * z)
+    w = _inv_square(z)
     psi1 = (1.0 + 0.5 / z + w * _series(_B, w)) / z
     return psi1 + np.where(low, _fold(np.add, np.reciprocal(terms * terms, out=terms)), 0.0)
 

@@ -166,13 +166,13 @@ def lambda_fitted(
 
     lambda is laid out rows x draws, so each row's draws are contiguous,
     and is built, summarised and dropped one slab of rows at a time (see
-    :func:`likelihood._row_slabs`): a slab holds about 2**17 values, and
+    :func:`likelihood._row_slabs`): a slab holds about 2**15 values, and
     never fewer than one row's draws, whatever the number of rows.  The
     mean and the sd (n-1 denominator) are summed along each row's draws.
     The quantiles are numpy's "linear" method (Hyndman & Fan's type 7),
     read from the order statistics of one sort per row.  Wherever no slab
-    is a lone row (up to 43,690 draws, where a slab takes three rows or
-    more, and up to 65,536 for an even number of rows), every row's
+    is a lone row (up to 10,922 draws, where a slab takes three rows or
+    more, and up to 16,384 for an even number of rows), every row's
     summary is the one a single rows x draws array gives, to the bit.
     When several predictors overflow, the error names the largest in the
     first slab that holds one, by its row in the table.

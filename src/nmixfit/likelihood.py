@@ -34,7 +34,7 @@ later one as the widest estimate still open, at most doubling.  A pass
 that also accumulates the posterior moments of N that the exact score
 and Hessian need (see :func:`table_loglik_hessian`) ends its blocks at
 fixed offsets from each row's start instead.  Each block is worked one
-slab of rows at a time, in a few buffers of at most 2**17 elements
+slab of rows at a time, in a few buffers of at most 2**15 elements
 reused for every slab and block, so the working memory does not grow
 with the rows.  Every output of a row, value, summed range and moments,
 depends on that row alone, not on the rows that share its batch (see
@@ -98,18 +98,13 @@ _NEWTON_TOL = 1e-3
 _STOP_SDS = 8.0
 _STOP_MARGIN = 4.0
 
-# Elements in one rows x width working array (1 MiB of doubles): the
-# kernel's block buffers, lambda_fitted's draws and posterior_n's pmfs are
+# Elements in one rows x width working array (256 KiB of doubles): both
+# passes' block buffers, lambda_fitted's draws and posterior_n's pmfs are
 # built one slab of rows at a time, so their size does not grow with rows.
-_SLAB = 1 << 17
-# A moment pass's blocks start _FIRST_BLOCK wide across every row of a batch
-# that many tables share; it works them in slabs of _SLAB // _MOMENT_SHARE
-# elements, which keeps such a batch's buffers near those of one table.
-_MOMENT_SHARE = 4
-# Tables that share one moment pass (see tables_loglik_hessian) hold at most
-# _BATCH_ROWS rows together, so that its per-row arrays stay small; its
-# first block then spans _SLAB elements.
-_BATCH_ROWS = _SLAB // _FIRST_BLOCK
+_SLAB = 1 << 15
+# The lock-step row cap: the tables that share one moment pass (see
+# tables_loglik_hessian) hold at most _BATCH_ROWS rows, so its per-row arrays stay small.
+_BATCH_ROWS = 8192
 
 
 def _row_slabs(n_rows, width):
@@ -292,7 +287,7 @@ def _log_ratio(n, y0, base, phi, slope=False):
     return f, df
 
 
-def _series_start(ystar, y0, base, phi, lead):
+def _series_start(ystar, y0, base, phi, lead, moments):
     """Each row's start s, and the summand's mode m and sd.
 
     ``base`` is log r's part free of N and ``lead`` is log g(y*).  A row
@@ -304,10 +299,10 @@ def _series_start(ystar, y0, base, phi, lead):
     steps in u = log(N - y*), each row stopping once its own step is below
     ``_NEWTON_TOL``, start from the root of log r's large-N form:
     N - y* = exp(base) at phi = 0, exact for one survey, and
-    N = (sum_j y_j + theta - 1) / -(base + log phi) for phi > 0.  Rows
-    screened out get m and sd from two plain Newton steps from the same
-    root, the sd from the slope of log r where the first lands: enough to
-    size the summation's blocks (see :func:`_sum_upward`).
+    N = (sum_j y_j + theta - 1) / -(base + log phi) for phi > 0.  Screened
+    rows get m and sd, which only size a value pass's blocks (NaN with
+    ``moments``; see :func:`_sum_upward`), from two plain Newton steps from
+    the same root, the sd from the slope of log r where the first lands.
     """
     start = ystar.copy()
     guess = np.exp(base)
@@ -320,7 +315,7 @@ def _series_start(ystar, y0, base, phi, lead):
         far = _log_ratio(ystar + reach, y0, base, phi) >= 0.0
         screened = ~(far | (lead < -_LEAD_LIMIT))
     mode, sd = np.full((2, ystar.size), np.nan)
-    if (rows := np.flatnonzero(screened)).size:
+    if not moments and (rows := np.flatnonzero(screened)).size:
         ys, args = ystar[rows], _take(rows, y0, base, phi)
         gap = np.maximum(guess[rows], 1.0)
         with np.errstate(all="ignore"):
@@ -388,9 +383,7 @@ def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
     doubling until the blocks are ``_BLOCK_MAX`` wide, whatever the other
     rows.  A block is worked in slabs of rows from :func:`_row_slabs`, so
     each rows x block array, a view of buffers kept for the whole call,
-    holds at most ``_SLAB`` elements whatever the number of rows, and a
-    moment pass, whose narrow first blocks span every row of the tables
-    sharing it, at most a ``_MOMENT_SHARE``-th of that.  Each
+    holds at most ``_SLAB`` elements whatever the number of rows.  Each
     row's carry, partial sum and running h sums live in full-length arrays,
     and every sum runs along its row alone (``einsum``, not BLAS, which
     rounds by how it groups rows), so neither the slabs nor the other rows
@@ -423,7 +416,7 @@ def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
         width = min(width, _TERM_BUDGET - offset)
         steps = offset + np.arange(1, width + 1, dtype=float)
         going = []
-        for slab in _row_slabs(active.size, _MOMENT_SHARE * width if moments else width):
+        for slab in _row_slabs(active.size, width):
             rows = active[slab]
             n_act = rows.size
             size = n_act * width
@@ -535,7 +528,7 @@ def _batch_series(counts, lam, p, phi, moments):
     keep, scale = _keep(lam, p, phi)
     lead = _leading_log_term(ystar, counts, lam, p, phi)
     base = np.sum(np.log1p(-p), axis=1) + np.log(scale)
-    start, mode, sd = _series_start(ystar, counts, base, phi, lead)
+    start, mode, sd = _series_start(ystar, counts, base, phi, lead, moments)
     inputs = (counts, keep, phi)
     floor = _TAIL_SAFETY * _REL_FLOOR
     out = (np.empty(n_rows), np.empty(n_rows), np.empty((6 if moments else 0, n_rows)))

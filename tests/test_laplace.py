@@ -284,7 +284,7 @@ class TestLambdaFittedExactness:
             np.testing.assert_allclose(sd, lam.std(axis=0, ddof=1), rtol=1e-13, atol=0)
 
     def test_design_of_several_slabs(self):
-        """705 rows at 4,000 draws are summarised in 23 slabs, the last of
+        """705 rows at 4,000 draws are summarised in 89 slabs, the last of
         2 rows; the quantiles still match numpy's bit for bit."""
         rng = np.random.default_rng(8)
         x = np.column_stack([np.ones(705), rng.standard_normal((705, 2))])

@@ -212,6 +212,11 @@ class TestExtremeInputs:
         brute = row_loglik_bruteforce(row, n_max=detail.n_max)
         assert _rel_err(detail.loglik, brute) < 1e-10
 
+    def test_huge_theta_warns_nothing(self):
+        """At theta = 1e39 the NB pmf's log Gamma once overflowed in a branch
+        whose result is discarded (the suite makes that warning an error)."""
+        assert np.isfinite(row_loglik_detail(_row([3.0, 2.0, 4.0], [0.5] * 3, 10.0, 1e39)).loglik)
+
     def test_tiny_detection_negative_binomial(self):
         row = _row([2.0], [0.001], 50.0, 0.5)
         detail = row_loglik_detail(row)
@@ -765,10 +770,9 @@ class TestSlabs:
         assert fit == 1 or len(slabs) == 1 or sizes[-1] > 1
 
     def test_no_block_buffer_exceeds_a_slab(self, monkeypatch):
-        """The widest blocks (4096 terms) still fit 32 rows in a slab, and
-        8 in a moment pass's share of one, which its buffers never exceed."""
-        assert likelihood._SLAB // likelihood._BLOCK_MAX >= 32
-        assert likelihood._SLAB // (likelihood._MOMENT_SHARE * likelihood._BLOCK_MAX) >= 8
+        """The widest blocks (4096 terms) still fit 8 rows in a slab, which
+        neither a value pass's buffers nor a moment pass's ever exceed."""
+        assert likelihood._SLAB // likelihood._BLOCK_MAX >= 8
         sizes = []
         ratio_parts = likelihood._ratio_parts
 
@@ -777,8 +781,10 @@ class TestSlabs:
             return ratio_parts(n_grid, *args, **kwargs)
 
         monkeypatch.setattr(likelihood, "_ratio_parts", recorded)
-        _batch_series(*_kernel_regime(50.0, 0.5, 20_000, 8), moments=True)
-        assert len(sizes) > 5 and max(sizes) <= likelihood._SLAB // likelihood._MOMENT_SHARE
+        for moments in (False, True):
+            sizes.clear()
+            _batch_series(*_kernel_regime(50.0, 0.5, 20_000, 8), moments=moments)
+            assert len(sizes) > 5 and max(sizes) <= likelihood._SLAB
 
     def test_values_equal_the_halves(self, monkeypatch):
         """A table of several slabs gives each row's log-likelihood to the
@@ -871,6 +877,25 @@ class TestBlockSizing:
             fit = fit_ml(sim.table_mean, sim.designs_mean, MixtureFamily.NEGBIN)
         points, _ = _grid_points_per_row(monkeypatch, *_ml_table(sim, fit))
         assert points <= ceiling
+
+    def test_only_a_value_pass_steps_toward_screened_modes(self, example_sim, ml_fit, monkeypatch):
+        """The seed-6 table at its ML estimate, where every row is screened
+        and none moves: a value pass takes the two Newton steps that size
+        its blocks, and a moment pass, whose blocks are fixed, takes none."""
+        inputs = _ml_table(example_sim, ml_fit)
+        slopes = []
+        log_ratio = likelihood._log_ratio
+
+        def counted(*args, slope=False):
+            slopes.append(slope)
+            return log_ratio(*args, slope=slope)
+
+        monkeypatch.setattr(likelihood, "_log_ratio", counted)
+        for moments, steps in ((False, 2), (True, 0)):
+            slopes.clear()
+            _, n_min, _, _ = _batch_series(*inputs, moments=moments)
+            np.testing.assert_array_equal(n_min, np.max(inputs[0], axis=1))
+            assert slopes.count(True) == steps
 
 
 def _nb_moved_rows():

@@ -1,6 +1,7 @@
 """nmixfit's own special functions against mpmath at 30 digits and scipy."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -43,6 +44,28 @@ def test_a_scalar_is_each_element_of_an_array_to_the_bit(f):
     """A per-row theta array gives each row what a scalar theta gives it."""
     x = _grid()
     assert [float(f(v)) for v in x] == list(f(x))
+
+
+LARGE_X = [0.5, 2.5, 7.9, 8.0, 1e39, 1e200]
+# the values from before the recurrence's discarded terms stopped overflowing
+PINNED = [
+    (gammaln, [0.5723649429246986, 0.28468287047291696, 8.324265868008812, 8.525161361065413,
+               8.880081862676778e+40, 4.595170185988092e+202]),
+    (digamma, [-1.9635100260214227, 0.7031566406452434, 2.002238487563571, 2.0156414779556098,
+               89.80081862676778, 460.51701859880916]),
+    (trigamma, [4.93480220054468, 0.4903577561002349, 0.1349307834566344, 0.13313701469403108,
+                1.0000000000000001e-39, 1e-200]),
+]
+
+
+@pytest.mark.parametrize("f, want", PINNED, ids=["gammaln", "digamma", "trigamma"])
+def test_large_arguments_warn_nothing_and_keep_their_bits(f, want):
+    """From 1e39 a product of gammaln's x + i would overflow, and from 1e154
+    trigamma's squares of them and every 1 / x^2; none of that may warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(f(np.array(LARGE_X))) == want
+        assert [float(f(x)) for x in LARGE_X] == want
 
 
 def test_log_factorial_is_the_lgamma_table_below_4096():
