@@ -24,24 +24,20 @@ for a sum from y* to overflow, starts near its mode instead (see
 * left of s, ratio 1 / r(s), since r decreases on (y*, inf) for every
   row whose start moves.
 
-Summation stops once the right bound is below half of the relative
-floor, 1e-12, times the partial sum; a row whose left bound is not that
-small is summed again from lower down.  There is one summation path, in
-vectorised blocks over the rows.  A pass for the value alone sizes its
-blocks from each row's estimated stopping point (from its summand's mode
-and sd): the first block is as wide as the median estimate, and each
-later one as the widest estimate still open, at most doubling.  A pass
-that also accumulates the posterior moments of N that the exact score
-and Hessian need (see :func:`table_loglik_hessian`) ends its blocks at
-fixed offsets from each row's start instead.  Each block is worked one
-slab of rows at a time, in a few buffers of at most 2**15 elements
-reused for every slab and block, so the working memory does not grow
+A row stops only at a block end, once the right bound there is below
+half of the relative floor, 1e-12, times its partial sum; a row whose
+left bound is not that small is summed again from lower down.  One path
+sums the value, alone or with the posterior moments of N that the exact
+score and Hessian need (see :func:`table_loglik_hessian`), in vectorised
+blocks over the rows that end at fixed offsets from each row's start (16,
+32, 64 and on, at most 4096 apart), one slab of rows at a time in a few
+buffers of at most 2**15 elements, so the working memory does not grow
 with the rows.  Every output of a row, value, summed range and moments,
-depends on that row alone, not on the rows that share its batch (see
-:func:`_sum_upward` and :func:`_series_start`), so many tables can share
-one pass (see :func:`tables_loglik_hessian`).  A row past its budget of
-10,000 terms past its start gets a NaN value, and a sum that leaves
-double range +inf; :func:`_check_series` names it.
+depends on that row alone (see :func:`_sum_upward` and
+:func:`_series_start`), so many tables can share one pass (see
+:func:`tables_loglik_hessian`).  A row past its budget of 10,000 terms
+past its start gets a NaN value, and a sum that leaves double range +inf;
+:func:`_check_series` names it.
 :func:`posterior_n` rebuilds a row's posterior pmf of N on its ranges.
 """
 
@@ -67,8 +63,7 @@ from .model import (
 )
 
 _BLOCK_MAX = 4096
-# A moment pass's first block is _FIRST_BLOCK terms wide, and each later one
-# as wide as the offset it starts at (at most _BLOCK_MAX)
+# A row's first block is _FIRST_BLOCK terms wide, each later one as wide as its offset
 _FIRST_BLOCK = 16
 _P_FLOOR = np.nextafter(0.0, 1.0)
 
@@ -93,10 +88,6 @@ _LEAD_LIMIT = 600.0
 # A row's Newton steps stop once its step in log(N - y*) is below _NEWTON_TOL.
 _NEWTON_STEPS = 10
 _NEWTON_TOL = 1e-3
-# A row's series is expected to stop _STOP_SDS sds plus _STOP_MARGIN terms
-# past its mode; the margin covers the skew of posteriors near y*.
-_STOP_SDS = 8.0
-_STOP_MARGIN = 4.0
 
 # Elements in one rows x width working array (256 KiB of doubles): both
 # passes' block buffers, lambda_fitted's draws and posterior_n's pmfs are
@@ -155,7 +146,8 @@ class RowLikelihoodInput:
 
 @dataclass(frozen=True)
 class RowLikelihoodDetail:
-    """One row's log-likelihood and the range n_min..n_max of N summed."""
+    """One row's log-likelihood and the range n_min..n_max of N summed:
+    ``n_terms`` terms, the start's and those of whole blocks."""
 
     loglik: float
     n_terms: int
@@ -287,22 +279,21 @@ def _log_ratio(n, y0, base, phi, slope=False):
     return f, df
 
 
-def _series_start(ystar, y0, base, phi, lead, moments):
-    """Each row's start s, and the summand's mode m and sd.
+def _series_start(ystar, y0, base, phi, lead):
+    """Each row's start s, and the summand's sd at the mode of each row
+    that may move (NaN elsewhere), which sizes its left-tail retries.
 
     ``base`` is log r's part free of N and ``lead`` is log g(y*).  A row
-    moves to s = floor(m - c sd) when that is ``_MIN_SHIFT`` above y*, or
-    above y* at all if lead < -_LEAD_LIMIT.  The first needs D = m - y* >=
-    _MIN_SHIFT + c sd, with sd >= sqrt(D / J) (-d log r/dN <= (D + J y*) /
-    (m D) at the mode, J surveys), so rows with r < 1 at the root of
-    D = _MIN_SHIFT + c sqrt(D / J) are screened out.  Bracketed Newton
-    steps in u = log(N - y*), each row stopping once its own step is below
-    ``_NEWTON_TOL``, start from the root of log r's large-N form:
-    N - y* = exp(base) at phi = 0, exact for one survey, and
-    N = (sum_j y_j + theta - 1) / -(base + log phi) for phi > 0.  Screened
-    rows get m and sd, which only size a value pass's blocks (NaN with
-    ``moments``; see :func:`_sum_upward`), from two plain Newton steps from
-    the same root, the sd from the slope of log r where the first lands.
+    moves to s = floor(m - c sd), m the summand's mode, when that is
+    ``_MIN_SHIFT`` above y*, or above y* at all if lead < -_LEAD_LIMIT.
+    The first needs D = m - y* >= _MIN_SHIFT + c sd, with sd >= sqrt(D / J)
+    (-d log r/dN <= (D + J y*) / (m D) at the mode, J surveys), so rows
+    with r < 1 at the root of D = _MIN_SHIFT + c sqrt(D / J) are screened
+    out and start at y*.  Bracketed Newton steps in u = log(N - y*), each
+    row stopping once its own step is below ``_NEWTON_TOL``, start from
+    the root of log r's large-N form: N - y* = exp(base) at phi = 0, exact
+    for one survey, and N = (sum_j y_j + theta - 1) / -(base + log phi)
+    for phi > 0.
     """
     start = ystar.copy()
     guess = np.exp(base)
@@ -314,19 +305,10 @@ def _series_start(ystar, y0, base, phi, lead, moments):
     with np.errstate(over="ignore", invalid="ignore"):
         far = _log_ratio(ystar + reach, y0, base, phi) >= 0.0
         screened = ~(far | (lead < -_LEAD_LIMIT))
-    mode, sd = np.full((2, ystar.size), np.nan)
-    if not moments and (rows := np.flatnonzero(screened)).size:
-        ys, args = ystar[rows], _take(rows, y0, base, phi)
-        gap = np.maximum(guess[rows], 1.0)
-        with np.errstate(all="ignore"):
-            for _ in range(2):
-                f, df = _log_ratio(ys + gap, *args, slope=True)
-                gap = gap * np.exp(-f / (df * gap))
-            mode[rows] = ys + gap
-            sd[rows] = 1.0 / np.sqrt(-df)
+    sd = np.full(ystar.size, np.nan)
     rows = np.flatnonzero(~screened)
     if not rows.size:
-        return start, mode, sd
+        return start, sd
     ys = ystar[rows]
     args = _take(rows, y0, base, phi)
     # the root lies in (lo, hi); log r is decreasing on (y*, inf)
@@ -354,40 +336,28 @@ def _series_start(ystar, y0, base, phi, lead, moments):
             if not live.size:
                 break
         # sd from the slope at the last iterate evaluated
-        mode[rows] = ys + np.exp(u)
         sd[rows] = 1.0 / np.sqrt(-slope)
-        s = np.floor(mode[rows] - _START_SDS * sd[rows])
+        s = np.floor(ys + np.exp(u) - _START_SDS * sd[rows])
         moved = (s - ys >= _MIN_SHIFT) | ((s > ys) & (lead[rows] < -_LEAD_LIMIT))
     start[rows[moved]] = s[moved]
-    return start, mode, sd
+    return start, sd
 
 
-def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
+def _sum_upward(active, start, y0, keep, phi, floor, moments, out):
     """Sum rows ``active`` upward from N = start, with t(start) = 1.
 
-    A row stops once its right tail bound is at most ``floor`` times its
-    partial sum, or gets part_sum NaN after ``_TERM_BUDGET`` terms.  Terms
-    and partial sums are accumulated in sequence across blocks, so a row's
-    sum and stopping point do not depend on where the blocks end, and a
-    pass without ``moments`` sizes its blocks from the rows.  A row's
-    reach, its expected stopping offset, is ``_STOP_SDS`` sds and
-    ``_STOP_MARGIN`` terms past its ``mode``, or 0 where that failed.  The first
-    block is as wide as the median reach: half the rows should finish in
-    it, which on a table of mixed rows costs less than one block sized for
-    the widest.  Each later block covers the largest reach of the rows
-    still going, but is at most twice the width the block before it was
-    allowed, and once every reach is passed the blocks just double.  A
-    moment sum, though, adds each block's terms first, so its rounding
-    depends on where the blocks end: with ``moments``, blocks end at fixed
-    offsets from each row's start, ``_FIRST_BLOCK``, twice that, and on,
-    doubling until the blocks are ``_BLOCK_MAX`` wide, whatever the other
-    rows.  A block is worked in slabs of rows from :func:`_row_slabs`, so
-    each rows x block array, a view of buffers kept for the whole call,
-    holds at most ``_SLAB`` elements whatever the number of rows.  Each
-    row's carry, partial sum and running h sums live in full-length arrays,
-    and every sum runs along its row alone (``einsum``, not BLAS, which
-    rounds by how it groups rows), so neither the slabs nor the other rows
-    change a bit of any value, stopping point or moment.
+    A row's blocks end at fixed offsets from its start, ``_FIRST_BLOCK``,
+    twice that, and on, doubling until they are ``_BLOCK_MAX`` wide.  Each
+    block adds its terms with one reduce along the row, which stops at the
+    first block end where its right tail bound is at most ``floor`` times
+    its partial sum, or gets part_sum NaN after ``_TERM_BUDGET`` terms.  A
+    block is worked in slabs of rows from :func:`_row_slabs`, so each rows
+    x block array, a view of buffers kept for the whole call, holds at most
+    ``_SLAB`` elements.  Each row's carry, partial sum and running h sums
+    live in full-length arrays, and every sum runs along its row alone
+    (``einsum``, not BLAS, which rounds by how it groups rows), so neither
+    the slabs nor the other rows change a bit of any value, summed range
+    or moment, and ``moments`` changes neither of the first two.
 
     Writes the ``active`` rows of ``out`` = full-length (part_sum, n_max,
     sums), and raises nothing.  With ``moments``, sums has rows sum t_k *
@@ -402,16 +372,9 @@ def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
     with_h = moments and phi.any()
     carry = np.ones(n_rows)
     carry_h = np.zeros((2, n_rows))
-    space, flags = np.empty((5, 0)), np.empty(0, dtype=bool)
+    space = np.empty((4, 0))
 
-    offset = 0
-    if moments:
-        width = min(_FIRST_BLOCK, _BLOCK_MAX)
-    else:
-        with np.errstate(invalid="ignore"):
-            reach = mode - start + (_STOP_SDS * sd + _STOP_MARGIN)
-        reach = np.where(reach > 0.0, reach, 0.0)
-        allowed = width = int(np.clip(np.ceil(np.median(reach[active])), 1, _BLOCK_MAX))
+    offset, width = 0, min(_FIRST_BLOCK, _BLOCK_MAX)
     while active.size and offset < _TERM_BUDGET:
         width = min(width, _TERM_BUDGET - offset)
         steps = offset + np.arange(1, width + 1, dtype=float)
@@ -420,56 +383,36 @@ def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
             rows = active[slab]
             n_act = rows.size
             size = n_act * width
-            if size > flags.size:
-                space, flags = np.empty((5, size)), np.empty(size, dtype=bool)
-            grid, ratio, tmp, spare, cum = (buf[:size].reshape(n_act, width) for buf in space)
-            stop = flags[:size].reshape(n_act, width)
+            if size > space.shape[1]:
+                space = np.empty((4, size))
+            grid, ratio, terms, spare = (buf[:size].reshape(n_act, width) for buf in space)
             if n_act == n_rows:
                 st, ys, ks, ph, cr, sm = start, y0, keep, phi, carry, part_sum
             else:
                 st, ys, ks, ph, cr, sm = _take(rows, start, y0, keep, phi, carry, part_sum)
 
             np.add(st[:, None], steps, out=grid)
-            ratio, bound = _ratio_parts(grid, ys, ks, ph, (ratio, tmp, spare))
-            lead_ratio = ratio[:, 0].copy()
+            ratio, bound = _ratio_parts(grid, ys, ks, ph, (ratio, terms, spare))
+            last_bound = bound[:, -1].copy()  # before a one-term block's carry scales it
             ratio[:, 0] *= cr
-            running = grid
             with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply.accumulate(ratio, axis=1, out=cum)
-                ratio[:, 0] = lead_ratio
-                np.copyto(running, cum)
-                running[:, 0] += sm
-                np.add.accumulate(running, axis=1, out=running)
-                # stop at the first N where q < 1 and the tail bound t q / (1 - q)
-                # is at most floor * running, that is q (t + floor running) <= floor running
-                limit = np.multiply(running, floor, out=tmp)
-                lhs = np.add(cum, limit, out=spare if bound is ratio else ratio)
-                lhs *= bound
-                np.less_equal(lhs, limit, out=stop)
-            first = np.argmax(stop, axis=1)
-            stopped = stop[np.arange(n_act), first]
-
-            rows_done = rows[stopped]
-            part_sum[rows_done] = running[stopped, first[stopped]]
-            n_max[rows_done] = start[rows_done] + offset + first[stopped] + 1.0
-
-            kept = ~stopped
-            rows_kept = rows[kept]
-            part_sum[rows_kept] = running[kept, -1]
-            carry[rows_kept] = cum[kept, -1]
-            n_max[rows_kept] = start[rows_kept] + offset + width
-            going.append(rows_kept)
+                np.multiply.accumulate(ratio, axis=1, out=terms)
+                total = sm + np.add.reduce(terms, axis=1)
+                # stop where q < 1 and the tail bound t q / (1 - q) past the block's
+                # last N is at most floor * total, that is q (t + floor total) <= floor total
+                limit = floor * total
+                stop = last_bound * (terms[:, -1] + limit) <= limit
+            part_sum[rows] = total
+            carry[rows] = terms[:, -1]
+            n_max[rows] = st + (offset + width)
+            going.append(rows[~stop])
 
             if moments:
-                # the moment sums take no terms past a row's stop
-                last = np.where(stopped, first, width - 1)
-                np.greater(np.arange(width), last[:, None], out=stop)
-                np.copyto(cum, 0.0, where=stop)
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    sums[0, rows] += np.einsum("ij,j->i", cum, steps)
-                    sums[1, rows] += np.einsum("ij,j->i", cum, steps * steps)
+                    sums[0, rows] += np.einsum("ij,j->i", terms, steps)
+                    sums[1, rows] += np.einsum("ij,j->i", terms, steps * steps)
                     if with_h:
-                        h, h_sq = tmp, spare
+                        h, h_sq = grid, spare
                         np.add((st + (1.0 / ph - 1.0))[:, None], steps, out=h)
                         np.reciprocal(h, out=h)
                         np.multiply(h, h, out=h_sq)
@@ -477,23 +420,17 @@ def _sum_upward(active, start, y0, keep, phi, floor, moments, mode, sd, out):
                         h_sq[:, 0] += carry_h[1, rows]
                         np.add.accumulate(h, axis=1, out=h)
                         np.add.accumulate(h_sq, axis=1, out=h_sq)
-                        carry_h[0, rows_kept] = h[kept, -1]
-                        carry_h[1, rows_kept] = h_sq[kept, -1]
-                        h_sq *= cum
+                        carry_h[:, rows] = h[:, -1], h_sq[:, -1]
+                        h_sq *= terms
                         sums[5, rows] += np.add.reduce(h_sq, axis=1)
-                        np.multiply(h, cum, out=h_sq)
+                        np.multiply(h, terms, out=h_sq)
                         sums[2, rows] += np.add.reduce(h_sq, axis=1)
                         sums[4, rows] += np.einsum("ij,j->i", h_sq, steps)
                         h_sq *= h
                         sums[3, rows] += np.add.reduce(h_sq, axis=1)
         active = np.concatenate(going)
         offset += width
-        if moments:
-            width = min(offset, _BLOCK_MAX)
-        else:
-            allowed = min(2 * allowed, _BLOCK_MAX)
-            left = np.max(reach[active], initial=0.0) - offset
-            width = int(min(allowed, np.ceil(left))) if left > 0.0 else allowed
+        width = min(offset, _BLOCK_MAX)
     part_sum[active] = np.nan
 
 
@@ -517,7 +454,9 @@ def _batch_series(counts, lam, p, phi, moments):
     whose binomial factor is 1.  Moments are centred at the start s
     (k = N - s), so the variances do not cancel, and use the digamma and
     trigamma recurrences psi(s + k + theta) = psi(s + theta) + h_k and
-    psi'(s + k + theta) = psi'(s + theta) - h'_k.
+    psi'(s + k + theta) = psi'(s + theta) - h'_k.  ``moments`` changes no
+    bit of ll, n_min or n_max, save that a row whose moment sums overflow
+    gets ll = +inf.
     Returns (ll, n_min, n_max, stats) with stats None or a
     :class:`PosteriorMoments`.  Nothing here raises, and one row's failure
     moves no bit of the others: ll is NaN past the term budget (no retry),
@@ -528,12 +467,12 @@ def _batch_series(counts, lam, p, phi, moments):
     keep, scale = _keep(lam, p, phi)
     lead = _leading_log_term(ystar, counts, lam, p, phi)
     base = np.sum(np.log1p(-p), axis=1) + np.log(scale)
-    start, mode, sd = _series_start(ystar, counts, base, phi, lead, moments)
+    start, sd = _series_start(ystar, counts, base, phi, lead)
     inputs = (counts, keep, phi)
     floor = _TAIL_SAFETY * _REL_FLOOR
     out = (np.empty(n_rows), np.empty(n_rows), np.empty((6 if moments else 0, n_rows)))
     part_sum, n_max, raw = out
-    _sum_upward(np.arange(n_rows), start, *inputs, floor, moments, mode, sd, out)
+    _sum_upward(np.arange(n_rows), start, *inputs, floor, moments, out)
 
     pending = np.flatnonzero(start > ystar)
     # c sd lower, then twice as far each time, so the retries end
@@ -550,11 +489,12 @@ def _batch_series(counts, lam, p, phi, moments):
             break
         start[pending] = np.maximum(ystar[pending], start[pending] - drop[pending])
         drop[pending] *= 2.0
-        _sum_upward(pending, start, *inputs, floor, moments, mode, sd, out)
+        _sum_upward(pending, start, *inputs, floor, moments, out)
         pending = pending[start[pending] > ystar[pending]]
 
-    # a sum that overflowed holds inf, and the stopping rule then stops it; a row
-    # whose moment sums overflowed gets inf too, and one past its budget keeps NaN
+    # a sum that overflowed holds inf, and the stopping rule then stops it at its
+    # block end; a row whose moment sums overflowed gets inf too, and one past its
+    # budget keeps NaN
     part_sum[np.isfinite(part_sum) & ~np.isfinite(np.add.reduce(raw, axis=0))] = np.inf
     shifted = np.flatnonzero(start > ystar)
     if shifted.size:
@@ -692,7 +632,7 @@ def row_loglik_detail(row: RowLikelihoodInput) -> RowLikelihoodDetail:
     -------
     RowLikelihoodDetail
         log L, finite for all valid inputs, and the range n_min..n_max of
-        N summed, ``n_terms`` terms.
+        N summed, ``n_terms`` terms to the end of a block.
 
     Raises
     ------

@@ -143,11 +143,16 @@ def simulate(config: SimConfig = SimConfig()) -> SimOutput:
     lam = lambda_values(params, designs_mean)
     lam_grid, theta = from_rows(lam), config.theta
     try:
-        with np.errstate(over="ignore"):  # numpy's range check overflows before it raises
+        # numpy's range checks overflow before they raise, as lam / theta does near theta = 0
+        with np.errstate(over="ignore", invalid="ignore"):
             if theta is None:
                 n_latent = rng_n.poisson(lam_grid)
             else:
-                n_latent = rng_n.negative_binomial(theta, theta / (theta + lam_grid))
+                # negative_binomial's own draw, a gamma then a Poisson per element, with the
+                # scale lam / theta: its (1 - p) / p loses lam to rounding (0 at theta = 1e20)
+                scales = (lam_grid / theta).flat
+                n_latent = np.array([rng_n.poisson(rng_n.standard_gamma(theta) * s) for s in scales])
+                n_latent = n_latent.reshape(lam_grid.shape)
     except ValueError as exc:
         size = "" if theta is None else f", theta={theta:.6g}"
         raise NumericError(f"the sampler cannot draw N at lambda={lam.max():.6g}{size}: {exc}") from None

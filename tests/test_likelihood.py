@@ -597,8 +597,7 @@ class TestPerRowTheta:
         """A per-row theta array gives, on every row, exactly what a
         scalar-theta call gives that row: 58 small rows (two with a
         missing cell), one spanning several blocks and one whose start
-        moves.  The two wide rows sit above the median of the rows'
-        expected stopping offsets, so every call sizes their blocks alike."""
+        moves."""
         rng = np.random.default_rng(21)
         lam = np.concatenate([rng.uniform(2.0, 12.0, 58), [400.0, 1e4]])
         counts = rng.binomial(rng.poisson(lam)[:, None], 0.4, size=(60, 3)).astype(float)
@@ -623,10 +622,8 @@ class TestPerRowTheta:
         and rows with phi > 1 (theta < 1, whose ratio bound differs).  Each
         row gives exactly what a call in which every row has that row's phi
         gives it: small rows (two with a missing cell), a wide row, and one
-        moved row of each family.  The rows' phi sets their expected
-        stopping points, which size the blocks, and where blocks end moves
-        the moments by rounding (see TestBlockLayout); blocks one term wide
-        end at the same N in every call."""
+        moved row of each family.  Blocks one term wide test every N for a
+        stop, each row's own N whatever the phi of the others."""
         monkeypatch.setattr(likelihood, "_BLOCK_MAX", 1)
         rng = np.random.default_rng(22)
         lam = np.concatenate([rng.uniform(2.0, 12.0, 27), [400.0, 1e4, 2000.0]])
@@ -692,25 +689,59 @@ _LAYOUT_CASES = {
 _LAYOUT_CASES.update({f"moved-{name}": (lambda name=name: _moved_row(name)) for name in _MOVED_ROWS})
 
 
+def _block_ends(block_max):
+    """The offsets from a row's start at which its blocks end, up to the
+    term budget, for blocks at most ``block_max`` terms wide."""
+    ends = [min(likelihood._FIRST_BLOCK, block_max)]
+    while ends[-1] < likelihood._TERM_BUDGET:
+        ends.append(min(ends[-1] + min(ends[-1], block_max), likelihood._TERM_BUDGET))
+    return ends
+
+
 class TestBlockLayout:
-    """Where the summation's blocks end must not change what it computes."""
+    """A row stops only at the end of one of its blocks, so where they end
+    moves its summed range and the rounding of its sums, not its value
+    beyond the floor."""
 
     @pytest.mark.parametrize("name", sorted(_LAYOUT_CASES))
     def test_narrow_blocks_give_the_same_series(self, name, monkeypatch):
+        """Blocks of at most 8 terms: each row starts where it did and its
+        summed range holds the start's term and whole blocks, so n_max -
+        n_min is a block end, with its value within 1e-12 of the default
+        blocks'.  A row that stops at another N leaves another tail out of
+        its moments, weighted by k and k^2 (up to 3e-11 of var N at the
+        1e-12 floor), so the moments are compared at a floor of 1e-24,
+        where block ends move them by rounding alone."""
         args = _LAYOUT_CASES[name]()
         if name == "left-tail-retry":
             # at 1e-30 the far-mode row's left tail is not negligible, so it is summed again
             monkeypatch.setattr(likelihood, "_REL_FLOOR", 1e-30)
-        ll, n_min, n_max, mom = _batch_series(*args, moments=True)
+        default = likelihood._BLOCK_MAX
+        ll, n_min, n_max, _ = _batch_series(*args, moments=True)
+        assert np.all(np.isin(n_max - n_min, _block_ends(default)))
         monkeypatch.setattr(likelihood, "_BLOCK_MAX", 8)
-        ll_8, n_min_8, n_max_8, mom_8 = _batch_series(*args, moments=True)
+        ll_8, n_min_8, n_max_8, _ = _batch_series(*args, moments=True)
         np.testing.assert_array_equal(n_min_8, n_min)
-        np.testing.assert_array_equal(n_max_8, n_max)
-        np.testing.assert_array_equal(ll_8, ll)
-        # the moments keep a tolerance: a row summed across a block edge
-        # takes its per-block moment sums at other places
+        assert np.all(np.isin(n_max_8 - n_min_8, _block_ends(8)))
+        np.testing.assert_allclose(ll_8, ll, rtol=1e-12, atol=0.0)
+
+        monkeypatch.setattr(likelihood, "_REL_FLOOR", min(likelihood._REL_FLOOR, 1e-24))
+        mom_8 = _batch_series(*args, moments=True)[3]
+        monkeypatch.setattr(likelihood, "_BLOCK_MAX", default)
+        mom = _batch_series(*args, moments=True)[3]
         for got, want in zip(mom_8, mom):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_value_and_moment_passes_sum_the_same_blocks(self):
+        """A pass for the value alone gives every row, moved or not, Poisson
+        or NB, the value and summed range of a pass with moments, to the bit."""
+        tables = [_nb_moved_rows(), _kernel_regime(2000.0, 0.02, 60, 5), _mixed_rows("per-row", missing=True)]
+        batch = tuple(np.concatenate(parts) for parts in zip(*tables))
+        value = _batch_series(*batch, moments=False)
+        with_moments = _batch_series(*batch, moments=True)
+        assert value[3] is None and np.all(np.isfinite(value[0]))
+        for got, want in zip(value[:3], with_moments[:3]):
+            np.testing.assert_array_equal(got, want)
 
 
 def _nb_rows(rows, seed):
@@ -834,7 +865,7 @@ class TestSlabs:
         assert peak < 12 * 2**20
 
 
-def _grid_points_per_row(monkeypatch, counts, lam, p, phi):
+def _grid_points_per_row(monkeypatch, counts, lam, p, phi, moments=True):
     """Grid points the kernel evaluates per row, and terms it sums per row."""
     points = []
     ratio_parts = likelihood._ratio_parts
@@ -844,7 +875,7 @@ def _grid_points_per_row(monkeypatch, counts, lam, p, phi):
         return ratio_parts(n_grid, *args, **kwargs)
 
     monkeypatch.setattr(likelihood, "_ratio_parts", counted)
-    _, n_min, n_max, _ = _batch_series(counts, lam, p, phi, moments=True)
+    _, n_min, n_max, _ = _batch_series(counts, lam, p, phi, moments=moments)
     return sum(points) / lam.size, np.mean(n_max - n_min + 1)
 
 
@@ -853,18 +884,21 @@ def _ml_table(sim, fit):
 
 
 class TestBlockSizing:
-    """Blocks sized from each row's mode evaluate few grid points past the
-    terms the series sums (a count of work, not a timing)."""
+    """The fixed blocks evaluate few grid points per row (a count of work,
+    not a timing)."""
 
     def test_criterion_3_rows(self, monkeypatch):
-        # the first 20,000 rows of criterion 3's seeded table
+        """The first 20,000 rows of criterion 3's seeded table: in either
+        pass every grid point is a summed term, and the rows stop by their
+        third block end (64 terms past the start) on average."""
         rng = np.random.default_rng(7)
         n_true = rng.poisson(np.full(100_000, 50.0))
         counts = rng.binomial(n_true[:, None], np.full((100_000, 3), 0.5))[:20_000].astype(float)
-        points, terms = _grid_points_per_row(
-            monkeypatch, counts, np.full(20_000, 50.0), np.full(counts.shape, 0.5), np.zeros(20_000),
-        )
-        assert points <= 1.25 * terms
+        args = (counts, np.full(20_000, 50.0), np.full(counts.shape, 0.5), np.zeros(20_000))
+        for moments in (False, True):
+            points, terms = _grid_points_per_row(monkeypatch, *args, moments=moments)
+            assert points == terms - 1
+            assert points <= 64.0
 
     @pytest.mark.parametrize("seed, ceiling", [(6, 44.5), (1, 37.3)])
     def test_fit_tables_at_their_ml_estimates(self, seed, ceiling, example_sim, ml_fit, monkeypatch):
@@ -878,10 +912,10 @@ class TestBlockSizing:
         points, _ = _grid_points_per_row(monkeypatch, *_ml_table(sim, fit))
         assert points <= ceiling
 
-    def test_only_a_value_pass_steps_toward_screened_modes(self, example_sim, ml_fit, monkeypatch):
+    def test_screened_rows_take_no_newton_steps(self, example_sim, ml_fit, monkeypatch):
         """The seed-6 table at its ML estimate, where every row is screened
-        and none moves: a value pass takes the two Newton steps that size
-        its blocks, and a moment pass, whose blocks are fixed, takes none."""
+        and none moves: neither pass steps toward the rows' modes, as blocks
+        that end at fixed offsets need no estimate of where a row stops."""
         inputs = _ml_table(example_sim, ml_fit)
         slopes = []
         log_ratio = likelihood._log_ratio
@@ -891,11 +925,11 @@ class TestBlockSizing:
             return log_ratio(*args, slope=slope)
 
         monkeypatch.setattr(likelihood, "_log_ratio", counted)
-        for moments, steps in ((False, 2), (True, 0)):
+        for moments in (False, True):
             slopes.clear()
             _, n_min, _, _ = _batch_series(*inputs, moments=moments)
             np.testing.assert_array_equal(n_min, np.max(inputs[0], axis=1))
-            assert slopes.count(True) == steps
+            assert slopes == [False]
 
 
 def _nb_moved_rows():

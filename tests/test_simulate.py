@@ -126,6 +126,15 @@ class TestFamilies:
         po = simulate(SimConfig(n_sites=200, n_years=3, theta=None, seed=2))
         assert nb.true_n.mean() == pytest.approx(po.true_n.mean(), rel=0.10)
 
+    @pytest.mark.parametrize("theta", [1e12, 1e15, 1e17, 1e20])
+    def test_huge_theta_draws_keep_the_mean(self, theta):
+        """At any theta the mean N lies within 3 Monte Carlo standard errors
+        of the mean lambda: the draws never lose lambda to rounding."""
+        sim = simulate(SimConfig(theta=theta, seed=2))
+        lam = sim.true_lambda
+        se = np.sqrt(np.sum(lam + lam**2 / theta)) / lam.size
+        assert abs(sim.true_n.mean() - lam.mean()) < 3.0 * se
+
     def test_config_validation(self):
         with pytest.raises(ModelError):
             simulate(SimConfig(n_sites=0))
