@@ -60,8 +60,10 @@ def _shifted(x):
 def log_factorial(n):
     """log n! for non-negative integers: a table read below _TABLE, else Stirling."""
     n = np.asarray(n, dtype=float)
-    out = _LOG_FACT.take(n.astype(np.intp), mode="clip")
-    return np.where(n >= _TABLE, _stirling(n + 1.0), out) if np.any(n >= _TABLE) else out
+    if not np.any(big := n >= _TABLE):
+        return _LOG_FACT.take(n.astype(np.intp), mode="clip")
+    # clipped before the cast: past 2**63 a double has no intp to give
+    return np.where(big, _stirling(n + 1.0), _LOG_FACT.take(np.minimum(n, _TABLE - 1).astype(np.intp)))
 
 
 def gammaln(x):

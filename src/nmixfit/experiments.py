@@ -127,6 +127,8 @@ def run_bias_experiment(
     return records ordered by (run, model, parameter)."""
     if runs < 1:
         raise ModelError("runs must be at least 1")
+    if workers < 1:
+        raise ModelError("workers must be at least 1")
     if base.theta is None:
         raise ModelError("the bias experiment requires a dispersion parameter")
     a4_stream, seed_stream = np.random.SeedSequence(seed).spawn(2)

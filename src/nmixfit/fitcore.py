@@ -26,9 +26,9 @@ from .model import (
 )
 
 
-# The trust region stops at a gradient 2-norm below _GRADIENT_TOL, and a fit
-# counts as converged below an infinity norm of _CONVERGED_NORM.  Radius rules are
-# trust-exact's (Nocedal & Wright, Alg. 4.1); the ratio test allows for rounding
+# The trust region stops at a gradient 2-norm below _GRADIENT_TOL; a fit not cut off at
+# _MAX_ITERATIONS is converged below an infinity norm of _CONVERGED_NORM.  Radius rules
+# are trust-exact's (Nocedal & Wright, Alg. 4.1); the ratio test allows for rounding
 _MAX_ITERATIONS, _GRADIENT_TOL, _CONVERGED_NORM = 500, 1e-5, 1e-4
 _RADIUS, _MAX_RADIUS, _ETA, _ROUNDING = 1.0, 1000.0, 0.15, 10.0 * np.finfo(float).eps
 _SUBPROBLEM_ITERATIONS, _SUBPROBLEM_TOL = 50, 1e-12
@@ -45,7 +45,8 @@ class FitResult:
     engine, the log posterior kernel for the Laplace engine.
     ``covariance`` is None only when the curvature at the mode was not
     finite and positive definite.
-    ``converged`` judges the score at the mode; ``optimizer_success`` and
+    ``converged`` judges the score at the mode, and is False for a fit
+    cut off at the iteration limit; ``optimizer_success`` and
     ``optimizer_message`` are the optimiser's own verdict and termination
     message.  ``kernel_passes`` counts the evaluations of the log density,
     one series pass each, covariance included.
@@ -179,7 +180,7 @@ def _trust_region(x: np.ndarray):
     return Optimum(
         x=x,
         value=float(point[0]),
-        converged=bool(gnorm < _CONVERGED_NORM),
+        converged=bool(gnorm < _CONVERGED_NORM) and status != 1,
         iterations=iterations,
         gradient_norm=gnorm,
         success=status == 0,
@@ -210,8 +211,9 @@ def maximize_log_density(log_density_derivs, starts) -> list[Optimum | NumericEr
     rejected step.  Each fit takes the steps it takes alone, and evaluates
     every point once.  Returns, per start, its :class:`Optimum`, whose
     gradient_norm is the infinity norm of the gradient at the returned
-    point (``converged`` compares it with ``_CONVERGED_NORM``), or a
-    NumericError if the objective is not finite at the start.
+    point (``converged`` compares it with ``_CONVERGED_NORM``, and is
+    False at the iteration limit), or a NumericError if the objective is
+    not finite at the start.
     """
     runs = [_trust_region(np.asarray(x0, dtype=float)) for x0 in starts]
     asked = [next(run) for run in runs]

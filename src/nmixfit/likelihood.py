@@ -13,10 +13,10 @@ The series is evaluated through consecutive term ratios,
     d(N) = D(N)/D(N-1) = lam (1 + (N - 1) phi) / (N (1 + lam phi)),
 
 so L = g(s) * (1 + r(s+1) + r(s+1) r(s+2) + ...), with only g(s) taken
-from log-pmfs and every term scaled to g(s).  Most rows start at s = y*;
-a row whose mode may lie far above y*, or whose g(y*) is small enough
-for a sum from y* to overflow, starts near its mode instead (see
-:func:`_series_start`).  Geometric bounds cover the skipped terms:
+from log-pmfs, every term scaled to g(s) and every r read from
+:func:`_ratio_parts`.  Most rows start at s = y*; a row whose mode may
+lie far above y*, or whose g(y*) is small enough for a sum from y* to
+overflow, starts near its mode instead (see :func:`_series_start`).  Geometric bounds cover the skipped terms:
 
 * right of N_max, ratio q(N) = prod_j [N / (N - y_j)](1 - p_j) *
   max(d(N), d_inf) dominates every later ratio from any start, since
@@ -36,8 +36,8 @@ with the rows.  Every output of a row, value, summed range and moments,
 depends on that row alone (see :func:`_sum_upward` and
 :func:`_series_start`), so many tables can share one pass (see
 :func:`tables_loglik_hessian`).  A row past its budget of 10,000 terms
-past its start gets a NaN value, and a sum that leaves double range +inf;
-:func:`_check_series` names it.
+past its start, or whose budget would reach 2**53, gets a NaN value, and
+a sum that leaves double range +inf; :func:`_check_series` names it.
 :func:`posterior_n` rebuilds a row's posterior pmf of N on its ranges.
 """
 
@@ -77,6 +77,8 @@ _TAIL_SAFETY = 0.5
 # The series always converges for p > 0, so an exhausted budget means the
 # row's posterior is too wide, never that it diverges.
 _TERM_BUDGET = 10000
+# Past 2**53 N + 1 rounds to N: a row whose budget reaches it is not summed (NaN).
+_N_EXACT = 2.0**53
 
 # A moved row starts _START_SDS sds below the summand's mode, and only
 # _MIN_SHIFT or more above y*, so rows near y* keep a plain sum's rounding.
@@ -85,9 +87,12 @@ _MIN_SHIFT = 64
 # Summed from y*, terms scaled to g(y*) add up to L / g(y*) <= 1 / g(y*):
 # no overflow while log g(y*) > -_LEAD_LIMIT, so rows below it always move.
 _LEAD_LIMIT = 600.0
-# A row's Newton steps stop once its step in log(N - y*) is below _NEWTON_TOL.
+# A row's Newton steps in u = log(N - y*) stop once a step is below _NEWTON_TOL.
+# Each takes log r's slope in u as a secant to (N - y*)(1 + _SECANT), which keeps
+# its digits at any N and is exact for log r's main part, -u far above y*.
 _NEWTON_STEPS = 10
 _NEWTON_TOL = 1e-3
+_SECANT = 2.0**-20
 
 # Elements in one rows x width working array (256 KiB of doubles): both
 # passes' block buffers, lambda_fitted's draws and posterior_n's pmfs are
@@ -204,13 +209,13 @@ def _once(f, theta):
 
 
 def _keep(lam, p, phi):
-    """Each cell's 1 - p, the first column times d's factor free of N, and
-    that factor, lam / (1 + lam phi): lam itself at phi = 0, else
-    1 / (phi + 1 / lam), as lam phi overflows for theta near 1e-304."""
-    scale = np.where(phi > 0.0, 1.0 / (phi + 1.0 / lam), lam)
+    """The rows x surveys factors of r free of N: each cell's 1 - p, the
+    first column times d's, lam / (1 + lam phi), taken as lam itself at
+    phi = 0 and else as 1 / (phi + 1 / lam), as lam phi overflows for
+    theta near 1e-304."""
     keep = 1.0 - p
-    keep[:, 0] *= scale
-    return keep, scale
+    keep[:, 0] *= np.where(phi > 0.0, 1.0 / (phi + 1.0 / lam), lam)
+    return keep
 
 
 def _take(rows, *inputs):
@@ -220,7 +225,9 @@ def _take(rows, *inputs):
 
 def _ratio_parts(n_grid, y0, keep, phi, work=None):
     """Term ratio r(N) = d(N) prod_j [N/(N-y_j)](1-p_j) on ``n_grid``, and
-    a bound q(N) on every later ratio.
+    a bound q(N) on every later ratio.  This is the one place r is
+    formed: the blocks' terms, the starts' screen and Newton steps, the
+    left-tail check and :func:`posterior_n` all read it here.
 
     ``y0`` and ``keep`` hold each cell's count and 1 - p, with 0 and 1 in
     missing cells, whose factor is then 1; ``keep``'s first column also
@@ -258,74 +265,55 @@ def _ratio_parts(n_grid, y0, keep, phi, work=None):
     return ratio, bound
 
 
-def _log_ratio(n, y0, base, phi, slope=False):
-    """log r(N) at one N per row and, if ``slope``, its derivative in N.
-
-    ``y0`` has missing cells set to 0; ``base`` is log r's part free of N.
-    The survey factors (each >= 1) are multiplied before the one log, so
-    an overflowing product gives inf, which still says r >= 1.  The
-    mixing factor (1 + (N - 1) phi) / N is taken as 1/N + (1 - 1/N) phi,
-    which cannot overflow and is 1/N to the bit at phi = 0.
-    """
-    col = n[:, None]
-    frac = col / (col - y0)
-    inv_n = 1.0 / n
-    f = base + np.log(np.multiply.reduce(frac, axis=1) * (inv_n + (1.0 - inv_n) * phi))
-    if not slope:
-        return f
-    # d/dN log[N / (N - y)] = (1 - N / (N - y)) / N
-    df = (frac.shape[1] - np.add.reduce(frac, axis=1)) / n
-    df += phi / (1.0 + (n - 1.0) * phi) - inv_n
-    return f, df
-
-
-def _series_start(ystar, y0, base, phi, lead):
+def _series_start(ystar, y0, keep, phi, lead):
     """Each row's start s, and the summand's sd at the mode of each row
     that may move (NaN elsewhere), which sizes its left-tail retries.
 
-    ``base`` is log r's part free of N and ``lead`` is log g(y*).  A row
-    moves to s = floor(m - c sd), m the summand's mode, when that is
-    ``_MIN_SHIFT`` above y*, or above y* at all if lead < -_LEAD_LIMIT.
-    The first needs D = m - y* >= _MIN_SHIFT + c sd, with sd >= sqrt(D / J)
-    (-d log r/dN <= (D + J y*) / (m D) at the mode, J surveys), so rows
-    with r < 1 at the root of D = _MIN_SHIFT + c sqrt(D / J) are screened
-    out and start at y*.  Bracketed Newton steps in u = log(N - y*), each
-    row stopping once its own step is below ``_NEWTON_TOL``, start from
-    the root of log r's large-N form: N - y* = exp(base) at phi = 0, exact
-    for one survey, and N = (sum_j y_j + theta - 1) / -(base + log phi)
-    for phi > 0.
+    ``keep`` is as in :func:`_ratio_parts`, which gives every r here, and
+    ``lead`` is log g(y*).  A row moves to s = floor(m - c sd), m the
+    summand's mode, when that is ``_MIN_SHIFT`` above y*, or above y* at
+    all if lead < -_LEAD_LIMIT.  The first needs D = m - y* >= _MIN_SHIFT
+    + c sd, with sd >= sqrt(D / J) (-d log r/dN <= (D + J y*) / (m D) at
+    the mode, J surveys), so rows with r < 1 at the root of D = _MIN_SHIFT
+    + c sqrt(D / J) are screened out and start at y*.  Bracketed Newton
+    steps in u = log(N - y*), each row stopping once its own step is below
+    ``_NEWTON_TOL``, read log r on the grid N, y* + (N - y*)(1 + _SECANT)
+    and take its slope in u as the secant between the two.  They start
+    from the root of log r's large-N form: N - y* = prod_j keep_j at
+    phi = 0, exact for one survey, and N = (sum_j y_j + theta - 1) /
+    -log(phi prod_j keep_j) for phi > 0.
     """
     start = ystar.copy()
-    guess = np.exp(base)
-    if (nb := np.flatnonzero(phi)).size:
-        sum_y, theta = np.add.reduce(y0[nb], axis=1), 1.0 / phi[nb]
-        guess[nb] = (sum_y + (theta - 1.0)) / -(base[nb] + np.log(phi[nb])) - ystar[nb]
+    sd = np.full(ystar.size, np.nan)
     c_j = _START_SDS / np.sqrt(y0.shape[1])
     reach = (0.5 * (c_j + np.sqrt(c_j**2 + 4.0 * _MIN_SHIFT))) ** 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        far = _log_ratio(ystar + reach, y0, base, phi) >= 0.0
-        screened = ~(far | (lead < -_LEAD_LIMIT))
-    sd = np.full(ystar.size, np.nan)
-    rows = np.flatnonzero(~screened)
-    if not rows.size:
-        return start, sd
-    ys = ystar[rows]
-    args = _take(rows, y0, base, phi)
-    # the root lies in (lo, hi); log r is decreasing on (y*, inf)
-    lo = np.where(far[rows], np.log(reach), -np.inf)
-    hi = np.where(far[rows], np.inf, np.log(reach))
-    u = np.log(np.maximum(guess[rows], reach))
-    slope = np.empty(rows.size)
-    live = np.arange(rows.size)
     with np.errstate(all="ignore"):
+        far = _ratio_parts((ystar + reach)[:, None], y0, keep, phi)[0][:, 0] >= 1.0
+        rows = np.flatnonzero(far | (lead < -_LEAD_LIMIT))
+        if not rows.size:
+            return start, sd
+        ys, far, args = ystar[rows], far[rows], _take(rows, y0, keep, phi)
+        guess = np.multiply.reduce(args[1], axis=1)
+        if (nb := np.flatnonzero(args[2])).size:
+            sum_y, phi_nb = np.add.reduce(args[0][nb], axis=1), args[2][nb]
+            guess[nb] = (sum_y + (1.0 / phi_nb - 1.0)) / -(np.log(guess[nb]) + np.log(phi_nb)) - ys[nb]
+        # the root lies in (lo, hi); log r is decreasing on (y*, inf)
+        lo = np.where(far, np.log(reach), -np.inf)
+        hi = np.where(far, np.inf, np.log(reach))
+        u = np.log(np.maximum(guess, reach))
+        slope = np.empty(rows.size)
+        live = np.arange(rows.size)
         for _ in range(_NEWTON_STEPS):
             u_l, lo_l, hi_l = u[live], lo[live], hi[live]
             gap = np.exp(u_l)
-            f, df = _log_ratio(ys[live] + gap, *_take(live, *args), slope=True)
-            slope[live] = df
+            grid = ys[live, None] + gap[:, None] * np.array([1.0, 1.0 + _SECANT])
+            log_r = np.log(_ratio_parts(grid, *_take(live, *args))[0])
+            f = log_r[:, 0]
+            df_du = (log_r[:, 1] - f) / np.log1p(_SECANT)
+            slope[live] = df_du / gap
             lo_l = np.where(f >= 0.0, u_l, lo_l)
             hi_l = np.where(f < 0.0, u_l, hi_l)
-            nxt = u_l - f / (df * gap)
+            nxt = u_l - f / df_du
             # outside the bracket, bisect it or widen it by e^2
             bisect = np.where(np.isinf(hi_l), lo_l + 2.0,
                               np.where(np.isinf(lo_l), hi_l - 2.0, 0.5 * (lo_l + hi_l)))
@@ -457,24 +445,26 @@ def _batch_series(counts, lam, p, phi, moments):
     psi'(s + k + theta) = psi'(s + theta) - h'_k.  ``moments`` changes no
     bit of ll, n_min or n_max, save that a row whose moment sums overflow
     gets ll = +inf.
-    Returns (ll, n_min, n_max, stats) with stats None or a
-    :class:`PosteriorMoments`.  Nothing here raises, and one row's failure
-    moves no bit of the others: ll is NaN past the term budget (no retry),
-    +inf past double range and -inf at zero likelihood; see :func:`_check_series`.
+    Returns (ll, n_min, n_max, stats), n_min and n_max as whole doubles
+    and stats None or a :class:`PosteriorMoments`.  Nothing here raises,
+    and one row's failure moves no bit of the others: ll is NaN past the
+    term budget (no retry) or, unsummed, where the budget would reach past
+    2**53, +inf past double range and -inf at zero likelihood; see
+    :func:`_check_series`.
     """
     n_rows = counts.shape[0]
     ystar = np.max(counts, axis=1)
-    keep, scale = _keep(lam, p, phi)
+    keep = _keep(lam, p, phi)
     lead = _leading_log_term(ystar, counts, lam, p, phi)
-    base = np.sum(np.log1p(-p), axis=1) + np.log(scale)
-    start, sd = _series_start(ystar, counts, base, phi, lead)
+    start, sd = _series_start(ystar, counts, keep, phi, lead)
     inputs = (counts, keep, phi)
     floor = _TAIL_SAFETY * _REL_FLOOR
-    out = (np.empty(n_rows), np.empty(n_rows), np.empty((6 if moments else 0, n_rows)))
+    out = (np.full(n_rows, np.nan), start.copy(), np.zeros((6 if moments else 0, n_rows)))
     part_sum, n_max, raw = out
-    _sum_upward(np.arange(n_rows), start, *inputs, floor, moments, out)
+    summed = np.flatnonzero(start + _TERM_BUDGET <= _N_EXACT)
+    _sum_upward(summed, start, *inputs, floor, moments, out)
 
-    pending = np.flatnonzero(start > ystar)
+    pending = summed[start[summed] > ystar[summed]]
     # c sd lower, then twice as far each time, so the retries end
     drop = np.ceil(_START_SDS * sd)
     while pending.size:
@@ -496,7 +486,7 @@ def _batch_series(counts, lam, p, phi, moments):
     # block end; a row whose moment sums overflowed gets inf too, and one past its
     # budget keeps NaN
     part_sum[np.isfinite(part_sum) & ~np.isfinite(np.add.reduce(raw, axis=0))] = np.inf
-    shifted = np.flatnonzero(start > ystar)
+    shifted = summed[start[summed] > ystar[summed]]
     if shifted.size:
         lead[shifted] = _leading_log_term(start[shifted], *_take(shifted, counts, lam, p, phi))
     ll = lead + np.log(part_sum)
@@ -519,7 +509,7 @@ def _batch_series(counts, lam, p, phi, moments):
             cov_n_psi=k_h - k * h,
             mean_dtrigamma=dtrigamma - h_prime,
         )
-    return ll, start.astype(int), n_max.astype(int), stats
+    return ll, start, n_max, stats
 
 
 def _check_series(ll, n_min, n_max, lam, unit):
@@ -528,12 +518,14 @@ def _check_series(ll, n_min, n_max, lam, unit):
     bad = np.flatnonzero(~np.isfinite(ll))
     if bad.size:
         k = bad[0]
-        where = f"{unit} {k} (lam={lam[k]:.6g}, start N={n_min[k]})"
+        where = f"{unit} {k} (lam={lam[k]:.6g}, start N={n_min[k]:.16g})"
         if ll[k] == -np.inf:
             raise NumericError(f"{unit} {k} gives the counts zero likelihood")
+        if n_min[k] + _TERM_BUDGET > _N_EXACT:
+            raise NumericError(f"terms past 2**53 cannot be counted (N + 1 rounds to N) for {where}")
         if np.isnan(ll[k]):
             raise NumericError(
-                f"term budget exhausted for {where}: {n_max[k] - n_min[k] + 1} terms summed without "
+                f"term budget exhausted for {where}: {n_max[k] - n_min[k] + 1:.0f} terms summed without "
                 f"meeting the relative floor; the budget is {_TERM_BUDGET} terms past the start"
             )
         raise NumericError(f"latent-abundance series overflowed double precision for {where}")
@@ -598,7 +590,7 @@ def posterior_n(
     _check_series(ll, n_min, n_max, lam, "posterior draw")
     lo, hi = int(n_min.min()), int(n_max.max())
     grid = np.arange(lo + 1.0, hi + 1.0)[None, :]
-    keep, _ = _keep(lam, p, phi)
+    keep = _keep(lam, p, phi)
     slabs = _row_slabs(lam.size, grid.size + 1)
     # row 0 holds the running total, so each slab's draws add to it in order
     pmfs = np.empty((max(r.stop - r.start for r in slabs) + 1, grid.size + 1))

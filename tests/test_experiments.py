@@ -58,6 +58,8 @@ class TestRunMechanics:
         [
             ({"runs": 0}, "runs must be at least 1"),
             ({"base": SimConfig(theta=None)}, "requires a dispersion parameter"),
+            ({"runs": 2, "workers": 0}, "workers must be at least 1"),
+            ({"runs": 2, "workers": -1}, "workers must be at least 1"),
         ],
     )
     def test_invalid_settings_are_model_errors(self, settings, message):

@@ -10,9 +10,11 @@ from nmixfit import (
     NumericError,
     ObservationTable,
     ParameterVector,
+    SimConfig,
     fit_ml,
     fitcore,
     likelihood,
+    simulate,
     table_row_logliks,
 )
 from nmixfit.fitcore import (
@@ -224,6 +226,29 @@ class TestKernelPasses:
         assert len(passes) <= 15
         assert fit.kernel_passes == len(passes)
         assert all(passes)
+
+
+class TestIterationLimit:
+    """A fit cut off at the iteration limit is not converged, whatever its
+    score reads there."""
+
+    def test_one_iteration_fit_is_not_converged(self, example_sim, monkeypatch):
+        """Even where the score test alone would pass any score."""
+        monkeypatch.setattr(fitcore, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(fitcore, "_CONVERGED_NORM", np.inf)
+        fit = fit_ml(example_sim.table_mean, example_sim.designs_mean, MixtureFamily.NEGBIN)
+        assert (fit.iterations, fit.converged, fit.optimizer_success) == (1, False, False)
+
+    def test_fit_on_the_theta_ridge_is_not_converged(self):
+        """An NB fit of data that are not overdispersed climbs the theta =
+        inf ridge to the limit, where its score's largest entry, 1.0e-5,
+        is below the converged test's 1e-4."""
+        sim = simulate(SimConfig(n_sites=30, n_years=2, theta=None, seed=9))
+        fit = fit_ml(sim.table_mean, sim.designs_mean, MixtureFamily.NEGBIN)
+        assert fit.kernel_passes == fitcore._MAX_ITERATIONS + 1
+        assert fit.gradient_norm < fitcore._CONVERGED_NORM
+        assert not fit.converged
+        assert fit.optimizer_message == "Maximum number of iterations has been exceeded."
 
 
 class TestDesignChecks:

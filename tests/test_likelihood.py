@@ -9,7 +9,9 @@ tautology.
 
 import ast
 import math
+import re
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import nbinom, poisson
+from scipy.stats import binom, nbinom, poisson
 
 from nmixfit import (
     DesignMatrices,
@@ -865,18 +867,25 @@ class TestSlabs:
         assert peak < 12 * 2**20
 
 
-def _grid_points_per_row(monkeypatch, counts, lam, p, phi, moments=True):
-    """Grid points the kernel evaluates per row, and terms it sums per row."""
-    points = []
+def _ratio_grids(monkeypatch):
+    """The shapes of the grids the kernel evaluates r on, as two lists that
+    fill as it runs: its blocks' (into the pass's buffers) and the rest."""
+    blocks, others = [], []
     ratio_parts = likelihood._ratio_parts
 
-    def counted(n_grid, *args, **kwargs):
-        points.append(np.size(n_grid))
-        return ratio_parts(n_grid, *args, **kwargs)
+    def counted(n_grid, y0, keep, phi, work=None):
+        (others if work is None else blocks).append(np.shape(n_grid))
+        return ratio_parts(n_grid, y0, keep, phi, work)
 
     monkeypatch.setattr(likelihood, "_ratio_parts", counted)
+    return blocks, others
+
+
+def _grid_points_per_row(monkeypatch, counts, lam, p, phi, moments=True):
+    """Block grid points the kernel evaluates per row, and terms it sums per row."""
+    blocks, _ = _ratio_grids(monkeypatch)
     _, n_min, n_max, _ = _batch_series(counts, lam, p, phi, moments=moments)
-    return sum(points) / lam.size, np.mean(n_max - n_min + 1)
+    return sum(np.prod(shape) for shape in blocks) / lam.size, np.mean(n_max - n_min + 1)
 
 
 def _ml_table(sim, fit):
@@ -915,21 +924,16 @@ class TestBlockSizing:
     def test_screened_rows_take_no_newton_steps(self, example_sim, ml_fit, monkeypatch):
         """The seed-6 table at its ML estimate, where every row is screened
         and none moves: neither pass steps toward the rows' modes, as blocks
-        that end at fixed offsets need no estimate of where a row stops."""
+        that end at fixed offsets need no estimate of where a row stops.
+        Outside the blocks, r is read only on the screen's one-column grid,
+        never on a Newton step's two columns."""
         inputs = _ml_table(example_sim, ml_fit)
-        slopes = []
-        log_ratio = likelihood._log_ratio
-
-        def counted(*args, slope=False):
-            slopes.append(slope)
-            return log_ratio(*args, slope=slope)
-
-        monkeypatch.setattr(likelihood, "_log_ratio", counted)
+        _, others = _ratio_grids(monkeypatch)
         for moments in (False, True):
-            slopes.clear()
+            others.clear()
             _, n_min, _, _ = _batch_series(*inputs, moments=moments)
             np.testing.assert_array_equal(n_min, np.max(inputs[0], axis=1))
-            assert slopes == [False]
+            assert others == [(inputs[1].size, 1)]
 
 
 def _nb_moved_rows():
@@ -947,6 +951,39 @@ def _nb_moved_rows():
         np.vstack([p, np.repeat(np.array(ps)[:, None], 3, axis=1)]),
         np.concatenate([phi, 1.0 / np.array(thetas)]),
     )
+
+
+def _lattice_mode_and_sd(y, lam, p, phi, top):
+    """The summand's lattice mode m, the last N with g(N) >= g(N - 1), and
+    sd = (log r(m) - log r(m + 1))^(-1/2), from scipy's log-pmfs on
+    max(y)..top."""
+    grid = np.arange(np.max(y), top + 1.0)
+    if phi == 0.0:
+        log_g = poisson.logpmf(grid, lam)
+    else:
+        log_g = nbinom.logpmf(grid, 1.0 / phi, 1.0 / (1.0 + lam * phi))
+    log_g += np.sum(binom.logpmf(y[:, None], grid, p[:, None]), axis=0)
+    log_r = np.diff(log_g)  # log r(N) at N = grid[1:]
+    at = np.flatnonzero(log_r >= 0.0)[-1]  # log r(m) = log_r[at]
+    return grid[at + 1], (log_r[at] - log_r[at + 1]) ** -0.5
+
+
+class TestSeriesStart:
+    """A moved row starts _START_SDS of the summand's sds below its mode,
+    both read off the pmfs here rather than off the kernel's term ratio."""
+
+    def test_moved_rows_start_nine_sds_below_the_mode(self):
+        tables = [
+            tuple(a[-3:] for a in _nb_moved_rows()),
+            tuple(a[:3] for a in _kernel_regime(2000.0, 0.02, 60, 5)),
+            tuple(a[:3] for a in _kernel_regime(2000.0, 0.5, 60, 5)),
+        ]
+        counts, lam, p, phi = (np.concatenate(parts) for parts in zip(*tables))
+        _, n_min, _, _ = _batch_series(counts, lam, p, phi, moments=False)
+        assert np.all(n_min > np.max(counts, axis=1))
+        for i in range(lam.size):
+            mode, sd = _lattice_mode_and_sd(counts[i], lam[i], p[i], phi[i], 50.0 * lam[i])
+            assert abs(n_min[i] - (mode - likelihood._START_SDS * sd)) <= 1.0
 
 
 class TestRowOrder:
@@ -1060,6 +1097,33 @@ class TestFailedRows:
         assert str(info.value).endswith("51 terms summed without meeting the relative floor; "
                                         "the budget is 50 terms past the start")
 
+    @pytest.mark.parametrize(
+        "y, p, lam",
+        [((3.0, 2.0, 4.0), 0.5, lam) for lam in (1e17, 1e19, 7e19, 1e20, 1e300)] + [((5.0,), 0.9, 7e307)],
+    )
+    def test_start_past_2_53_is_named(self, y, p, lam):
+        """A row whose budget past its start reaches 2**53, where N + 1
+        rounds to N, is not summed: no cast or log n! leaves range, and the
+        error names the cause and the start."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^terms past 2\*\*53 cannot be counted "
+                                                   r"\(N \+ 1 rounds to N\) for row 0 "
+                                                   rf"\(lam={re.escape(f'{lam:.6g}')}, start N=[\d.e+]+\)$"):
+                row_loglik_detail(_row(y, np.full(len(y), p), lam))
+
+    @pytest.mark.parametrize("lam", [1e13, 1e16])
+    def test_start_below_2_53_exhausts_the_budget(self, lam):
+        """Starts near 1.25e12 and 1.25e15 lie below 2**53, so these rows
+        are summed, and fail as past the budget."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=rf"^term budget exhausted for row 0 "
+                                                   rf"\(lam={re.escape(f'{lam:.6g}')}, start N=\d+\): 10001 "
+                                                   r"terms summed without meeting the relative floor; "
+                                                   r"the budget is 10000 terms past the start$"):
+                row_loglik_detail(_row((3.0, 2.0, 4.0), np.full(3, 0.5), lam))
+
     @pytest.mark.parametrize("entry", _ENTRIES)
     def test_overflow_is_named_and_is_no_budget(self, entry, monkeypatch):
         """Kept at y* = 10, the far-mode row's terms scaled to g(10) leave
@@ -1113,7 +1177,7 @@ class TestFailedRows:
 # choices (phi per row, d's N-free factor folded into keep's first column)
 # that only likelihood.py should know.
 _KERNEL_TERM_HELPERS = (
-    "_batch_series", "_check_series", "_keep", "_leading_log_term", "_log_ratio", "_phi",
+    "_batch_series", "_check_series", "_keep", "_leading_log_term", "_phi",
     "_ratio_parts", "_series_start", "_sum_upward", "_take",
 )
 
