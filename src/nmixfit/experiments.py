@@ -24,9 +24,9 @@ optimiser step of all of them shares one kernel pass (see
 :func:`mle._fit`).  Every fit's result is, to the bit, the one
 ``fit_laplace`` gives it alone from the generating values, so output
 order and content are deterministic and independent of the grouping and
-the worker count.  A group holds at most ``likelihood._BATCH_ROWS`` table
-rows (one replicate at least), and keeps only each replicate's table,
-designs and start, so a sweep's memory does not grow with its runs.
+the worker count.  A group holds at most ``_GROUP_ROWS`` table rows (one
+replicate at least), and keeps only each replicate's table, designs and
+start, so neither a sweep's memory nor a kernel pass grows with its runs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .laplace import (
     DEFAULT_PRIOR,
     fit_laplace,  # noqa: F401  perfbench/tracer.py wraps the name here; the sweep fits through _fit
 )
-from .likelihood import _BATCH_ROWS
 from .mle import _fit
 from .simulate import SimConfig, simulate
 
@@ -58,6 +57,7 @@ _PARAM_LABELS = (
 )
 
 _MODELS = ("averaged", "survey")
+_GROUP_ROWS = 8192  # the most table rows whose fits run in one lock-step group
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,33 +87,31 @@ def _problems(a4, sim_seed, base):
 def _run_group(payloads) -> list[BiasRecord]:
     """The records of a group of replicates, whose fits run in lock-step."""
     problems = [problem for _, a4, seed, base in payloads for problem in _problems(a4, seed, base)]
-    fits = iter(_fit(problems))
+    labels = [(run, a4, model) for run, a4, _, _ in payloads for model in _MODELS]
     records = []
-    for (run, a4, _, _), (*_, start) in zip(payloads, problems[::2]):
+    for (run, a4, model), (*_, start), fit in zip(labels, problems, _fit(problems)):
         truths = start.to_array()
-        for model in _MODELS:
-            fit = next(fits)
-            if isinstance(fit, NmixError):
-                estimates = np.full(truths.size, np.nan)
-                converged, passes, message = False, 0, str(fit)
-            else:
-                estimates = fit.estimates.to_array()
-                converged, passes, message = fit.converged, fit.kernel_passes, fit.optimizer_message
-            records += [
-                BiasRecord(
-                    run=run,
-                    a4_true=float(a4),
-                    model=model,
-                    parameter=label,
-                    truth=float(truths[i]),
-                    estimate=float(estimates[i]),
-                    bias=float(estimates[i] - truths[i]),
-                    converged=converged,
-                    kernel_passes=passes,
-                    optimizer_message=message,
-                )
-                for i, label in enumerate(_PARAM_LABELS)
-            ]
+        if isinstance(fit, NmixError):
+            estimates = np.full(truths.size, np.nan)
+            converged, passes, message = False, 0, str(fit)
+        else:
+            estimates = fit.estimates.to_array()
+            converged, passes, message = fit.converged, fit.kernel_passes, fit.optimizer_message
+        records += [
+            BiasRecord(
+                run=run,
+                a4_true=float(a4),
+                model=model,
+                parameter=label,
+                truth=float(truths[i]),
+                estimate=float(estimates[i]),
+                bias=float(estimates[i] - truths[i]),
+                converged=converged,
+                kernel_passes=passes,
+                optimizer_message=message,
+            )
+            for i, label in enumerate(_PARAM_LABELS)
+        ]
     return records
 
 
@@ -139,7 +137,7 @@ def run_bias_experiment(
     ]
     # a fork-started pool starts all its workers at once: no more than tasks
     workers = min(workers, runs)
-    per_group = max(_BATCH_ROWS // (len(_MODELS) * base.n_sites * base.n_years), 1)
+    per_group = max(_GROUP_ROWS // (len(_MODELS) * base.n_sites * base.n_years), 1)
     # a multiple of the workers, so each takes as many groups
     n_groups = min(runs, workers * -(-runs // (per_group * workers)))
     # consecutive runs, the group sizes differing by one at most

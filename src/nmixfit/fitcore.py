@@ -73,7 +73,11 @@ def _column_rank_report(matrix: np.ndarray, names: tuple[str, ...]) -> list[str]
     """Names of the columns that add nothing to the columns before them,
     empty if full rank.  In an unpivoted QR, |R_ii| is the norm of the part
     of column i outside the span of the columns before it, and columns past
-    the row count have no R_ii."""
+    the row count have no R_ii.  Each column is first scaled to a largest
+    |value| of 1, which leaves the rank as it is and the covariates' units
+    out of the test; a zero column stays zero."""
+    scale = np.max(np.abs(matrix), axis=0)
+    matrix = matrix / np.where(scale > 0.0, scale, 1.0)
     diag = np.abs(np.diag(np.linalg.qr(matrix, mode="r")))
     tol = max(matrix.shape) * np.finfo(float).eps * np.max(np.linalg.norm(matrix, axis=0))
     return [name for i, name in enumerate(names) if i >= diag.size or diag[i] <= tol]
@@ -148,12 +152,14 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> tuple[np.n
 
 def _trust_region(x: np.ndarray):
     """One fit's trust region from ``x``, as a generator: it yields each
-    point to evaluate, is sent back (value, gradient, Hessian) there, or
-    None where that is not finite, and returns the :class:`Optimum`; it
-    raises NumericError if the start is not finite."""
+    point to evaluate, is sent back (value, gradient, Hessian) there, the
+    NumericError that evaluating it raised, or None where the triple is
+    not finite, and returns the :class:`Optimum`; it raises NumericError,
+    naming the evaluation's own error if there is one, if the start fails."""
     point = yield x
-    if point is None:
-        raise NumericError("objective is not finite at the starting point")
+    if not isinstance(point, tuple):
+        cause = "" if point is None else f": {point}"
+        raise NumericError("objective is not finite at the starting point" + cause)
     iterations, radius, status = 0, _RADIUS, 0
     while np.linalg.norm(point[1]) >= _GRADIENT_TOL:
         if iterations >= _MAX_ITERATIONS:
@@ -168,7 +174,7 @@ def _trust_region(x: np.ndarray):
         trial_x = x + step
         trial = yield trial_x
         noise = _ROUNDING * max(1.0, abs(value))  # Conn, Gould & Toint 2000, 17.4.2
-        rho = -np.inf if trial is None else (trial[0] - value + noise) / (predicted + noise)
+        rho = (trial[0] - value + noise) / (predicted + noise) if isinstance(trial, tuple) else -np.inf
         if rho < 0.25:
             radius *= 0.25
         elif rho > 0.75 and on_boundary:
@@ -190,46 +196,40 @@ def _trust_region(x: np.ndarray):
     )
 
 
-def _finite(entry):
-    """An evaluation as float arrays, or None where it raised NumericError
-    or is not finite."""
-    if entry is None or isinstance(entry, NumericError):
-        return None
-    point = tuple(np.asarray(v, dtype=float) for v in entry)
-    return point if all(np.all(np.isfinite(v)) for v in point) else None
+def maximize_log_density(log_density_derivs, starts) -> dict[object, Optimum | NumericError]:
+    """Maximise one log density from each of ``starts``, a dict {key: x0},
+    by trust-region Newton steps, the fits in lock-step.
 
-
-def maximize_log_density(log_density_derivs, starts) -> list[Optimum | NumericError]:
-    """Maximise one log density from each of ``starts`` by trust-region
-    Newton steps, the fits in lock-step.
-
-    ``log_density_derivs(points)`` gets one entry per start: the point
-    where that fit asks for (value, gradient, Hessian) next, or None once
-    it has finished.  It returns a list of the same length holding the
-    triple at each point asked for, or the NumericError that evaluating
-    it raised; such a point, or one whose triple is not finite, is a
-    rejected step.  Each fit takes the steps it takes alone, and evaluates
-    every point once.  Returns, per start, its :class:`Optimum`, whose
+    ``log_density_derivs(points)`` gets a list of (key, x), one for each
+    fit still running, x the point where it asks for (value, gradient,
+    Hessian) next.  It returns a list of their entries in that order: the
+    triple at x, or the NumericError that evaluating it raised; such a
+    point, or one whose triple is not finite, is a rejected step.  Each fit
+    takes the steps it takes alone, and evaluates every point once.
+    Returns {key: result}, the result the fit's :class:`Optimum`, whose
     gradient_norm is the infinity norm of the gradient at the returned
     point (``converged`` compares it with ``_CONVERGED_NORM``, and is
     False at the iteration limit), or a NumericError if the objective is
-    not finite at the start.
+    not finite at the start, which carries the start's own error, if any.
     """
-    runs = [_trust_region(np.asarray(x0, dtype=float)) for x0 in starts]
-    asked = [next(run) for run in runs]
-    results = [None] * len(runs)
-    while any(x is not None for x in asked):
+    runs = {key: _trust_region(np.asarray(x0, dtype=float)) for key, x0 in starts.items()}
+    asked = {key: next(run) for key, run in runs.items()}
+    results = {}
+    while asked:
         with np.errstate(all="ignore"):
-            evaluated = log_density_derivs(asked)
-        for i, run in enumerate(runs):
-            if asked[i] is None:
-                continue
+            evaluated = log_density_derivs(list(asked.items()))
+        for key, entry in zip(list(asked), evaluated):
+            if not isinstance(entry, NumericError):
+                entry = tuple(np.asarray(v, dtype=float) for v in entry)
+                entry = entry if all(np.all(np.isfinite(v)) for v in entry) else None
             try:
-                asked[i] = run.send(_finite(evaluated[i]))
+                asked[key] = runs[key].send(entry)
+                continue
             except StopIteration as done:
-                results[i], asked[i] = done.value, None
+                results[key] = done.value
             except NumericError as exc:
-                results[i], asked[i] = exc, None
+                results[key] = exc
+            del asked[key]
     return results
 
 

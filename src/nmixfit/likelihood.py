@@ -98,9 +98,6 @@ _SECANT = 2.0**-20
 # passes' block buffers, lambda_fitted's draws and posterior_n's pmfs are
 # built one slab of rows at a time, so their size does not grow with rows.
 _SLAB = 1 << 15
-# The lock-step row cap: the tables that share one moment pass (see
-# tables_loglik_hessian) hold at most _BATCH_ROWS rows, so its per-row arrays stay small.
-_BATCH_ROWS = 8192
 
 
 def _row_slabs(n_rows, width):
@@ -455,7 +452,14 @@ def _batch_series(counts, lam, p, phi, moments):
     n_rows = counts.shape[0]
     ystar = np.max(counts, axis=1)
     keep = _keep(lam, p, phi)
-    lead = _leading_log_term(ystar, counts, lam, p, phi)
+    # a row whose budget would reach 2**53 is never summed, and its lead, whose
+    # log factorials may overflow, stays NaN
+    countable = ystar + _TERM_BUDGET <= _N_EXACT
+    if countable.all():
+        lead = _leading_log_term(ystar, counts, lam, p, phi)
+    else:
+        lead = np.full(n_rows, np.nan)
+        lead[countable] = _leading_log_term(ystar[countable], *_take(countable, counts, lam, p, phi))
     start, sd = _series_start(ystar, counts, keep, phi, lead)
     inputs = (counts, keep, phi)
     floor = _TAIL_SAFETY * _REL_FLOOR
@@ -718,8 +722,7 @@ def tables_loglik_hessian(problems):
     the bit, what its problem gives alone: (loglik, score, Hessian), or
     the NumericError that it raises.  Tables of different survey counts
     take separate passes: a padded survey would change how a row's start
-    is screened (see :func:`_series_start`).  Callers keep the tables to
-    ``_BATCH_ROWS`` rows in all.
+    is screened (see :func:`_series_start`).
     """
     results = [None] * len(problems)
     by_surveys = {}

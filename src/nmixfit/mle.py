@@ -38,50 +38,44 @@ def _fit(problems) -> list[FitResult | NmixError]:
     ``problems``: ML where ``prior`` is None, else the posterior mode under
     ``prior`` (a ``PriorSpec``) on the coefficient block.
 
-    The fits run in lock-step, and each step evaluates every running fit's
-    point in one kernel pass per survey count (see
-    :func:`likelihood.tables_loglik_hessian`).  Each entry of the result is
-    the FitResult the problem gets alone, to the bit, or the NmixError
-    that fitting it alone raises.  The optimiser is called through this
-    module's names, which perfbench/tracer.py wraps.
+    The fits run in lock-step, keyed by their index in ``problems``, and
+    each step evaluates every running fit's point in one kernel pass per
+    survey count (see :func:`likelihood.tables_loglik_hessian`).  Each
+    entry of the result is the FitResult the problem gets alone, to the
+    bit, or the NmixError that fitting it alone raises.  The optimiser is
+    called through this module's names, which perfbench/tracer.py wraps.
     """
-    results = [None] * len(problems)
-    fits, starts = [], []
-    for i, (table, designs, family, prior, start) in enumerate(problems):
+    results, starts = {}, {}
+    for i, (table, designs, family, _, start) in enumerate(problems):
         try:
             check_designs_for_fit(table, designs, family)
             x0 = (default_start(table, designs, family) if start is None else start).to_array()
             _vector(x0, designs, family)
+            starts[i] = x0
         except NmixError as exc:
             results[i] = exc
-            continue
-        fits.append((i, table, designs, family, prior))
-        starts.append(x0)
 
     def log_density_derivs(points):
-        asked, tables = [k for k, x in enumerate(points) if x is not None], []
-        for k in asked:
-            _, table, designs, family, _ = fits[k]
-            tables.append((_vector(points[k], designs, family), table, designs, family))
+        tables = []
+        for i, x in points:
+            table, designs, family, _, _ = problems[i]
+            tables.append((_vector(x, designs, family), table, designs, family))
         evaluated = tables_loglik_hessian(tables)
-        out = [None] * len(points)
-        for k, entry in zip(asked, evaluated):
-            _, _, designs, _, prior = fits[k]
-            if prior is not None and not isinstance(entry, NumericError):
-                x, n_coef = points[k], designs.p_lambda + designs.p_detect
-                loglik, score, hess = entry
+        for k, (i, x) in enumerate(points):
+            _, designs, _, prior, _ = problems[i]
+            if prior is not None and not isinstance(evaluated[k], NumericError):
+                n_coef = designs.p_lambda + designs.p_detect
+                loglik, score, hess = evaluated[k]
                 score[:n_coef] += prior.score(x[:n_coef])
                 hess[:n_coef, :n_coef] += prior.hessian(x[:n_coef])
-                entry = loglik + prior.log_density(x[:n_coef]), score, hess
-            out[k] = entry
-        return out
+                evaluated[k] = loglik + prior.log_density(x[:n_coef]), score, hess
+        return evaluated
 
-    optima = maximize_log_density(log_density_derivs, starts)
-    for (i, _, designs, family, _), opt in zip(fits, optima):
-        if isinstance(opt, NmixError):
-            results[i] = opt
-            continue
-        results[i] = FitResult(
+    results.update(maximize_log_density(log_density_derivs, starts))
+    fits = []
+    for i, (_, designs, family, _, _) in enumerate(problems):
+        opt = results[i]
+        fits.append(opt if isinstance(opt, NmixError) else FitResult(
             estimates=_vector(opt.x, designs, family),
             covariance=covariance_from_log_density(opt.hessian),
             loglik=opt.value,
@@ -93,8 +87,8 @@ def _fit(problems) -> list[FitResult | NmixError]:
             optimizer_success=opt.success,
             optimizer_message=opt.message,
             kernel_passes=opt.passes,
-        )
-    return results
+        ))
+    return fits
 
 
 def _fit_one(table, designs, family, prior, start) -> FitResult:

@@ -173,7 +173,8 @@ class TestGeneratingStart:
         failed = [r for r in records if r.model == "averaged"]
         assert all(math.isnan(r.estimate) and not r.converged for r in failed)
         assert {(r.kernel_passes, r.optimizer_message) for r in failed} == {
-            (0, "objective is not finite at the starting point")
+            (0, "objective is not finite at the starting point: "
+                "abundance linear predictor 1002.99 at row 18 overflows exp()")
         }
         reference = run_bias_experiment(runs=1, seed=42, base=SMALL)
         survey = [r for r in records if r.model == "survey"]
@@ -231,7 +232,7 @@ class TestPassSharing:
 
     @pytest.mark.parametrize("runs, workers", [(4, 1), (50, 1), (50, 2), (50, 8), (7, 4), (3, 8)])
     def test_each_worker_takes_as_many_groups(self, monkeypatch, pools, runs, workers):
-        """Consecutive groups of near-equal size, each within the batch cap
+        """Consecutive groups of near-equal size, each within the group cap
         (6 replicates of the default 648-row tables), and as many for
         every worker while there are runs enough."""
         groups = []
@@ -239,7 +240,7 @@ class TestPassSharing:
         run_bias_experiment(runs=runs, seed=0, workers=workers)
         sizes = [len(g) for g in groups]
         assert [run for g in groups for run in g] == list(range(runs))
-        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= likelihood._BATCH_ROWS // (2 * 648)
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= experiments._GROUP_ROWS // (2 * 648)
         assert len(groups) % min(workers, runs) == 0 or len(groups) == runs
 
     def test_records_hold_single_fits(self, monkeypatch):
@@ -248,7 +249,7 @@ class TestPassSharing:
 
     def test_memory_does_not_grow_with_the_runs(self):
         """A group keeps its replicates' tables and designs, not their
-        simulations, and at most likelihood._BATCH_ROWS rows: 40 runs peak
+        simulations, and at most experiments._GROUP_ROWS rows: 40 runs peak
         within 1 MiB of 12 (numpy reports its buffers to tracemalloc)."""
         peaks = []
         for runs in (12, 40):

@@ -1,5 +1,7 @@
 """Optimizer core: mode finding, curvature inversion, design checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,14 +34,14 @@ def _maximize(f, x0):
 
     def each(points):
         out = []
-        for x in points:
+        for _, x in points:
             try:
-                out.append(None if x is None else f(x))
+                out.append(f(x))
             except NumericError as exc:
                 out.append(exc)
         return out
 
-    (opt,) = maximize_log_density(each, [x0])
+    (opt,) = maximize_log_density(each, {0: x0}).values()
     if isinstance(opt, NumericError):
         raise opt
     return opt
@@ -128,11 +130,48 @@ class TestMaximize:
         assert any(e.startswith("term budget exhausted for row ") for e in errors)
 
     def test_non_finite_start_is_an_error(self):
-        with pytest.raises(NumericError, match="starting point"):
+        with pytest.raises(NumericError, match="^objective is not finite at the starting point$"):
             _maximize(
                 lambda x: (-np.inf, np.full(1, np.nan), np.full((1, 1), np.nan)),
                 np.array([0.5]),
             )
+
+    def test_start_error_names_its_cause(self):
+        """A NumericError at the start reaches the fit with its own message;
+        at a trial point it is a rejected step (see above)."""
+
+        def f(x):
+            raise NumericError("row 0 is past the budget")
+
+        with pytest.raises(NumericError, match="^objective is not finite at the starting point: "
+                                               "row 0 is past the budget$"):
+            _maximize(f, np.array([0.5]))
+
+    def test_callback_gets_the_running_fits_only(self):
+        """Three concave quadratics of different curvature, from different
+        distances, in one call: each callback call holds, keyed and in the
+        order of the starts, exactly the fits still running, so a finished
+        fit never comes back, and each fit ends as it does alone, to the bit."""
+        curvature = {"near": 0.3, "mid": 2.0, "far": 40.0}
+        starts = {"near": np.array([0.5, -0.2]), "mid": np.array([3.0, 1.0]),
+                  "far": np.array([-40.0, 25.0])}
+
+        def quadratic(c):
+            return lambda x: (-0.5 * c * (x @ x), -c * x, -c * np.eye(x.size))
+
+        calls = []
+
+        def each(points):
+            calls.append([key for key, _ in points])
+            return [quadratic(curvature[key])(x) for key, x in points]
+
+        optima = maximize_log_density(each, starts)
+        passes = {key: opt.passes for key, opt in optima.items()}
+        assert len(set(passes.values())) == 3
+        assert calls == [[key for key in starts if t < passes[key]] for t in range(len(calls))]
+        for key, opt in optima.items():
+            alone = _maximize(quadratic(curvature[key]), starts[key])
+            assert [np.asarray(v).tolist() for v in opt] == [np.asarray(v).tolist() for v in alone]
 
     def test_hard_case_start_leaves_along_the_curvature(self):
         # at (0, 0) the gradient (2, 0) is orthogonal to the direction (0, 1)
@@ -294,6 +333,19 @@ class TestDesignChecks:
 
     def test_columns_past_the_row_count_are_named(self):
         matrix = np.random.default_rng(4).normal(size=(2, 4))
+        assert fitcore._column_rank_report(matrix, ("a", "b", "c", "d")) == ["c", "d"]
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-17, 1e16, 1e155, 1e300])
+    def test_rank_does_not_depend_on_the_units(self, scale):
+        """[1, s x] is full rank at any scale s, and no norm overflows."""
+        matrix = np.column_stack([np.ones(8), scale * np.linspace(-1, 1, 8)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fitcore._column_rank_report(matrix, ("(Intercept)", "x1")) == []
+
+    def test_scaled_duplicate_and_zero_columns_are_named(self):
+        x = np.linspace(-1, 1, 8)
+        matrix = np.column_stack([np.ones(8), x, 1e100 * x, np.zeros(8)])
         assert fitcore._column_rank_report(matrix, ("a", "b", "c", "d")) == ["c", "d"]
 
     def test_more_parameters_than_rows(self):

@@ -708,6 +708,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: line 3: count y2={cell!r} is not a non-negative integer\n"
 
+    def test_start_the_kernel_cannot_evaluate_exits_4_naming_its_cause(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("site,year,y1,y2\n1,1,3e20,2\n2,1,1,0\n3,1,2,1\n")
+        code = main(["fit", "--dataset", str(path), "--engine", "ml", "--family", "poisson",
+                     "--output-dir", str(tmp_path)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: objective is not finite at the starting point: terms past 2**53 cannot be "
+            "counted (N + 1 rounds to N) for row 0 (lam=1e+20, start N=3.249999999549999e+20)\n"
+        )
+
     def test_row_without_counts_exits_2_naming_its_line(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"
         path.write_text("site,year,y1,y2\n1,1,2,3\n2,1,,\n")

@@ -1112,6 +1112,18 @@ class TestFailedRows:
                                                    rf"\(lam={re.escape(f'{lam:.6g}')}, start N=[\d.e+]+\)$"):
                 row_loglik_detail(_row(y, np.full(len(y), p), lam))
 
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    @pytest.mark.parametrize("count", [1e300, 1e307])
+    def test_count_past_2_53_is_named_without_a_warning(self, entry, count):
+        """A count whose log n! overflows (past about 2.5e305) is never summed,
+        and its leading term is never formed: every entry names 2**53."""
+        unit, call = _at_entry(entry, [count], 2.0 * count, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=rf"^terms past 2\*\*53 cannot be counted "
+                                                   rf"\(N \+ 1 rounds to N\) for {unit} 0 "):
+                call()
+
     @pytest.mark.parametrize("lam", [1e13, 1e16])
     def test_start_below_2_53_exhausts_the_budget(self, lam):
         """Starts near 1.25e12 and 1.25e15 lie below 2**53, so these rows
