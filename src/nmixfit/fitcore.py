@@ -32,6 +32,10 @@ from .model import (
 _MAX_ITERATIONS, _GRADIENT_TOL, _CONVERGED_NORM = 500, 1e-5, 1e-4
 _RADIUS, _MAX_RADIUS, _ETA, _ROUNDING = 1.0, 1000.0, 0.15, 10.0 * np.finfo(float).eps
 _SUBPROBLEM_ITERATIONS, _SUBPROBLEM_TOL = 50, 1e-12
+# These limits are in the coefficients' own units, so fits are only asked of designs whose
+# columns' largest |values| lie within _SCALE_SPREAD of each other (wider spreads were seen
+# to stop short of the mode, some reported converged)
+_SCALE_SPREAD = 1e4
 _STATUS_MESSAGES = ("Optimization terminated successfully.",
                     "Maximum number of iterations has been exceeded.",
                     "A bad approximation caused failure to predict improvement.")
@@ -86,25 +90,27 @@ def _column_rank_report(matrix: np.ndarray, names: tuple[str, ...]) -> list[str]
 def check_designs_for_fit(
     table: ObservationTable, designs: DesignMatrices, family: MixtureFamily
 ) -> None:
-    """Reject mismatched, under-determined or rank-deficient fitting problems."""
+    """Reject mismatched, under-determined, rank-deficient or badly scaled
+    fitting problems."""
     check_table_designs(table, designs)
     n_params = designs.p_lambda + designs.p_detect + (1 if family.has_dispersion else 0)
     if table.n_rows < n_params:
         raise ModelError(
             f"{n_params} parameters but only {table.n_rows} rows; the fit is under-determined"
         )
-    bad = _column_rank_report(np.asarray(designs.abundance_design), designs.abundance_names)
-    if bad:
-        raise ModelError(
-            "abundance design is rank deficient; collinear columns: " + ", ".join(bad)
-        )
     stacked = np.asarray(designs.detection_design)[table.mask]
-    bad = _column_rank_report(stacked, designs.detection_names)
-    if bad:
-        raise ModelError(
-            "detection design is rank deficient over the observed cells; "
-            "collinear columns: " + ", ".join(bad)
-        )
+    for label, design, names in (
+        ("abundance design", np.asarray(designs.abundance_design), designs.abundance_names),
+        ("detection design over the observed cells", stacked, designs.detection_names),
+    ):
+        bad = _column_rank_report(design, names)
+        if bad:
+            raise ModelError(f"{label} is rank deficient; collinear columns: " + ", ".join(bad))
+        scale = np.max(np.abs(design), axis=0)
+        big, small = np.argmax(scale), np.argmin(scale)
+        if float(scale[big]) > _SCALE_SPREAD * float(scale[small]):
+            raise ModelError(f"{label} columns differ in scale past {_SCALE_SPREAD:g} ({names[big]} "
+                             f"reaches {scale[big]:g}, {names[small]} {scale[small]:g}); rescale them")
 
 
 class Optimum(NamedTuple):

@@ -453,13 +453,10 @@ def _batch_series(counts, lam, p, phi, moments):
     ystar = np.max(counts, axis=1)
     keep = _keep(lam, p, phi)
     # a row whose budget would reach 2**53 is never summed, and its lead, whose
-    # log factorials may overflow, stays NaN
-    countable = ystar + _TERM_BUDGET <= _N_EXACT
-    if countable.all():
+    # log factorials may overflow, is NaN; the lead is formed row by row
+    with np.errstate(all="ignore"):
         lead = _leading_log_term(ystar, counts, lam, p, phi)
-    else:
-        lead = np.full(n_rows, np.nan)
-        lead[countable] = _leading_log_term(ystar[countable], *_take(countable, counts, lam, p, phi))
+    lead[ystar + _TERM_BUDGET > _N_EXACT] = np.nan
     start, sd = _series_start(ystar, counts, keep, phi, lead)
     inputs = (counts, keep, phi)
     floor = _TAIL_SAFETY * _REL_FLOOR

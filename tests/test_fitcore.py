@@ -348,6 +348,21 @@ class TestDesignChecks:
         matrix = np.column_stack([np.ones(8), x, 1e100 * x, np.zeros(8)])
         assert fitcore._column_rank_report(matrix, ("a", "b", "c", "d")) == ["c", "d"]
 
+    @pytest.mark.parametrize("scale", [1e-17, 1e16])
+    @pytest.mark.parametrize("which", ["abundance", "detection"])
+    def test_columns_of_too_different_scales_are_refused(self, scale, which):
+        """The fit's limits are in the coefficients' units, so it would stop
+        short of such a design's mode; the design is refused, and not as
+        collinear."""
+        x = scale * np.linspace(-1, 1, 8)
+        a = np.column_stack([np.ones(8), x]) if which == "abundance" else np.ones((8, 1))
+        d = np.ones((8, 2, 1))
+        if which == "detection":
+            d = np.stack([np.ones((8, 2)), np.column_stack([x, -x])], axis=2)
+        with pytest.raises(ModelError, match=f"^{which} design.* differ in scale past 1") as refused:
+            check_designs_for_fit(self._table(8), DesignMatrices(a, d), MixtureFamily.POISSON)
+        assert "collinear" not in str(refused.value)
+
     def test_more_parameters_than_rows(self):
         designs = DesignMatrices(
             np.column_stack([np.ones(2), [0.1, 0.2]]),

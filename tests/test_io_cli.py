@@ -719,6 +719,44 @@ class TestCli:
             "counted (N + 1 rounds to N) for row 0 (lam=1e+20, start N=3.249999999549999e+20)\n"
         )
 
+    def _scaled_x1(self, tmp_path, factor):
+        """The 5-site, 2-year simulation's mean counts with x1 times ``factor``."""
+        main(["simulate", "--sites", "5", "--years", "2", "--output-dir", str(tmp_path)])
+        rows = (tmp_path / "sim_counts_mean.csv").read_text().splitlines()
+        at = rows[0].split(",").index("x1")
+        for i, row in enumerate(rows[1:], 1):
+            cells = row.split(",")
+            cells[at] = repr(float(cells[at]) * factor)
+            rows[i] = ",".join(cells)
+        path = tmp_path / f"x1_{factor:g}.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("factor", [1e-17, 1e16])
+    def test_covariate_scaled_past_what_the_fit_resolves_exits_3(self, tmp_path, capsys, factor):
+        """With x1 x 1e-17 the fit once reported converged=True at loglik
+        -67.35227, short of the mode's -67.34505; such a design is refused."""
+        path = self._scaled_x1(tmp_path, factor)
+        capsys.readouterr()
+        code = main(["fit", "--dataset", str(path), "--engine", "ml", "--family", "poisson",
+                     "--lambda-covariates", "x1", "--output-dir", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "abundance design columns differ in scale past 10000" in err
+        assert "collinear" not in err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e3])
+    def test_covariate_scaled_within_the_spread_reaches_the_mode(self, tmp_path, factor):
+        fits = [
+            fit_ml(*build_designs(read_dataset(self._scaled_x1(tmp_path, f)), ("x1",), ())[:2],
+                   MixtureFamily.POISSON)
+            for f in (1.0, factor)
+        ]
+        assert all(fit.converged for fit in fits)
+        assert fits[1].loglik == pytest.approx(fits[0].loglik, abs=1e-9)
+        assert fits[1].estimates.beta[1] * factor == pytest.approx(fits[0].estimates.beta[1], rel=1e-6)
+
     def test_row_without_counts_exits_2_naming_its_line(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"
         path.write_text("site,year,y1,y2\n1,1,2,3\n2,1,,\n")
