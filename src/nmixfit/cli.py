@@ -119,14 +119,19 @@ def build_parser() -> argparse.ArgumentParser:
         "lambda-fitted", help="posterior summaries of each row's abundance mean"
     )
     _fit_flags(p, engines=("laplace",))
-    p.add_argument("--samples", type=_positive_int, default=None, help="posterior draws (default 4000)")
+    p.add_argument(
+        "--samples",
+        type=_positive_int,
+        default=None,
+        help="ignored: the summaries are exact, so neither --samples nor --seed changes them",
+    )
     _common_flags(p)
 
     p = sub.add_parser(
         "posterior-n", help="posterior distribution of one row's latent abundance"
     )
     _fit_flags(p, engines=("laplace",))
-    p.add_argument("--samples", type=_positive_int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None, help="posterior draws (default 4000)")
     p.add_argument("--row", type=_positive_int, default=None, help="1-based data row (default 1)")
     _common_flags(p)
 
@@ -304,20 +309,13 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _posterior_samples(args, table, designs, family):
-    fit, elapsed = _run_engine(args, table, designs, family)
-    _default(args, "samples", 4000)
-    samples = sample_posterior(fit, args.samples, args.seed)
-    return fit, samples, elapsed
-
-
 def _cmd_lambda_fitted(args) -> int:
     table, designs, family, kept = _prepare_fit(args)
-    fit, samples, elapsed = _posterior_samples(args, table, designs, family)
+    fit, elapsed = _run_engine(args, table, designs, family)
     # number each summary by its data row, not its design row
     rows = [
         replace(r, index=int(k))
-        for r, k in zip(lambda_fitted(samples, designs), np.flatnonzero(kept) + 1)
+        for r, k in zip(lambda_fitted(fit, designs), np.flatnonzero(kept) + 1)
     ]
     path = _out_path(args, "lambda_fitted.csv")
     write_records(path, rows, LambdaFittedSummary)
@@ -337,8 +335,8 @@ def _row_draws(samples, table, designs, idx):
     lam = lambda_from_predictor(
         samples.beta_draws() @ np.asarray(designs.abundance_design[idx]), units=("draw",)
     )
-    # one matrix-vector product per draw, as detection_probs makes one per
-    # row, so each draw's p equals detection_probs' at that draw to the bit
+    # one small product per draw; each cell is the same k-term dot product
+    # as in detection_probs' one 2-D product, and equals it to the bit
     eta_p = np.asarray(designs.detection_design[idx]) @ samples.alpha_draws()[:, :, None]
     p = p_from_predictor(eta_p[:, observed, 0])
     log_theta = samples.log_theta_draws()
@@ -354,7 +352,9 @@ def _cmd_posterior_n(args) -> int:
     if not kept[args.row - 1]:
         raise DataError(f"--row {args.row}: that data row was dropped, as it has no usable survey")
     idx = int(np.count_nonzero(kept[: args.row - 1]))
-    fit, samples, elapsed = _posterior_samples(args, table, designs, family)
+    fit, elapsed = _run_engine(args, table, designs, family)
+    _default(args, "samples", 4000)
+    samples = sample_posterior(fit, args.samples, args.seed)
     y_row, lam_draws, p_draws, theta_draws = _row_draws(samples, table, designs, idx)
     probs = posterior_n(y_row, lam_draws, p_draws, theta_draws=theta_draws)
     grid = np.arange(int(y_row.max()), int(y_row.max()) + probs.size)

@@ -2,15 +2,17 @@
 
 The posterior over (beta, alpha, log_theta) is approximated by a
 Gaussian centred at the mode with covariance equal to the inverse
-negative Hessian there.  Downstream quantities (fitted abundance means,
-and through :func:`likelihood.posterior_n` the posterior over a row's
-latent N) are Monte Carlo summaries over draws from that Gaussian.
+negative Hessian there.  Under it each row's abundance mean is log-normal,
+so :func:`lambda_fitted` summarises it in closed form; the posterior over
+a row's latent N (:func:`likelihood.posterior_n`) is averaged over draws
+from that Gaussian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -20,10 +22,7 @@ from .fitcore import (
     covariance_from_log_density,  # noqa: F401  perfbench/tracer.py wraps the name here
     maximize_log_density,  # noqa: F401  perfbench/tracer.py wraps the name here
 )
-from .likelihood import (
-    _row_slabs,
-    table_loglik,  # noqa: F401  perfbench/tracer.py wraps the name here
-)
+from .likelihood import table_loglik  # noqa: F401  perfbench/tracer.py wraps the name here
 from .mle import _fit_one
 from .model import (
     DesignMatrices,
@@ -31,7 +30,6 @@ from .model import (
     ObservationTable,
     ParameterVector,
     _frozen_array,
-    lambda_from_predictor,
 )
 
 
@@ -71,6 +69,9 @@ class PriorSpec:
 
 
 DEFAULT_PRIOR = PriorSpec()
+
+# the 97.5% quantile of the standard normal
+_Z975 = NormalDist().inv_cdf(0.975)
 
 
 def fit_laplace(
@@ -158,54 +159,41 @@ class LambdaFittedSummary:
     q975: float
 
 
-def lambda_fitted(
-    samples: PosteriorSamples, designs: DesignMatrices
-) -> list[LambdaFittedSummary]:
-    """Per-row posterior summaries of lambda = exp(X beta); NumericError
-    names the draw and the row where exp() overflows.
+def lambda_fitted(fit: FitResult, designs: DesignMatrices) -> list[LambdaFittedSummary]:
+    """Per-row posterior summaries of lambda = exp(x beta) under the fit's
+    Gaussian, in closed form.
 
-    lambda is laid out rows x draws, so each row's draws are contiguous,
-    and is built, summarised and dropped one slab of rows at a time (see
-    :func:`likelihood._row_slabs`): a slab holds about 2**15 values, and
-    never fewer than one row's draws, whatever the number of rows.  The
-    mean and the sd (n-1 denominator) are summed along each row's draws.
-    The quantiles are numpy's "linear" method (Hyndman & Fan's type 7),
-    read from the order statistics of one sort per row.  Wherever no slab
-    is a lone row (up to 10,922 draws, where a slab takes three rows or
-    more, and up to 16,384 for an even number of rows), every row's
-    summary is the one a single rows x draws array gives, to the bit.
-    When several predictors overflow, the error names the largest in the
-    first slab that holds one, by its row in the table.
+    With mu = x beta_hat and s2 = x S x', S the abundance block of the
+    covariance, log lambda ~ N(mu, s2), so lambda is log-normal: its mean
+    is exp(mu + s2/2), its sd the mean times sqrt(expm1(s2)), its median
+    exp(mu) and its 2.5% and 97.5% quantiles exp(mu -/+ z s), z the 97.5%
+    normal quantile.  Raises ModelError when the fit carries no covariance
+    or its beta does not match the design width, and NumericError naming
+    the first row whose s2 is negative or whose summaries overflow.
     """
-    if samples.p_lambda != designs.p_lambda:
-        raise ModelError("samples and designs disagree on the abundance design width")
-    x, beta = np.asarray(designs.abundance_design), samples.beta_draws()
-    n = samples.n_draws
-    mean, sd, q = np.empty(designs.n_rows), np.zeros(designs.n_rows), np.empty((3, designs.n_rows))
-    # numpy's "linear" arithmetic on the order statistics a <= b around (n-1)q
-    virtual = (n - 1) * np.array([0.025, 0.5, 0.975])
-    below = np.floor(virtual).astype(np.intp)
-    above = np.minimum(below + 1, n - 1)
-    gamma = virtual - below
-    for rows in _row_slabs(designs.n_rows, n):
-        eta = x[rows] @ beta.T
-        lam = lambda_from_predictor(eta.T, units=("draw", "row"), origin=(0, rows.start)).T
-        del eta
-        mean[rows] = lam.mean(axis=1)
-        if n > 1:
-            sd[rows] = lam.std(axis=1, ddof=1)
-        lam.sort(axis=1)
-        a, b = lam[:, below], lam[:, above]
-        q[:, rows] = np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma).T
-    return [
-        LambdaFittedSummary(
-            index=i + 1,
-            mean=float(mean[i]),
-            sd=float(sd[i]),
-            q025=float(q[0, i]),
-            median=float(q[1, i]),
-            q975=float(q[2, i]),
+    if fit.covariance is None:
+        raise ModelError("fit carries no covariance; cannot summarise the posterior")
+    beta = fit.estimates.beta
+    if beta.size != designs.p_lambda:
+        raise ModelError("fit and designs disagree on the abundance design width")
+    x = designs.abundance_design
+    mu = x @ beta
+    s2 = np.einsum("ij,jk,ik->i", x, fit.covariance[: beta.size, : beta.size], x)
+    bad = np.flatnonzero(~(s2 >= 0.0))
+    if bad.size:
+        i = bad[0]
+        raise NumericError(f"abundance predictor variance {s2[i]:.6g} at row {i} is negative")
+    zs = _Z975 * np.sqrt(s2)
+    # an overflow (or 0 * inf in the sd) is caught below and names its row
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.exp(mu + 0.5 * s2)
+        sd = mean * np.sqrt(np.expm1(s2))
+        values = np.stack([mean, sd, np.exp(mu - zs), np.exp(mu), np.exp(mu + zs)])
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"lambda summaries at row {i} overflow exp(): abundance predictor {mu[i]:.6g}, "
+            f"variance {s2[i]:.6g}"
         )
-        for i in range(designs.n_rows)
-    ]
-
+    return [LambdaFittedSummary(i, *row) for i, row in enumerate(values.T.tolist(), start=1)]

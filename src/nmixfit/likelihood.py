@@ -95,21 +95,16 @@ _NEWTON_TOL = 1e-3
 _SECANT = 2.0**-20
 
 # Elements in one rows x width working array (256 KiB of doubles): both
-# passes' block buffers, lambda_fitted's draws and posterior_n's pmfs are
-# built one slab of rows at a time, so their size does not grow with rows.
+# passes' block buffers and posterior_n's pmfs are built one slab of rows
+# at a time, so their size does not grow with rows.
 _SLAB = 1 << 15
 
 
 def _row_slabs(n_rows, width):
     """Consecutive slices of ``range(n_rows)`` of at most _SLAB // width
-    rows each (one row at least); where two rows fit, the last never holds
-    one row alone, as a matrix product over one row rounds unlike the same
-    row in a product over several (see :func:`laplace.lambda_fitted`)."""
+    rows each, and one row at least."""
     step = max(_SLAB // max(width, 1), 1)
-    starts = list(range(0, n_rows, step))
-    if len(starts) > 1 and n_rows - starts[-1] == 1 and step > 1:
-        starts[-1] -= 1
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)

@@ -236,16 +236,12 @@ def stacked_parameter_names(
     return tuple(names)
 
 
-def lambda_from_predictor(
-    eta: np.ndarray, units: tuple[str, ...] = ("row",), origin: tuple[int, ...] | None = None
-) -> np.ndarray:
+def lambda_from_predictor(eta: np.ndarray, units: tuple[str, ...] = ("row",)) -> np.ndarray:
     """Abundance means exp(eta); NumericError names, by one of ``units`` per
-    axis, the largest log-link predictor when it overflows exp().  When
-    ``eta`` is a block cut from a larger array, ``origin`` is the index of
-    its first element there, and the error gives the larger array's index."""
+    axis, the largest log-link predictor when it overflows exp()."""
     if np.any(eta > LOG_LAMBDA_MAX):
         bad = np.unravel_index(np.argmax(eta), eta.shape)
-        where = ", ".join(f"{unit} {int(i)}" for unit, i in zip(units, np.add(bad, origin or 0)))
+        where = ", ".join(f"{unit} {int(i)}" for unit, i in zip(units, bad))
         raise NumericError(f"abundance linear predictor {eta[bad]:.6g} at {where} overflows exp()")
     return np.exp(eta)
 
@@ -273,4 +269,5 @@ def detection_probs(params: ParameterVector, designs: DesignMatrices) -> np.ndar
             f"alpha has length {params.alpha.size} but the detection design has "
             f"{designs.p_detect} columns"
         )
-    return p_from_predictor(designs.detection_design @ params.alpha)
+    w = designs.detection_design
+    return p_from_predictor((w.reshape(-1, w.shape[2]) @ params.alpha).reshape(w.shape[:2]))

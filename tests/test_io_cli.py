@@ -378,6 +378,32 @@ class TestCli:
         assert text[0].startswith("index,mean,sd,q025,median,q975")
         assert len(text) == 25  # 24 rows + header
 
+    def test_lambda_fitted_draws_nothing(self, tmp_path, monkeypatch):
+        """The summaries are exact: no posterior draw is made, and neither
+        --samples nor --seed changes a byte of the CSV."""
+        self._simulate(tmp_path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("lambda-fitted drew from the posterior")
+
+        monkeypatch.setattr(cli, "sample_posterior", no_draws)
+        texts = []
+        for flags in (["--samples", "20"], ["--samples", "4000"], ["--seed", "1"], ["--seed", "2"]):
+            out = tmp_path / "_".join(flags)
+            assert main(["lambda-fitted", "--dataset", str(tmp_path / "sim_counts_mean.csv"),
+                         *flags, "--output-dir", str(out)]) == 0
+            texts.append((out / "lambda_fitted.csv").read_bytes())
+        assert texts[0] == texts[1] and texts[2] == texts[3] == texts[0]
+
+    def test_lambda_fitted_without_covariance_exits_3(self, tmp_path, capsys, monkeypatch):
+        self._simulate(tmp_path)
+        monkeypatch.setattr(mle, "covariance_from_log_density", lambda hessian: None)
+        code = main(["lambda-fitted", "--dataset", str(tmp_path / "sim_counts_mean.csv"),
+                     "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert "fit carries no covariance" in capsys.readouterr().err
+        assert not (tmp_path / "lambda_fitted.csv").exists()
+
     def test_posterior_n_csv(self, tmp_path):
         self._simulate(tmp_path)
         code = main(

@@ -2,12 +2,15 @@
 sampling behaviour, fitted-abundance summaries, and the latent-N
 posterior."""
 
+import dataclasses
+import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
-from scipy.stats import binom, nbinom, poisson
+from scipy.stats import binom, nbinom, norm, poisson
 
 from nmixfit import (
     DesignMatrices,
@@ -17,7 +20,6 @@ from nmixfit import (
     NumericError,
     ObservationTable,
     ParameterVector,
-    PosteriorSamples,
     PriorSpec,
     RowLikelihoodInput,
     fit_laplace,
@@ -178,139 +180,127 @@ class TestSampler:
             sample_posterior(laplace_fit, 0, seed=0)
 
 
+def _lambda_fit(x, beta, cov_beta):
+    """A Poisson fit of an abundance design ``x`` with estimates ``beta``
+    and abundance-block covariance ``cov_beta``; the detection block is
+    one intercept of variance 0.3."""
+    x = np.asarray(x, dtype=float)
+    k = x.shape[1]
+    cov = np.zeros((k + 1, k + 1))
+    cov[:k, :k] = cov_beta
+    cov[k, k] = 0.3
+    designs = DesignMatrices(x, np.ones((x.shape[0], 1, 1)))
+    fit = FitResult(
+        estimates=ParameterVector(beta=np.asarray(beta, dtype=float), alpha=np.array([0.2])),
+        covariance=cov,
+        loglik=0.0,
+        converged=True,
+        iterations=1,
+        gradient_norm=0.0,
+        family=MixtureFamily.POISSON,
+        parameter_names=stacked_parameter_names(designs, MixtureFamily.POISSON),
+    )
+    return fit, designs
+
+
 class TestLambdaFitted:
-    def test_summaries_are_ordered_and_positive(self, posterior_draws, example_sim):
-        rows = lambda_fitted(posterior_draws, example_sim.designs_mean)
+    """Each row's lambda = exp(x beta) is log-normal under the Gaussian."""
+
+    def test_summaries_are_ordered_and_positive(self, laplace_fit, example_sim):
+        rows = lambda_fitted(laplace_fit, example_sim.designs_mean)
         assert len(rows) == example_sim.designs_mean.n_rows
         assert [r.index for r in rows[:3]] == [1, 2, 3]
         for r in rows:
-            assert 0.0 < r.q025 <= r.median <= r.q975
-            assert r.sd >= 0.0
+            assert 0.0 < r.q025 < r.median < r.q975
+            assert r.median < r.mean and r.sd > 0.0
 
-    def test_quantiles_match_direct_computation(self, posterior_draws, example_sim):
-        rows = lambda_fitted(posterior_draws, example_sim.designs_mean)
-        lam0 = np.exp(
-            posterior_draws.beta_draws() @ example_sim.designs_mean.abundance_design[0]
-        )
-        assert rows[0].median == pytest.approx(np.quantile(lam0, 0.5))
-        assert rows[0].mean == pytest.approx(lam0.mean())
-        assert rows[0].sd == pytest.approx(lam0.std(ddof=1))
+    def test_quantiles_match_direct_computation(self, laplace_fit, example_sim):
+        """Every summary equals the log-normal formula worked row by row
+        with ``math`` to 1e-12 relative."""
+        x = np.asarray(example_sim.designs_mean.abundance_design)
+        beta = laplace_fit.estimates.beta
+        cov = laplace_fit.covariance[: beta.size, : beta.size]
+        z = NormalDist().inv_cdf(0.975)
+        got = lambda_fitted(laplace_fit, example_sim.designs_mean)
+        for xi, r in zip(x, got):
+            mu = math.fsum(xi * beta)
+            s2 = float(xi @ cov @ xi)
+            mean = math.exp(mu + s2 / 2)
+            want = (mean, mean * math.sqrt(math.expm1(s2)),
+                    math.exp(mu - z * math.sqrt(s2)), math.exp(mu), math.exp(mu + z * math.sqrt(s2)))
+            np.testing.assert_allclose((r.mean, r.sd, r.q025, r.median, r.q975), want, rtol=1e-12, atol=0)
 
     def test_degenerate_posterior_collapses_quantiles(self):
-        draws = np.tile([[0.7, 0.0]], (50, 1))
-        samples = PosteriorSamples(
-            draws=draws,
-            parameter_names=("lambda:(Intercept)", "p:(Intercept)"),
-            family=MixtureFamily.POISSON,
-            p_lambda=1,
-            p_detect=1,
-        )
-        designs = DesignMatrices(np.ones((2, 1)), np.ones((2, 1, 1)))
-        rows = lambda_fitted(samples, designs)
-        for r in rows:
-            assert r.sd == pytest.approx(0.0, abs=1e-12)
-            assert r.q025 == r.median == r.q975 == pytest.approx(np.exp(0.7))
+        """A zero abundance block leaves lambda = exp(x beta) certain."""
+        fit, designs = _lambda_fit([[1.0, 0.5], [1.0, -2.0]], [0.7, 0.4], np.zeros((2, 2)))
+        for r, mu in zip(lambda_fitted(fit, designs), (0.9, -0.1)):
+            assert r.sd == 0.0
+            assert r.q025 == r.median == r.q975 == r.mean == pytest.approx(np.exp(mu), rel=1e-15)
 
-    def test_design_width_mismatch(self, posterior_draws):
+    def test_design_width_mismatch(self, laplace_fit):
         designs = DesignMatrices(np.ones((2, 2)), np.ones((2, 1, 1)))
-        with pytest.raises(ModelError):
-            lambda_fitted(posterior_draws, designs)
+        with pytest.raises(ModelError, match="design width"):
+            lambda_fitted(laplace_fit, designs)
 
-    def test_overflowing_draw_is_named_by_draw_and_row(self):
-        # eta = 700 + 10 x overflows exp() only at draw 1 and row 2 (x = 1)
-        draws = np.array([[0.0, 0.0, 0.0], [700.0, 10.0, 0.0], [1.0, -1.0, 0.0]])
-        samples = PosteriorSamples(
-            draws, ("lambda:(Intercept)", "lambda:x", "p:(Intercept)"),
-            MixtureFamily.POISSON, 2, 1,
-        )
-        designs = DesignMatrices(
-            np.array([[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]]), np.ones((3, 1, 1))
-        )
-        with pytest.raises(NumericError, match="710 at draw 1, row 2 overflows"):
-            lambda_fitted(samples, designs)
+    def test_fit_without_covariance_is_an_error(self, laplace_fit, example_sim):
+        fit = dataclasses.replace(laplace_fit, covariance=None)
+        with pytest.raises(ModelError, match="no covariance"):
+            lambda_fitted(fit, example_sim.designs_mean)
 
-    def test_overflow_in_a_later_slab_is_named_by_its_table_row(self):
-        """Rows come in slabs of 32 at 4,000 draws; the one overflow, at
-        draw 3,210 and row 150, lies in the fifth slab."""
-        rng = np.random.default_rng(4)
-        x = np.column_stack([np.ones(200), np.zeros(200)])
-        x[150, 1] = 1.0
-        draws = np.column_stack([rng.normal(0.0, 0.1, (4000, 2)), np.zeros(4000)])
-        draws[3210, 1] = 750.0
-        samples = PosteriorSamples(
-            draws, ("lambda:(Intercept)", "lambda:x", "p:(Intercept)"),
-            MixtureFamily.POISSON, 2, 1,
-        )
-        designs = DesignMatrices(x, np.ones((200, 1, 1)))
-        with pytest.raises(NumericError, match="at draw 3210, row 150 overflows"):
-            lambda_fitted(samples, designs)
+    @pytest.mark.parametrize(
+        "beta, var, match",
+        [
+            # the mean exp(710 + 0.005) overflows at row 2 (x = 1)
+            ([700.0, 10.0], 0.01, "row 2 overflow"),
+            # the sd exp(0.5 * 800) * sqrt(expm1(800)) overflows at every row
+            ([0.0, 0.0], 800.0, "row 0 overflow"),
+        ],
+        ids=["mean", "sd"],
+    )
+    def test_overflow_is_named_by_its_row(self, beta, var, match):
+        fit, designs = _lambda_fit([[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]], beta, np.diag([var, 0.0]))
+        with pytest.raises(NumericError, match=match):
+            lambda_fitted(fit, designs)
+
+    def test_negative_variance_is_named_by_its_row(self):
+        fit, designs = _lambda_fit([[1.0, 0.0], [1.0, 1.0]], [0.0, 0.0], np.diag([0.5, -1.0]))
+        with pytest.raises(NumericError, match="-0.5 at row 1 is negative"):
+            lambda_fitted(fit, designs)
 
 
 class TestLambdaFittedExactness:
-    """The rows x draws layout gives numpy's draws x rows summaries: the
-    quantiles bit for bit, the mean and sd to rounding."""
+    """The closed form is the limit of the Monte Carlo summaries it
+    replaces: numpy's quantiles, mean and sd over posterior draws."""
 
-    LEVELS = [0.025, 0.5, 0.975]
-
-    @staticmethod
-    def _quantiles(rows):
-        return np.array([[r.q025, r.median, r.q975] for r in rows]).T
-
-    def test_matches_numpy_on_every_row(self, posterior_draws, example_sim):
-        designs = example_sim.designs_mean
-        rows = lambda_fitted(posterior_draws, designs)
-        # draws x rows, from the product lambda_fitted forms
-        lam = np.exp(designs.abundance_design @ posterior_draws.beta_draws().T).T
-        want = np.quantile(lam, self.LEVELS, axis=0)
-        np.testing.assert_array_equal(self._quantiles(rows), want)
-        mean = np.array([r.mean for r in rows])
-        sd = np.array([r.sd for r in rows])
-        np.testing.assert_allclose(mean, lam.mean(axis=0), rtol=1e-13, atol=0)
-        np.testing.assert_allclose(sd, lam.std(axis=0, ddof=1), rtol=1e-13, atol=0)
-
-    @pytest.mark.parametrize("n_draws", [1, 2])
-    def test_one_and_two_draws(self, laplace_fit, example_sim, n_draws):
-        designs = example_sim.designs_mean
-        samples = sample_posterior(laplace_fit, n_draws, seed=3)
-        rows = lambda_fitted(samples, designs)
-        lam = np.exp(designs.abundance_design @ samples.beta_draws().T).T
-        got = self._quantiles(rows)
-        np.testing.assert_array_equal(got, np.quantile(lam, self.LEVELS, axis=0))
-        if n_draws == 1:
-            np.testing.assert_array_equal(got, np.repeat(lam, 3, axis=0))
-            assert all(r.sd == 0.0 for r in rows)
-        else:
-            sd = np.array([r.sd for r in rows])
-            np.testing.assert_allclose(sd, lam.std(axis=0, ddof=1), rtol=1e-13, atol=0)
-
-    def test_design_of_several_slabs(self):
-        """705 rows at 4,000 draws are summarised in 89 slabs, the last of
-        2 rows; the quantiles still match numpy's bit for bit."""
-        rng = np.random.default_rng(8)
-        x = np.column_stack([np.ones(705), rng.standard_normal((705, 2))])
-        draws = np.column_stack([rng.normal(1.0, 0.3, (4000, 3)), np.zeros(4000)])
-        samples = PosteriorSamples(
-            draws, ("lambda:(Intercept)", "lambda:a", "lambda:b", "p:(Intercept)"),
-            MixtureFamily.POISSON, 3, 1,
-        )
-        designs = DesignMatrices(x, np.ones((705, 1, 1)))
-        rows = lambda_fitted(samples, designs)
-        lam = np.exp(x @ samples.beta_draws().T).T
-        np.testing.assert_array_equal(self._quantiles(rows), np.quantile(lam, self.LEVELS, axis=0))
-        np.testing.assert_allclose([r.mean for r in rows], lam.mean(axis=0), rtol=1e-13, atol=0)
-        np.testing.assert_allclose([r.sd for r in rows], lam.std(axis=0, ddof=1), rtol=1e-13, atol=0)
+    def test_matches_numpy_on_every_row(self, laplace_fit, example_sim):
+        """Within 5 Monte Carlo standard errors of 200,000 draws on every
+        row, worked one row at a time to keep memory small."""
+        n = 200_000
+        beta = sample_posterior(laplace_fit, n, seed=31).beta_draws()
+        x = np.asarray(example_sim.designs_mean.abundance_design)
+        levels = np.array([0.025, 0.5, 0.975])
+        density = norm.pdf(norm.ppf(levels))
+        for xi, r in zip(x, lambda_fitted(laplace_fit, example_sim.designs_mean)):
+            lam = np.exp(beta @ xi)
+            s2 = float(xi @ laplace_fit.covariance[:4, :4] @ xi)
+            q = np.array([r.q025, r.median, r.q975])
+            # quantile sd sqrt(q(1-q)/n) / f(x_q), f the log-normal density
+            se_q = q * math.sqrt(s2) * np.sqrt(levels * (1 - levels) / n) / density
+            kurt = np.exp(4 * s2) + 2 * np.exp(3 * s2) + 3 * np.exp(2 * s2) - 6
+            se = np.array([r.sd / math.sqrt(n), r.sd * math.sqrt((kurt + 2) / (4 * n))])
+            assert np.all(np.abs(np.quantile(lam, levels) - q) < 5 * se_q)
+            assert np.all(np.abs([lam.mean() - r.mean, lam.std(ddof=1) - r.sd]) < 5 * se)
 
     def test_memory_stays_bounded(self, laplace_fit, example_sim):
-        """648 rows x 4,000 draws peak far below the 39.6 MiB of whole
-        rows x draws arrays; numpy reports its buffers to tracemalloc."""
-        samples = sample_posterior(laplace_fit, 4000, seed=5)
+        """648 rows peak below 1 MiB, as no draws are formed; numpy reports
+        its buffers to tracemalloc."""
         tracemalloc.start()
         try:
-            lambda_fitted(samples, example_sim.designs_mean)
+            lambda_fitted(laplace_fit, example_sim.designs_mean)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert peak < 2**20
 
 
 class TestPosteriorN:
