@@ -28,6 +28,7 @@ from .experiments import (
 from .io import (
     build_designs,
     fit_to_json,
+    open_output,
     parse_config,
     read_dataset,
     sim_to_datasets,
@@ -217,11 +218,6 @@ def _parse_floats(text: str, expected: int, flag: str) -> tuple[float, ...]:
     return values
 
 
-def _out_path(args, filename: str) -> str:
-    os.makedirs(args.output_dir, exist_ok=True)
-    return os.path.join(args.output_dir, filename)
-
-
 def _cmd_simulate(args) -> int:
     _default(args, "family", "nb")
     if args.family == "poisson" and args.theta is not None:
@@ -236,11 +232,8 @@ def _cmd_simulate(args) -> int:
         config = replace(config, theta=None)
     sim = simulate(config)
     mean_ds, survey_ds = sim_to_datasets(sim)
-    paths = {
-        "mean": _out_path(args, "sim_counts_mean.csv"),
-        "survey": _out_path(args, "sim_counts_survey.csv"),
-        "truth": _out_path(args, "sim_truth.csv"),
-    }
+    names = {"mean": "sim_counts_mean.csv", "survey": "sim_counts_survey.csv", "truth": "sim_truth.csv"}
+    paths = {label: os.path.join(args.output_dir, name) for label, name in names.items()}
     write_dataset(mean_ds, paths["mean"])
     write_dataset(survey_ds, paths["survey"])
     write_truth_csv(paths["truth"], sim)
@@ -286,7 +279,7 @@ def _cmd_fit(args) -> int:
     table, designs, family, _ = _prepare_fit(args)
     fit, elapsed = _run_engine(args, table, designs, family)
     summary = summarize_fit(fit) if fit.covariance is not None else None
-    path = _out_path(args, "fit.json")
+    path = os.path.join(args.output_dir, "fit.json")
     extra = {
         "engine": args.engine,
         "dataset": args.dataset,
@@ -294,9 +287,8 @@ def _cmd_fit(args) -> int:
         "n_surveys": table.n_surveys,
         "wallclock_seconds": elapsed,
     }
-    with open(path, "w") as handle:
-        handle.write(fit_to_json(fit, summary, extra))
-        handle.write("\n")
+    with open_output(path) as handle:
+        handle.write(fit_to_json(fit, summary, extra) + "\n")
     if summary is not None:
         print(format_fit_summary(fit))
     else:
@@ -317,7 +309,7 @@ def _cmd_lambda_fitted(args) -> int:
         replace(r, index=int(k))
         for r, k in zip(lambda_fitted(fit, designs), np.flatnonzero(kept) + 1)
     ]
-    path = _out_path(args, "lambda_fitted.csv")
+    path = os.path.join(args.output_dir, "lambda_fitted.csv")
     write_records(path, rows, LambdaFittedSummary)
     medians = np.array([r.median for r in rows])
     print(
@@ -358,7 +350,7 @@ def _cmd_posterior_n(args) -> int:
     y_row, lam_draws, p_draws, theta_draws = _row_draws(samples, table, designs, idx)
     probs = posterior_n(y_row, lam_draws, p_draws, theta_draws=theta_draws)
     grid = np.arange(int(y_row.max()), int(y_row.max()) + probs.size)
-    path = _out_path(args, "posterior_n.csv")
+    path = os.path.join(args.output_dir, "posterior_n.csv")
     write_csv(path, ["n", "probability"], zip(grid.tolist(), probs.tolist()))
     mean_n = float(np.sum(grid * probs))
     mode_n = int(grid[np.argmax(probs)])
@@ -375,7 +367,7 @@ def _cmd_bias_experiment(args) -> int:
     records = run_bias_experiment(
         seed=args.seed, base=_sim_config(args), **_given(runs=args.runs, workers=args.threads)
     )
-    path = _out_path(args, "bias_experiment.csv")
+    path = os.path.join(args.output_dir, "bias_experiment.csv")
     write_bias_csv(records, path)
     print(
         f"{len(records)} records from {records[-1].run + 1} runs written to {path}; "

@@ -14,9 +14,9 @@ start and understates the bias of a fit from a data-driven start.
 Per-parameter estimation errors, with each fit's kernel passes and
 optimiser message, land in a flat record list ready for CSV export.
 
-Failed fits are recorded with converged=False, NaN estimates, 0 kernel
-passes and the error's text; a sweep never aborts because one fit
-misbehaved.
+Numeric fit failures are recorded with converged=False, NaN estimates,
+0 kernel passes and the error's text; a fit's ModelError (a rank-deficient
+or under-determined design) comes from the settings, and is raised.
 
 The replicates are cut into groups of consecutive runs, at least one per
 worker process, and the fits of a group run in lock-step, so each
@@ -91,6 +91,8 @@ def _run_group(payloads) -> list[BiasRecord]:
     records = []
     for (run, a4, model), (*_, start), fit in zip(labels, problems, _fit(problems)):
         truths = start.to_array()
+        if isinstance(fit, ModelError):
+            raise fit
         if isinstance(fit, NmixError):
             estimates = np.full(truths.size, np.nan)
             converged, passes, message = False, 0, str(fit)

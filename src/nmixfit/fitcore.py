@@ -26,16 +26,12 @@ from .model import (
 )
 
 
-# The trust region stops at a gradient 2-norm below _GRADIENT_TOL; a fit not cut off at
-# _MAX_ITERATIONS is converged below an infinity norm of _CONVERGED_NORM.  Radius rules
-# are trust-exact's (Nocedal & Wright, Alg. 4.1); the ratio test allows for rounding
+# In column units the trust region stops at a gradient 2-norm below _GRADIENT_TOL, and a fit
+# not cut off at _MAX_ITERATIONS is converged below an infinity norm of _CONVERGED_NORM; radius
+# rules are trust-exact's (Nocedal & Wright, Alg. 4.1), the ratio test allows for rounding
 _MAX_ITERATIONS, _GRADIENT_TOL, _CONVERGED_NORM = 500, 1e-5, 1e-4
 _RADIUS, _MAX_RADIUS, _ETA, _ROUNDING = 1.0, 1000.0, 0.15, 10.0 * np.finfo(float).eps
 _SUBPROBLEM_ITERATIONS, _SUBPROBLEM_TOL = 50, 1e-12
-# These limits are in the coefficients' own units, so fits are only asked of designs whose
-# columns' largest |values| lie within _SCALE_SPREAD of each other (wider spreads were seen
-# to stop short of the mode, some reported converged)
-_SCALE_SPREAD = 1e4
 _STATUS_MESSAGES = ("Optimization terminated successfully.",
                     "Maximum number of iterations has been exceeded.",
                     "A bad approximation caused failure to predict improvement.")
@@ -49,11 +45,11 @@ class FitResult:
     engine, the log posterior kernel for the Laplace engine.
     ``covariance`` is None only when the curvature at the mode was not
     finite and positive definite.
-    ``converged`` judges the score at the mode, and is False for a fit
-    cut off at the iteration limit; ``optimizer_success`` and
-    ``optimizer_message`` are the optimiser's own verdict and termination
-    message.  ``kernel_passes`` counts the evaluations of the log density,
-    one series pass each, covariance included.
+    ``converged`` judges ``gradient_norm``, the score's largest entry in
+    column units at the mode, and is False for a fit cut off at the
+    iteration limit; ``optimizer_success`` and ``optimizer_message`` are the
+    optimiser's own verdict and message.  ``kernel_passes`` counts the log
+    density's evaluations, one series pass each, covariance included.
     """
 
     estimates: ParameterVector
@@ -89,9 +85,10 @@ def _column_rank_report(matrix: np.ndarray, names: tuple[str, ...]) -> list[str]
 
 def check_designs_for_fit(
     table: ObservationTable, designs: DesignMatrices, family: MixtureFamily
-) -> None:
-    """Reject mismatched, under-determined, rank-deficient or badly scaled
-    fitting problems."""
+) -> np.ndarray:
+    """Reject mismatched, under-determined or rank-deficient fitting problems;
+    return each parameter's scale, the power of two nearest its column's largest
+    |value| (detection: over observed cells; log_theta: 1), which gives column units."""
     check_table_designs(table, designs)
     n_params = designs.p_lambda + designs.p_detect + (1 if family.has_dispersion else 0)
     if table.n_rows < n_params:
@@ -99,6 +96,7 @@ def check_designs_for_fit(
             f"{n_params} parameters but only {table.n_rows} rows; the fit is under-determined"
         )
     stacked = np.asarray(designs.detection_design)[table.mask]
+    largest = []
     for label, design, names in (
         ("abundance design", np.asarray(designs.abundance_design), designs.abundance_names),
         ("detection design over the observed cells", stacked, designs.detection_names),
@@ -106,16 +104,15 @@ def check_designs_for_fit(
         bad = _column_rank_report(design, names)
         if bad:
             raise ModelError(f"{label} is rank deficient; collinear columns: " + ", ".join(bad))
-        scale = np.max(np.abs(design), axis=0)
-        big, small = np.argmax(scale), np.argmin(scale)
-        if float(scale[big]) > _SCALE_SPREAD * float(scale[small]):
-            raise ModelError(f"{label} columns differ in scale past {_SCALE_SPREAD:g} ({names[big]} "
-                             f"reaches {scale[big]:g}, {names[small]} {scale[small]:g}); rescale them")
+        largest.append(np.max(np.abs(design), axis=0))
+    largest.append(np.ones(int(family.has_dispersion)))  # log_theta's
+    return np.ldexp(1.0, np.round(np.log2(np.concatenate(largest))).astype(int))
 
 
 class Optimum(NamedTuple):
     """Outcome of :func:`maximize_log_density`; ``hessian`` is the log
-    density's Hessian at ``x`` and ``passes`` the evaluations made."""
+    density's Hessian at ``x``, ``gradient_norm`` its gradient's largest
+    entry in column units there, and ``passes`` the evaluations made."""
 
     x: np.ndarray
     value: float
@@ -156,28 +153,29 @@ def _trust_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> tuple[np.n
     return vec @ c, True
 
 
-def _trust_region(x: np.ndarray):
-    """One fit's trust region from ``x``, as a generator: it yields each
-    point to evaluate, is sent back (value, gradient, Hessian) there, the
-    NumericError that evaluating it raised, or None where the triple is
-    not finite, and returns the :class:`Optimum`; it raises NumericError,
-    naming the evaluation's own error if there is one, if the start fails."""
+def _trust_region(x: np.ndarray, scale: np.ndarray):
+    """One fit's trust region from ``x`` in the units x * ``scale`` (Nocedal &
+    Wright 2006, 4.5), as a generator: it yields each point to evaluate, is
+    sent back (value, gradient, Hessian) there, the NumericError that
+    evaluating it raised, or None where the triple is not finite, and returns
+    the :class:`Optimum`; it raises NumericError, naming the evaluation's own
+    error if there is one, if the start fails."""
     point = yield x
     if not isinstance(point, tuple):
         cause = "" if point is None else f": {point}"
         raise NumericError("objective is not finite at the starting point" + cause)
     iterations, radius, status = 0, _RADIUS, 0
-    while np.linalg.norm(point[1]) >= _GRADIENT_TOL:
+    while np.linalg.norm(point[1] / scale) >= _GRADIENT_TOL:
         if iterations >= _MAX_ITERATIONS:
             status = 1
             break
-        value, grad, hess = point
+        value, grad, hess = point[0], point[1] / scale, point[2] / scale[:, None] / scale
         step, on_boundary = _trust_step(grad, hess, radius)
         predicted = grad @ step + 0.5 * step @ hess @ step
         if not predicted > 0.0:
             status = 2
             break
-        trial_x = x + step
+        trial_x = x + step / scale
         trial = yield trial_x
         noise = _ROUNDING * max(1.0, abs(value))  # Conn, Gould & Toint 2000, 17.4.2
         rho = (trial[0] - value + noise) / (predicted + noise) if isinstance(trial, tuple) else -np.inf
@@ -188,7 +186,7 @@ def _trust_region(x: np.ndarray):
         if rho > _ETA:
             x, point = trial_x, trial
         iterations += 1
-    gnorm = float(np.max(np.abs(point[1])))
+    gnorm = float(np.max(np.abs(point[1] / scale)))
     return Optimum(
         x=x,
         value=float(point[0]),
@@ -203,8 +201,9 @@ def _trust_region(x: np.ndarray):
 
 
 def maximize_log_density(log_density_derivs, starts) -> dict[object, Optimum | NumericError]:
-    """Maximise one log density from each of ``starts``, a dict {key: x0},
-    by trust-region Newton steps, the fits in lock-step.
+    """Maximise one log density from each of ``starts``, a dict {key: (x0,
+    scale)}, by trust-region Newton steps in the units x * scale, the fits in
+    lock-step.
 
     ``log_density_derivs(points)`` gets a list of (key, x), one for each
     fit still running, x the point where it asks for (value, gradient,
@@ -213,12 +212,13 @@ def maximize_log_density(log_density_derivs, starts) -> dict[object, Optimum | N
     point, or one whose triple is not finite, is a rejected step.  Each fit
     takes the steps it takes alone, and evaluates every point once.
     Returns {key: result}, the result the fit's :class:`Optimum`, whose
-    gradient_norm is the infinity norm of the gradient at the returned
+    gradient_norm is the infinity norm of gradient / scale at the returned
     point (``converged`` compares it with ``_CONVERGED_NORM``, and is
     False at the iteration limit), or a NumericError if the objective is
     not finite at the start, which carries the start's own error, if any.
     """
-    runs = {key: _trust_region(np.asarray(x0, dtype=float)) for key, x0 in starts.items()}
+    runs = {key: _trust_region(np.asarray(x0, dtype=float), scale)
+            for key, (x0, scale) in starts.items()}
     asked = {key: next(run) for key, run in runs.items()}
     results = {}
     while asked:
@@ -239,17 +239,17 @@ def maximize_log_density(log_density_derivs, starts) -> dict[object, Optimum | N
     return results
 
 
-def covariance_from_log_density(hessian: np.ndarray) -> np.ndarray | None:
-    """Covariance as the inverse negative Hessian of the log density at the
-    mode, or None when that curvature is not finite and positive definite;
-    callers surface None as a fit without standard errors, not an error."""
-    neg_hess = -0.5 * (hessian + hessian.T)
+def covariance_from_log_density(hessian: np.ndarray, scale: np.ndarray) -> np.ndarray | None:
+    """Covariance as the inverse negative Hessian of the log density at the mode,
+    inverted in the units x * ``scale``, or None when that curvature is not finite
+    and positive definite; callers surface None as a fit without standard errors."""
+    neg_hess = -0.5 * (hessian + hessian.T) / scale[:, None] / scale
     if not np.all(np.isfinite(neg_hess)):
         return None
     eigval, eigvec = np.linalg.eigh(neg_hess)
     if np.any(eigval <= 0.0):
         return None
-    cov = (eigvec / eigval) @ eigvec.T
+    cov = (eigvec / eigval) @ eigvec.T / scale[:, None] / scale
     return 0.5 * (cov + cov.T)
 
 

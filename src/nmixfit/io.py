@@ -16,7 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -36,9 +38,20 @@ def _cell(value) -> str:
     return str(value)
 
 
+@contextmanager
+def open_output(path):
+    """``path`` opened for writing, its directory made; OSError becomes DataError."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path, header, rows) -> None:
     """Write ``header`` and then each row of values, one cell rule for all."""
-    with open(path, "w", newline="") as handle:
+    with open_output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows([_cell(value) for value in row] for row in rows)
@@ -149,11 +162,11 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 def read_dataset(path) -> Dataset:
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             # blank lines are skipped; each kept row carries its physical line
             numbered = [(reader.line_num, row) for row in reader if row]
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     if len(numbered) < 2:
         raise DataError(f"dataset {path} has no data rows")
@@ -235,13 +248,6 @@ def build_designs(
     n, j = table.n_rows, table.n_surveys
     notes: list[str] = []
 
-    def lookup(name):
-        if name in dataset.row_covariates:
-            return np.tile(dataset.row_covariates[name][:, None], (1, j)), False
-        if name in dataset.survey_covariates:
-            return dataset.survey_covariates[name].copy(), True
-        raise DataError(f"unknown covariate {name!r}")
-
     abundance = [np.ones(n)]
     for name in lambda_covariates:
         if name in dataset.survey_covariates:
@@ -256,25 +262,25 @@ def build_designs(
     detection = [np.ones((n, j))]
     unusable = np.zeros((n, j), dtype=bool)
     for name in p_covariates:
-        values, per_survey = lookup(name)
-        if per_survey:
-            missing = np.isnan(values) & table.mask
-            if np.any(missing):
-                unusable |= missing
-                notes.append(
-                    f"dropped {int(missing.sum())} observed counts lacking "
-                    f"detection covariate {name!r}"
-                )
-        detection.append(values)
+        if name in dataset.row_covariates:
+            detection.append(np.tile(dataset.row_covariates[name][:, None], (1, j)))
+            continue
+        if name not in dataset.survey_covariates:
+            raise DataError(f"unknown covariate {name!r}")
+        missing = np.isnan(dataset.survey_covariates[name]) & table.mask
+        if np.any(missing):
+            unusable |= missing
+            notes.append(
+                f"dropped {int(missing.sum())} observed counts lacking detection covariate {name!r}")
+        detection.append(dataset.survey_covariates[name])
 
     counts = np.asarray(table.counts, dtype=float).copy()
     counts[unusable] = np.nan
     keep = ~np.all(np.isnan(counts), axis=1)
     if not np.all(keep):
         notes.append(f"dropped {int(np.sum(~keep))} rows left with no usable surveys")
-    counts = counts[keep]
     new_table = ObservationTable(
-        counts=counts, site=table.site[keep], year=table.year[keep]
+        counts=counts[keep], site=table.site[keep], year=table.year[keep]
     )
     abundance_design = np.column_stack(abundance)[keep]
     detection_design = np.stack(detection, axis=2)[keep]
@@ -293,7 +299,7 @@ def parse_config(path) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, blank lines skipped."""
     result: dict[str, str] = {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -302,7 +308,7 @@ def parse_config(path) -> dict[str, str]:
                     raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
                 key, value = line.split("=", 1)
                 result[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     return result
 

@@ -48,10 +48,10 @@ def _fit(problems) -> list[FitResult | NmixError]:
     results, starts = {}, {}
     for i, (table, designs, family, _, start) in enumerate(problems):
         try:
-            check_designs_for_fit(table, designs, family)
+            scale = check_designs_for_fit(table, designs, family)
             x0 = (default_start(table, designs, family) if start is None else start).to_array()
             _vector(x0, designs, family)
-            starts[i] = x0
+            starts[i] = x0, scale
         except NmixError as exc:
             results[i] = exc
 
@@ -77,7 +77,7 @@ def _fit(problems) -> list[FitResult | NmixError]:
         opt = results[i]
         fits.append(opt if isinstance(opt, NmixError) else FitResult(
             estimates=_vector(opt.x, designs, family),
-            covariance=covariance_from_log_density(opt.hessian),
+            covariance=covariance_from_log_density(opt.hessian, starts[i][1]),
             loglik=opt.value,
             converged=opt.converged,
             iterations=opt.iterations,

@@ -60,6 +60,9 @@ class TestRunMechanics:
             ({"base": SimConfig(theta=None)}, "requires a dispersion parameter"),
             ({"runs": 2, "workers": 0}, "workers must be at least 1"),
             ({"runs": 2, "workers": -1}, "workers must be at least 1"),
+            # one year makes the year covariate x3 constant
+            ({"runs": 2, "base": SimConfig(n_years=1)},
+             "^abundance design is rank deficient; collinear columns: x3$"),
         ],
     )
     def test_invalid_settings_are_model_errors(self, settings, message):

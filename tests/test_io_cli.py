@@ -67,6 +67,25 @@ class TestDatasetRoundTrip:
         np.testing.assert_array_equal(back.row_covariates["elev"], ds.row_covariates["elev"])
         np.testing.assert_array_equal(back.survey_covariates["date"], ds.survey_covariates["date"])
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """An Excel "CSV UTF-8" export starts with a UTF-8 byte-order mark."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_dataset(_dataset(), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = read_dataset(plain), read_dataset(marked)
+        for name in ("counts", "site", "year"):
+            np.testing.assert_array_equal(getattr(got.table, name), getattr(want.table, name))
+        for name in ("row_covariates", "survey_covariates"):
+            assert getattr(got, name).keys() == getattr(want, name).keys()
+            for key, value in getattr(want, name).items():
+                np.testing.assert_array_equal(getattr(got, name)[key], value)
+
+    def test_undecodable_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("site,year,y1,élév\n1,1,2,3\n".encode("latin-1"))
+        with pytest.raises(DataError, match="^cannot read dataset .*utf-8"):
+            read_dataset(path)
+
     def test_missing_tokens_parse_as_gaps(self, tmp_path):
         path = tmp_path / "gaps.csv"
         path.write_text(
@@ -297,6 +316,11 @@ class TestConfigFile:
         cfg.write_text("# comment\nseed = 7\nfamily= nb\n\n  sites =12\n")
         assert parse_config(cfg) == {"seed": "7", "family": "nb", "sites": "12"}
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed = 7\nfamily = nb\n")
+        assert parse_config(cfg) == {"seed": "7", "family": "nb"}
+
     def test_malformed_line_is_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed: 7\n")
@@ -355,7 +379,7 @@ class TestCli:
 
     def test_fit_without_positive_definite_curvature_says_so(self, tmp_path, capsys, monkeypatch):
         self._simulate(tmp_path)
-        monkeypatch.setattr(mle, "covariance_from_log_density", lambda hessian: None)
+        monkeypatch.setattr(mle, "covariance_from_log_density", lambda hessian, scale: None)
         code = main(
             ["fit", "--dataset", str(tmp_path / "sim_counts_mean.csv"),
              "--engine", "ml", "--output-dir", str(tmp_path)]
@@ -397,7 +421,7 @@ class TestCli:
 
     def test_lambda_fitted_without_covariance_exits_3(self, tmp_path, capsys, monkeypatch):
         self._simulate(tmp_path)
-        monkeypatch.setattr(mle, "covariance_from_log_density", lambda hessian: None)
+        monkeypatch.setattr(mle, "covariance_from_log_density", lambda hessian, scale: None)
         code = main(["lambda-fitted", "--dataset", str(tmp_path / "sim_counts_mean.csv"),
                      "--output-dir", str(tmp_path)])
         assert code == 3
@@ -692,6 +716,10 @@ class TestCli:
              4, "the sampler cannot draw N at lambda=27.6843, theta=9.99989e-321: "),
             (["simulate", "--family", "poisson", "--beta=44,0,0,0"], 4,
              "the sampler cannot draw N at lambda=1.28516e+19: lam value too large"),
+            (["bias-experiment", "--years", "1", "--runs", "2"], 3,
+             "abundance design is rank deficient; collinear columns: x3"),
+            (["bias-experiment", "--sites", "2", "--runs", "1"], 3,
+             "abundance design is rank deficient; collinear columns: x2"),
         ],
     )
     def test_simulation_settings_the_model_rejects_are_named(
@@ -704,6 +732,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    @pytest.mark.parametrize("blocked", ["output dir", "output file"])
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, capsys, command, blocked):
+        """An --output-dir naming a file, or an output file name taken by a
+        directory, is one error line naming the file that cannot be written."""
+        self._simulate(tmp_path)
+        out = tmp_path / "out"
+        if blocked == "output dir":
+            out.write_text("")
+            path = out / {"simulate": "sim_counts_mean.csv", "fit": "fit.json"}[command]
+        else:
+            path = out / {"simulate": "sim_truth.csv", "fit": "fit.json"}[command]
+            path.mkdir(parents=True)
+        argv = ["simulate", "--sites", "5", "--years", "2"] if command == "simulate" else [
+            "fit", "--dataset", str(tmp_path / "sim_counts_mean.csv"), "--engine", "ml"]
+        capsys.readouterr()
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
     def test_missing_dataset_exits_2(self, tmp_path):
         code = main(
@@ -758,22 +806,12 @@ class TestCli:
         path.write_text("\n".join(rows) + "\n")
         return path
 
-    @pytest.mark.parametrize("factor", [1e-17, 1e16])
-    def test_covariate_scaled_past_what_the_fit_resolves_exits_3(self, tmp_path, capsys, factor):
-        """With x1 x 1e-17 the fit once reported converged=True at loglik
-        -67.35227, short of the mode's -67.34505; such a design is refused."""
-        path = self._scaled_x1(tmp_path, factor)
-        capsys.readouterr()
-        code = main(["fit", "--dataset", str(path), "--engine", "ml", "--family", "poisson",
-                     "--lambda-covariates", "x1", "--output-dir", str(tmp_path)])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "abundance design columns differ in scale past 10000" in err
-        assert "collinear" not in err
-        assert not (tmp_path / "fit.json").exists()
-
-    @pytest.mark.parametrize("factor", [1e-3, 1e3])
+    @pytest.mark.parametrize("factor", [1e-17, 1e-3, 1e3, 1e16])
     def test_covariate_scaled_within_the_spread_reaches_the_mode(self, tmp_path, factor):
+        """With x1 x 1e-17 a fit in the coefficients' own units once reported
+        converged=True at loglik -67.35227, short of the mode's -67.34505;
+        an inverse Hessian taken in those units lost its digits or its
+        positive definiteness from a spread of about 1e7."""
         fits = [
             fit_ml(*build_designs(read_dataset(self._scaled_x1(tmp_path, f)), ("x1",), ())[:2],
                    MixtureFamily.POISSON)
@@ -782,6 +820,8 @@ class TestCli:
         assert all(fit.converged for fit in fits)
         assert fits[1].loglik == pytest.approx(fits[0].loglik, abs=1e-9)
         assert fits[1].estimates.beta[1] * factor == pytest.approx(fits[0].estimates.beta[1], rel=1e-6)
+        se = [np.sqrt(fit.covariance[1, 1]) for fit in fits]
+        assert se[1] * factor == pytest.approx(se[0], rel=1e-6)
 
     def test_row_without_counts_exits_2_naming_its_line(self, tmp_path, capsys):
         path = tmp_path / "counts.csv"
